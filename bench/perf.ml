@@ -2,10 +2,13 @@
 
    Times the whole suite end to end (wall clock), each pipeline stage
    per benchmark with Bechamel — including profiling under both
-   interpreter cores (threaded vs. reference) and the physical
-   expansion under both engines (indexed vs. rescan) — and a domain
-   scaling sweep of parallel profiling, then writes a BENCH_perf.json
-   summary.
+   interpreter cores (threaded vs. reference) — and a domain scaling
+   sweep of parallel profiling, then writes a BENCH_perf.json summary.
+
+   The profiling modes are compared by their exact instrumentation
+   store counts: the run fails if min-coverage profiling executes more
+   stores than full profiling on any benchmark.  Their wall clocks are
+   reported, not guarded.
 
    With --baseline FILE, the fresh suite wall clock is guarded against
    the committed baseline: the run fails if it regresses by more than
@@ -53,48 +56,36 @@ let scaling_floor () =
     | Some f when f >= 0. -> f
     | Some _ | None -> fail "bad IMPACT_SCALING_FLOOR '%s'" v)
 
-(* Noise slack (percent) on the min-vs-full profiling guard.  Min-mode
-   instruments a subset of sites, so it can only do less counting work
-   than full — the guarantee is "never slower", and the slack only
-   absorbs scheduler noise on benchmarks too small to show the win. *)
-let profile_tolerance_pct () =
-  match Sys.getenv_opt "IMPACT_PROFILE_TOLERANCE" with
-  | None | Some "" -> 10.
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some t when t >= 0. -> t
-    | Some _ | None -> fail "bad IMPACT_PROFILE_TOLERANCE '%s'" v)
-
+(* Min-coverage profiling counts a subset of full's sites on the same
+   runs, so it can never execute more instrumentation stores: an exact
+   guard, with no noise to absorb. *)
 let guard_profiling (costs : Perf.profiling_cost list) =
-  let tol = profile_tolerance_pct () in
   let module Coverage = Impact_profile.Coverage in
   List.iter
     (fun (pc : Perf.profiling_cost) ->
-      let full = Perf.profiling_wall pc Coverage.Full in
-      let min_w = Perf.profiling_wall pc Coverage.Min in
-      if full > 0. && min_w > full *. (1. +. (tol /. 100.)) then
+      let full = Perf.profiling_stores pc Coverage.Full in
+      let min_s = Perf.profiling_stores pc Coverage.Min in
+      if min_s > full then
         fail
-          "min-coverage profiling slower than full on %s: %.2f ms vs %.2f ms \
-           (>%g%% tolerance; set IMPACT_PROFILE_TOLERANCE to override)"
-          pc.Perf.pc_bench min_w full tol)
+          "min-coverage profiling executed more instrumentation stores than \
+           full on %s: %d vs %d"
+          pc.Perf.pc_bench min_s full)
     costs;
-  let total mode =
+  let sum f = List.fold_left (fun a pc -> a + f pc) 0 costs in
+  let wall mode =
     List.fold_left (fun a pc -> a +. Perf.profiling_wall pc mode) 0. costs
   in
-  let sites which =
-    List.fold_left (fun a (pc : Perf.profiling_cost) -> a + which pc) 0 costs
-  in
-  let counted = sites (fun pc -> pc.Perf.pc_counted_sites) in
-  let all_sites = sites (fun pc -> pc.Perf.pc_total_sites) in
+  let stores mode = sum (fun pc -> Perf.profiling_stores pc mode) in
+  let counted = sum (fun pc -> pc.Perf.pc_counted_sites) in
+  let all_sites = sum (fun pc -> pc.Perf.pc_total_sites) in
   Printf.printf
-    "  profiling modes: full %.0f ms, min %.0f ms, sampled %.0f ms over the \
-     suite; min instruments %d of %d sites (%.0f%%)\n"
-    (total Coverage.Full) (total Coverage.Min) (total Coverage.Sampled) counted
-    all_sites
+    "  profiling modes: full %d stores in %.0f ms, min %d stores in %.0f ms \
+     over the suite; min instruments %d of %d sites (%.0f%%)\n"
+    (stores Coverage.Full) (wall Coverage.Full) (stores Coverage.Min)
+    (wall Coverage.Min) counted all_sites
     (100. *. float_of_int counted /. float_of_int (max all_sites 1));
-  Printf.printf "  profiling guard ok: min <= full on every benchmark \
-                 (tolerance %g%%)\n"
-    tol
+  Printf.printf
+    "  profiling guard ok: min stores <= full stores on every benchmark\n"
 
 let level_wall (sc : Perf.scaling) jobs =
   match List.find_opt (fun l -> l.Perf.sl_jobs = jobs) sc.Perf.sc_levels with
@@ -181,17 +172,14 @@ let () =
       perfs
   in
   Impact_support.Atomic_io.write_string !out_file (Sink.json_to_string json ^ "\n");
-  let indexed = Perf.stage_total "expand" perfs in
-  let rescan = Perf.stage_total "expand_rescan" perfs in
   let threaded = Perf.stage_total "profile" perfs in
   let reference = Perf.stage_total "profile_reference" perfs in
   let engine_speedup = if threaded > 0. then reference /. threaded else 0. in
   Printf.printf
     "bench-perf ok: suite %.0f ms, profile %.0f us threaded vs %.0f us reference \
-     (%.2fx), expand %.0f us indexed vs %.0f us rescan (%.2fx) -> %s\n"
+     (%.2fx), expand %.0f us -> %s\n"
     suite_wall_ms (threaded /. 1e3) (reference /. 1e3) engine_speedup
-    (indexed /. 1e3) (rescan /. 1e3)
-    (if indexed > 0. then rescan /. indexed else 0.)
+    (Perf.stage_total "expand" perfs /. 1e3)
     !out_file;
   List.iter
     (fun (l : Perf.scaling_level) ->

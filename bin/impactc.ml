@@ -205,21 +205,14 @@ let profile_mode_arg =
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("full", Coverage.Full);
-             ("min", Coverage.Min);
-             ("sampled", Coverage.Sampled);
-           ])
+        (enum (List.map (fun m -> (Coverage.mode_name m, m)) Coverage.all_modes))
         Coverage.Full
     & info [ "profile-mode" ] ~docv:"MODE"
         ~doc:
           "Profiling instrumentation: $(b,full) counts every call site (the \
            default); $(b,min) instruments only a minimum-coverage subset of \
            sites and reconstructs the rest exactly from flow conservation — \
-           the profile is bit-identical to $(b,full) at lower run-time cost; \
-           $(b,sampled) counts sites on a periodic fuel phase and scales up — \
-           cheapest, but approximate and marked as such")
+           the profile is bit-identical to $(b,full) at lower run-time cost")
 
 (* Speculative devirtualization: --devirt rewrites indirect call sites
    whose value profile shows one dominant target into a guarded direct
@@ -389,14 +382,7 @@ let report_coverage (c : Profiler.coverage) =
       c.Profiler.counted_sites c.Profiler.total_sites
       (100.
       *. float_of_int c.Profiler.counted_sites
-      /. float_of_int (max c.Profiler.total_sites 1));
-  match c.Profiler.sample_coverage with
-  | Some cov ->
-    Printf.eprintf
-      "impactc: site weights are sampled (approximate); scaled samples cover \
-       %.1f%% of dynamic calls\n"
-      (100. *. cov)
-  | None -> ()
+      /. float_of_int (max c.Profiler.total_sites 1))
 
 let profile_cmd =
   let run src inputs output engine jobs timeout mode =

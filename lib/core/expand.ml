@@ -221,63 +221,3 @@ let expand_all ?(obs = Impact_obs.Obs.null) ?on_caller_error (prog : Il.program)
   in
   Array.iter expand_caller linear.Linearize.sequence;
   { expansions = List.rev !expansions; copied_sites = List.rev !copied }
-
-(* The seed engine, kept as the reference oracle for the equivalence
-   property tests: after every single expansion it re-scans the caller
-   with [Il.sites_of] and rebuilds the whole body — O(body) per
-   expansion, quadratic on heavily-inlined callers. *)
-let expand_all_rescan ?(obs = Impact_obs.Obs.null) (prog : Il.program)
-    (linear : Linearize.t) (selection : Select.t) =
-  let expansions = ref [] in
-  let copied = ref [] in
-  (* Group the selected sites by caller for quick lookup. *)
-  let selected = Hashtbl.create 64 in
-  List.iter
-    (fun (d : Select.decision) ->
-      Hashtbl.replace selected d.Select.d_site (d.Select.d_caller, d.Select.d_callee))
-    selection.Select.decisions;
-  Array.iter
-    (fun fid ->
-      let caller = prog.Il.funcs.(fid) in
-      if caller.Il.alive then begin
-        (* Expand until no selected site remains in the (changing) body.
-           Copies get fresh ids that are never selected, so this
-           terminates. *)
-        let rec loop () =
-          let next =
-            List.find_opt
-              (fun (s : Il.site) -> Hashtbl.mem selected s.Il.s_id)
-              (Il.sites_of caller)
-          in
-          match next with
-          | None -> ()
-          | Some s ->
-            let _, callee = Hashtbl.find selected s.Il.s_id in
-            let copies = expand_site prog ~caller ~site:s.Il.s_id in
-            Hashtbl.remove selected s.Il.s_id;
-            if Impact_obs.Obs.enabled obs then begin
-              Impact_obs.Obs.incr obs "expand.expansions";
-              Impact_obs.Obs.incr obs ~by:(List.length copies) "expand.copied_sites";
-              Impact_obs.Obs.instant obs ~kind:"expand"
-                ~attrs:
-                  [
-                    ("site", Impact_obs.Sink.Int s.Il.s_id);
-                    ("caller", Impact_obs.Sink.String caller.Il.name);
-                    ( "callee",
-                      Impact_obs.Sink.String prog.Il.funcs.(callee).Il.name );
-                    ("copied_sites", Impact_obs.Sink.Int (List.length copies));
-                    ("caller_size", Impact_obs.Sink.Int (Il.code_size caller));
-                  ]
-                "expand"
-            end;
-            copied :=
-              List.rev_append
-                (List.rev_map (fun (fresh, orig) -> (fresh, orig, s.Il.s_id)) copies)
-                !copied;
-            expansions := (s.Il.s_id, fid, callee) :: !expansions;
-            loop ()
-        in
-        loop ()
-      end)
-    linear.Linearize.sequence;
-  { expansions = List.rev !expansions; copied_sites = List.rev !copied }

@@ -50,7 +50,9 @@ val expand_site :
     rewritten in a single left-to-right pass that splices every selected
     site as it streams by — O(final body size) per caller, however many
     sites it absorbs.  Produces a program and report byte-identical to
-    {!expand_all_rescan} (the equivalence is enforced by a property
+    the original rescan engine, which re-located the next selected site
+    and rebuilt the caller after every expansion (the test suite keeps
+    that engine as an oracle and enforces the equivalence by a property
     test).  With an enabled [obs] context each physical splice emits one
     ["expand"] event and bumps the [expand.expansions] /
     [expand.copied_sites] counters.
@@ -64,14 +66,4 @@ val expand_site :
 val expand_all :
   ?obs:Impact_obs.Obs.t ->
   ?on_caller_error:(Impact_il.Il.fid -> exn -> unit) ->
-  Impact_il.Il.program -> Linearize.t -> Select.t -> report
-
-(** [expand_all_rescan ?obs prog linear selection] is the original
-    rescan engine, kept as the reference oracle: after every single
-    expansion it re-locates the next selected site with [Il.sites_of]
-    and rebuilds the whole caller body, which is quadratic in the number
-    of expansions per caller.  Use {!expand_all} everywhere; this exists
-    for differential testing and the [@bench-perf] comparison. *)
-val expand_all_rescan :
-  ?obs:Impact_obs.Obs.t ->
   Impact_il.Il.program -> Linearize.t -> Select.t -> report

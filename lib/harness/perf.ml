@@ -75,14 +75,9 @@ let measure ?(config = Config.default) ?(quota = 0.1) (b : Benchmark_def.t) =
             ~inputs);
       time_staged ~quota ~name:"select" (fun () ->
           Select.select graph config linear);
-      (* Both engines pay the same program-copy cost, so the comparison
-         isolates the expansion strategy itself. *)
       time_staged ~quota ~name:"expand" (fun () ->
           let p = Il.copy_program prog in
           Expand.expand_all p linear selection);
-      time_staged ~quota ~name:"expand_rescan" (fun () ->
-          let p = Il.copy_program prog in
-          Expand.expand_all_rescan p linear selection);
     ]
   in
   { bench = b.Benchmark_def.name; timings }
@@ -90,154 +85,93 @@ let measure ?(config = Config.default) ?(quota = 0.1) (b : Benchmark_def.t) =
 let measure_suite ?config ?quota () =
   List.map (fun b -> measure ?config ?quota b) Impact_bench_progs.Suite.all
 
-(* Profiling-mode cost: what each instrumentation mode actually costs
-   on each benchmark, wall clock, end to end through Profiler.profile
-   (plan construction included — that is what a pipeline run pays).
+(* Profiling-mode cost: what each instrumentation mode costs on each
+   benchmark, end to end through Profiler.profile (plan construction
+   included — that is what a pipeline run pays).
 
-   Direct timing rather than Bechamel: one profiling sweep is
-   milliseconds, far above clock granularity, and the guard compares
-   modes against each other on the same data, so the minimum over a few
-   interleaved rounds is the right estimator — noise only ever adds
-   time, and interleaving the modes decorrelates machine drift from the
-   mode order.
+   The exact figure is the number of instrumentation stores executed:
+   per run, the [calls] and [ext_calls] scalar bumps plus every per-site
+   count.  It is read off the raw per-run counters the profiler already
+   returns (under [Min], before inference fills the elided counts in),
+   so no counter is added to either engine's loop.  A [Min] plan counts
+   a subset of [Full]'s sites on identical runs, so its store count can
+   never be higher; that is what the bench guards.
 
-   Min-mode's true saving on a call-light benchmark can be a fraction
-   of a percent — smaller than one round's scheduler jitter.  After the
-   base rounds, a few refinement rounds run only while the [Min]
-   estimate still trails [Full]: every extra round times {e all} modes
-   and can only lower each floor estimate, so this sharpens the
-   comparison without ever biasing one side.  If min genuinely cost
-   more, no number of rounds would close the gap and the bench guard
-   would report it. *)
+   Wall clock is reported beside it, not guarded: the minimum over a few
+   rotated, interleaved rounds, since noise only ever adds time. *)
 
 module Coverage = Impact_profile.Coverage
+module Counters = Impact_interp.Counters
 
 type profiling_cost = {
   pc_bench : string;
-  pc_total_sites : int;  (** call sites in alive code *)
-  pc_counted_sites : int;  (** sites the [Min] plan instruments *)
-  pc_wall_ms : (string * float) list;  (** mode name -> best wall, ms *)
+  pc_total_sites : int;
+  pc_counted_sites : int;
+  pc_stores : (Coverage.mode * int) list;
+  pc_wall_ms : (Coverage.mode * float) list;
 }
+
+let instrumentation_stores (c : Counters.t) =
+  Array.fold_left ( + ) (c.Counters.calls + c.Counters.ext_calls)
+    c.Counters.site_counts
 
 let profiling_cost ?(repeats = 7) (b : Benchmark_def.t) =
   let prog = Lower.lower_source b.Benchmark_def.source in
   ignore (Impact_opt.Driver.pre_inline prog);
   let inputs = b.Benchmark_def.inputs () in
-  let min_plan = Impact_profile.Coverage.build prog Coverage.Min in
+  let min_plan = Coverage.build prog Coverage.Min in
   let modes = Coverage.all_modes in
-  let best = Hashtbl.create 4 in
-  (* Warm-up pass so first-decode cost does not land on the first mode;
-     its wall also calibrates the batch size — a sub-10ms benchmark is
-     swept several times per timed sample, so clock granularity and
-     scheduler jitter stay well under the mode gaps being compared. *)
+  let sweep mode = Profiler.profile ~keep_outputs:false ~mode prog ~inputs in
+  (* One untimed sweep per mode yields its store count and takes the
+     first-decode cost off the timed rounds; the first one's wall also
+     sizes the batch, so a sub-10ms benchmark is swept several times per
+     timed sample and clock granularity stays out of the figure. *)
   let t0 = Unix.gettimeofday () in
-  ignore (Profiler.profile ~keep_outputs:false prog ~inputs);
-  let warm_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let stores =
+    List.map
+      (fun mode ->
+        ( mode,
+          List.fold_left
+            (fun acc (o : Machine.outcome) ->
+              acc + instrumentation_stores o.Machine.counters)
+            0 (sweep mode).Profiler.runs ))
+      modes
+  in
+  let warm_ms =
+    (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int (List.length modes)
+  in
   let iters = max 1 (int_of_float (ceil (10. /. Float.max warm_ms 0.1))) in
-  let nmodes = List.length modes in
-  (* Rotate the mode order every round and start each sweep from a
-     collected heap: within-round drift (GC debt left by the previous
-     sweep, frequency ramps) would otherwise land on the same mode
-     every time and masquerade as a mode cost. *)
+  let best = Hashtbl.create 4 in
   let sample mode =
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
-      ignore
-        (Sys.opaque_identity
-           (Profiler.profile ~keep_outputs:false ~mode prog ~inputs))
+      ignore (Sys.opaque_identity (sweep mode))
     done;
     let ms = (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int iters in
-    let name = Coverage.mode_name mode in
-    let cur = Option.value ~default:infinity (Hashtbl.find_opt best name) in
-    if ms < cur then Hashtbl.replace best name ms
+    let cur = Option.value ~default:infinity (Hashtbl.find_opt best mode) in
+    if ms < cur then Hashtbl.replace best mode ms
   in
-  let round r =
+  (* Rotating the mode order every round keeps drift within a round (GC
+     debt, frequency ramps) from landing on the same mode every time. *)
+  let nmodes = List.length modes in
+  for r = 1 to repeats do
     List.iteri (fun i _ -> sample (List.nth modes ((i + r) mod nmodes))) modes
-  in
-  for r = 1 to repeats do round r done;
-  let wall mode =
-    Option.value ~default:0. (Hashtbl.find_opt best (Coverage.mode_name mode))
-  in
-  (* The true min-vs-full gap is a few tenths of a percent, so the two
-     floors being compared need more polishing than the base rounds give
-     them.  Refinement duels only those two modes, strictly alternating
-     which goes first; every duel times both alike and only lowers
-     floors, so extra rounds sharpen the comparison without biasing a
-     side — the cap merely bounds a genuine regression's extra cost. *)
-  let refinements = ref (12 * repeats) in
-  while wall Coverage.Min > wall Coverage.Full && !refinements > 0 do
-    decr refinements;
-    (* An inversion that survives many duels is usually a heap-placement
-       artifact: where the program's long-lived arrays landed this
-       process decides cache-set conflicts worth a few tenths of a
-       percent, which outweighs the real mode gap.  Compacting moves
-       those blocks and re-rolls that placement — for both modes
-       alike. *)
-    if !refinements mod 8 = 0 then Gc.compact ();
-    let pair =
-      if !refinements land 1 = 0 then [ Coverage.Full; Coverage.Min ]
-      else [ Coverage.Min; Coverage.Full ]
-    in
-    List.iter sample pair
   done;
   {
     pc_bench = b.Benchmark_def.name;
     pc_total_sites = min_plan.Coverage.total_sites;
     pc_counted_sites = min_plan.Coverage.counted_sites;
-    pc_wall_ms =
-      List.map
-        (fun m ->
-          let name = Coverage.mode_name m in
-          (name, Option.value ~default:0. (Hashtbl.find_opt best name)))
-        modes;
+    pc_stores = stores;
+    pc_wall_ms = List.map (fun m -> (m, Hashtbl.find best m)) modes;
   }
 
-let profiling_wall pc mode =
-  Option.value ~default:0. (List.assoc_opt (Coverage.mode_name mode) pc.pc_wall_ms)
-
-(* Suite sweep with the scaling sweep's inversion-retry precedent: a
-   benchmark whose min floor still trails full after its own refinement
-   rounds is re-measured after the rest of the suite (conditions
-   minutes apart decorrelate scheduler and frequency state that
-   back-to-back rounds share), merging per-mode minima — which can
-   only lower floors, never bias a side. *)
 let profiling_costs ?repeats () =
-  let merge a b =
-    {
-      a with
-      pc_wall_ms =
-        List.map2
-          (fun (n, x) (n', y) ->
-            assert (n = n');
-            (n, Float.min x y))
-          a.pc_wall_ms b.pc_wall_ms;
-    }
-  in
-  let inverted pc =
-    profiling_wall pc Coverage.Min > profiling_wall pc Coverage.Full
-  in
-  let costs =
-    List.map (fun b -> profiling_cost ?repeats b) Impact_bench_progs.Suite.all
-  in
-  (* Benchmarks already ordered are never re-measured, so each pass can
-     only shrink the inverted set — the pass cap is a convergence
-     budget, not a sampling knob. *)
-  let rec retry costs passes =
-    if passes = 0 || not (List.exists inverted costs) then costs
-    else
-      retry
-        (List.map
-           (fun pc ->
-             if inverted pc then
-               merge pc
-                 (profiling_cost ?repeats
-                    (Impact_bench_progs.Suite.find pc.pc_bench))
-             else pc)
-           costs)
-        (passes - 1)
-  in
-  retry costs 8
+  List.map (fun b -> profiling_cost ?repeats b) Impact_bench_progs.Suite.all
+
+let profiling_stores pc mode = List.assoc mode pc.pc_stores
+
+let profiling_wall pc mode = List.assoc mode pc.pc_wall_ms
 
 let profiling_to_json costs =
   Sink.Obj
@@ -245,9 +179,14 @@ let profiling_to_json costs =
        (fun pc ->
          ( pc.pc_bench,
            Sink.Obj
-             (List.map
-                (fun (m, ms) -> (m ^ "_wall_ms", Sink.Float ms))
-                pc.pc_wall_ms
+             (List.concat_map
+                (fun m ->
+                  let name = Coverage.mode_name m in
+                  [
+                    (name ^ "_wall_ms", Sink.Float (profiling_wall pc m));
+                    (name ^ "_stores", Sink.Int (profiling_stores pc m));
+                  ])
+                Coverage.all_modes
              @ [
                  ("total_sites", Sink.Int pc.pc_total_sites);
                  ("counted_sites_min", Sink.Int pc.pc_counted_sites);
@@ -600,8 +539,6 @@ let to_json ?suite_wall_ms ?suite_jobs ?scaling ?cache ?profiling ?devirt perfs 
                  ] ))
            p.timings) )
   in
-  let indexed = stage_total "expand" perfs in
-  let rescan = stage_total "expand_rescan" perfs in
   let threaded = stage_total "profile" perfs in
   let reference = stage_total "profile_reference" perfs in
   Sink.Obj
@@ -613,10 +550,7 @@ let to_json ?suite_wall_ms ?suite_jobs ?scaling ?cache ?profiling ?devirt perfs 
       | None -> [])
     @ [
         ("benchmarks", Sink.Obj (List.map bench_json perfs));
-        ("expand_total_ns", Sink.Float indexed);
-        ("expand_rescan_total_ns", Sink.Float rescan);
-        ( "expand_speedup",
-          Sink.Float (if indexed > 0. then rescan /. indexed else 0.) );
+        ("expand_total_ns", Sink.Float (stage_total "expand" perfs));
         ("profile_threaded_total_ns", Sink.Float threaded);
         ("profile_reference_total_ns", Sink.Float reference);
         ( "engine_speedup",

@@ -5,11 +5,7 @@
     monotonic clock: [parse], profiling under both interpreter cores —
     ["profile"] (the pre-decoded threaded engine) and
     ["profile_reference"] (the small-step oracle) — [select], and the
-    physical expansion under both engines — ["expand"] (the indexed
-    single-pass engine) and ["expand_rescan"] (the original
-    rescan-per-expansion engine, kept as the reference oracle).  Both
-    expansion thunks copy the program first so the copy cost cancels in
-    the comparison.
+    physical expansion ["expand"] (on a fresh copy of the program).
 
     [dune build @bench-perf] runs this over the full suite and writes
     the result to [bench/BENCH_perf.json]. *)
@@ -45,39 +41,40 @@ val measure_suite :
     benchmarks, in nanoseconds. *)
 val stage_total : string -> bench_perf list -> float
 
-(** Profiling-mode cost on one benchmark: the best (minimum) wall clock
-    of a full [Profiler.profile] sweep per instrumentation mode, over a
-    few interleaved rounds — noise only ever adds time — plus the
+(** Profiling-mode cost on one benchmark, per instrumentation mode: the
+    instrumentation stores one full [Profiler.profile] sweep executes
+    (exact: the [calls] and [ext_calls] bumps plus every per-site count,
+    summed over the raw per-run counters) and the best (minimum) wall
+    clock of that sweep over a few rotated, interleaved rounds, plus the
     [Min] plan's site counts.  Walls include plan construction: exactly
     what a pipeline run pays. *)
 type profiling_cost = {
   pc_bench : string;
   pc_total_sites : int;  (** call sites in alive code *)
   pc_counted_sites : int;  (** sites the [Min] plan instruments *)
-  pc_wall_ms : (string * float) list;
-      (** mode name ([{!Impact_profile.Coverage.mode_name}]) -> wall ms *)
+  pc_stores : (Impact_profile.Coverage.mode * int) list;
+  pc_wall_ms : (Impact_profile.Coverage.mode * float) list;
 }
 
-(** [profiling_cost ?repeats b] measures every mode on benchmark [b]
-    ([repeats] interleaved rounds, default 7, after one discarded
-    warm-up sweep, plus bounded refinement duels — alternating-order
-    [Full]/[Min] pairs run only while the [Min] floor estimate still
-    trails [Full]'s.  Every duel times both modes alike and only
-    lowers each floor, so extra rounds sharpen the comparison without
-    biasing a side). *)
+(** [profiling_cost ?repeats b] measures every mode on benchmark [b]:
+    one untimed sweep per mode for the store counts, then [repeats]
+    timed rounds (default 7). *)
 val profiling_cost :
   ?repeats:int -> Impact_bench_progs.Benchmark.t -> profiling_cost
 
 (** [profiling_costs ?repeats ()] measures the full suite. *)
 val profiling_costs : ?repeats:int -> unit -> profiling_cost list
 
-(** [profiling_wall pc mode] — the recorded wall for [mode], 0. if
-    missing. *)
+(** [profiling_stores pc mode] — the stores a sweep under [mode]
+    executed. *)
+val profiling_stores : profiling_cost -> Impact_profile.Coverage.mode -> int
+
+(** [profiling_wall pc mode] — the best sweep wall under [mode], ms. *)
 val profiling_wall : profiling_cost -> Impact_profile.Coverage.mode -> float
 
 (** [profiling_to_json costs] is the ["profiling"] BENCH_perf.json
-    section: per benchmark, [<mode>_wall_ms] for each mode plus
-    [total_sites], [counted_sites_min] and
+    section: per benchmark, [<mode>_wall_ms] and [<mode>_stores] for each
+    mode plus [total_sites], [counted_sites_min] and
     [instrumented_fraction_min]. *)
 val profiling_to_json : profiling_cost list -> Impact_obs.Sink.json
 
@@ -177,7 +174,7 @@ val devirt_to_json : devirt_row list -> Impact_obs.Sink.json
 
 (** [to_json ?suite_wall_ms ?suite_jobs ?scaling ?cache perfs] is the
     BENCH_perf.json document: per-benchmark per-stage timings, the
-    suite-wide expansion-engine totals and their speedup ratio, the
+    suite-wide expansion total ([expand_total_ns]), the
     threaded-vs-reference profiling totals ([engine_speedup]), and, when
     given, the wall clock and actual job count of the end-to-end suite
     run ([suite_wall_ms], [suite_jobs]), the scaling sweep, the

@@ -88,177 +88,177 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         ]
       "pipeline.degraded"
   in
-  (* Cache plumbing.  Without a cache every lookup misses and every
-     store is a no-op, so the uncached pipeline is byte-identical to the
-     pre-cache one.  A stage's result is stored only when the stage
-     completed without degradations ([clean] below): a cached artifact
-     always replays a clean computation, never a recovered one whose
-     notes would silently vanish on reuse. *)
-  let cache_find ~stage ~key =
-    match cache with None -> None | Some c -> Cache.find c obs ~stage ~key
+  (* The one place the stage cache is read or written.  Without a cache
+     (or for an uncacheable stage) [compute] simply runs: no key, and so
+     no checksum, is ever computed.  With one, [key] is forced once and
+     serves both the lookup and the store.  A result is stored only when
+     computing it noted no degradation: a cached artifact always replays
+     a clean computation, never a recovered one whose notes would
+     silently vanish on reuse. *)
+  let stage name ?(cacheable = true) ?(on_hit = ignore) ~key compute =
+    match cache with
+    | Some c when cacheable -> (
+      let key = key () in
+      match Cache.find c obs ~stage:name ~key with
+      | Some v ->
+        on_hit ();
+        v
+      | None ->
+        let since = List.length !degradations in
+        let v = compute () in
+        if List.length !degradations = since then
+          Cache.put c obs ~stage:name ~key v;
+        v)
+    | _ -> compute ()
   in
-  let cache_put ~stage ~key v =
-    match cache with None -> () | Some c -> Cache.put c obs ~stage ~key v
-  in
-  let clean_mark () = List.length !degradations in
-  let clean since = List.length !degradations = since in
-  let engine_name =
-    Machine.engine_to_string
-      (match engine with Some e -> e | None -> Machine.Threaded)
-  in
-  (* Wall-clock budgets and fuel can truncate runs non-deterministically,
-     so profiles collected under either are never cached. *)
-  let profile_cacheable = budget = None && fuel = None in
   Obs.span obs "pipeline"
     ~attrs:[ ("benchmark", Impact_obs.Sink.String bench.Benchmark.name) ]
     (fun () ->
       (* Front end (parse + sema + lower + pre-inline optimisation) is a
          pure function of the source text and the [pre_opt] switch. *)
-      let front_key =
-        Cache.key [ "front"; bench.Benchmark.source; string_of_bool pre_opt ]
-      in
       let prog =
-        match cache_find ~stage:"front" ~key:front_key with
-        | Some prog -> prog
-        | None ->
-          let ast =
-            Errors.guard Ierr.Parse (fun () ->
-                Obs.span obs "parse" (fun () ->
-                    Impact_cfront.Parser.parse_program bench.Benchmark.source))
-          in
-          let tast =
-            Errors.guard Ierr.Sema (fun () ->
-                Obs.span obs "sema" (fun () -> Impact_cfront.Sema.check ast))
-          in
-          let prog =
-            Errors.guard Ierr.Lower (fun () ->
-                Obs.span obs "lower" (fun () -> Lower.lower tast))
-          in
-          Obs.gauge_int obs "il.size_lowered" (Il.program_code_size prog);
-          (* The paper's setup: constant folding and jump optimisation run
-             before inline expansion. *)
-          if pre_opt then
-            Errors.guard Ierr.Lower (fun () ->
-                ignore
-                  (Obs.span obs "pre_opt" (fun () ->
-                       Impact_opt.Driver.pre_inline prog)));
-          cache_put ~stage:"front" ~key:front_key prog;
-          prog
+        stage "front"
+          ~key:(fun () ->
+            Cache.key [ "front"; bench.Benchmark.source; string_of_bool pre_opt ])
+          (fun () ->
+            let ast =
+              Errors.guard Ierr.Parse (fun () ->
+                  Obs.span obs "parse" (fun () ->
+                      Impact_cfront.Parser.parse_program bench.Benchmark.source))
+            in
+            let tast =
+              Errors.guard Ierr.Sema (fun () ->
+                  Obs.span obs "sema" (fun () -> Impact_cfront.Sema.check ast))
+            in
+            let prog =
+              Errors.guard Ierr.Lower (fun () ->
+                  Obs.span obs "lower" (fun () -> Lower.lower tast))
+            in
+            Obs.gauge_int obs "il.size_lowered" (Il.program_code_size prog);
+            (* The paper's setup: constant folding and jump optimisation
+               run before inline expansion. *)
+            if pre_opt then
+              Errors.guard Ierr.Lower (fun () ->
+                  ignore
+                    (Obs.span obs "pre_opt" (fun () ->
+                         Impact_opt.Driver.pre_inline prog)));
+            prog)
       in
       Obs.gauge_int obs "il.size_pre_inline" (Il.program_code_size prog);
       let inputs =
         Errors.guard Ierr.Driver (fun () -> bench.Benchmark.inputs ())
       in
       let nfuncs = Array.length prog.Il.funcs in
-      let nsites = prog.Il.next_site in
-      (* A profile entry is keyed by the engine, the instrumentation
-         mode, the program's checksum and the raw input bytes; the
-         payload carries the averaged profile plus each run's (digest,
-         exit code) pair, so a warm rerun can still verify outputs
-         without executing anything.  The mode is part of the key even
-         though [Min] profiles are bit-identical to [Full] ones: a
-         [Sampled] profile is approximate, and conflating it with an
-         exact entry would silently serve stale weights. *)
-      let profile_key_of sum =
-        Cache.key
-          (("profile-" ^ engine_name)
-          :: ("mode-" ^ Impact_profile.Coverage.mode_name profile_mode)
-          :: sum :: inputs)
-      in
-      let prog_sum = Impact_profile.Profile_io.program_checksum prog in
-      (* Only counters and digests are consumed downstream, so neither
-         profiling pass needs to hold every run's output text. *)
-      let static_fallback = ref false in
-      let profile, runs, pre_failures =
+      (* Key ingredients, each computed at most once and only when a key
+         needs it. *)
+      let program_sum p = lazy (Impact_profile.Profile_io.program_checksum p) in
+      let profile_sum p = lazy (Impact_profile.Profile_io.profile_checksum p) in
+      let config_fp = lazy (Config.fingerprint config) in
+      let prog_sum = program_sum prog in
+      (* One profiling pass, for the pre-inline profile and the re-profile
+         alike.  A profile entry is keyed by the engine, the
+         instrumentation mode, the program's checksum and the raw input
+         bytes; the payload carries the averaged profile plus each run's
+         (digest, exit code) pair, so a warm rerun can still verify
+         outputs without executing anything.  The mode stays in the key
+         although [Min] and [Full] profiles are bit-identical, so existing
+         entries keep matching.  Wall-clock budgets and fuel can truncate
+         runs non-deterministically, so profiles collected under either
+         are never cached.
+
+         The policy only sets tolerance.  Under [Strict] the first
+         failing run raises a typed error.  Under [Degrade] a failing run
+         is retried once and then dropped from the average, each step
+         noted, and a pass that fails outright is noted with [fallback]
+         and yields [None].  Only counters and digests are consumed
+         downstream, so no pass holds every run's output text. *)
+      let profile_pass ~span ~runs_name ~average ~pass_name ~fallback p sum =
+        let failures = ref [] in
         match
-          if profile_cacheable then
-            cache_find ~stage:"profile" ~key:(profile_key_of prog_sum)
-          else None
-        with
-        | Some (profile, pairs) -> (profile, pairs, [])
-        | None ->
-          let since = clean_mark () in
-          let profile, runs, failures =
-            match policy with
-            | Strict ->
-              let { Profiler.profile; runs; _ } =
+          stage "profile"
+            ~cacheable:(budget = None && fuel = None)
+            ~key:(fun () ->
+              Cache.key
+                (("profile-"
+                 ^ Machine.engine_to_string
+                     (Option.value engine ~default:Machine.Threaded))
+                :: ("mode-" ^ Impact_profile.Coverage.mode_name profile_mode)
+                :: Lazy.force sum :: inputs))
+            (fun () ->
+              let r =
                 Errors.guard Ierr.Profile_run (fun () ->
-                    Obs.span obs "profile" (fun () ->
+                    Obs.span obs span (fun () ->
                         Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                          ~keep_outputs:false ~mode:profile_mode prog ~inputs))
+                          ~keep_outputs:false ~tolerant:(policy = Degrade)
+                          ~mode:profile_mode
+                          ~on_retry:(fun i e ->
+                            note Ierr.Profile_run
+                              (Printf.sprintf "%s on input %d failed (%s)"
+                                 runs_name i
+                                 (exn_detail Ierr.Profile_run e))
+                              "retried once")
+                          p ~inputs))
               in
-              (profile, List.map outcome_pair runs, [])
-            | Degrade -> (
-              try
-                let { Profiler.profile; runs; failures; _ } =
-                  Obs.span obs "profile" (fun () ->
-                      Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                        ~keep_outputs:false ~tolerant:true ~mode:profile_mode
-                        ~on_retry:(fun i e ->
-                          note Ierr.Profile_run
-                            (Printf.sprintf "run on input %d failed (%s)" i
-                               (exn_detail Ierr.Profile_run e))
-                            "retried once")
-                        prog ~inputs)
-                in
-                List.iter
-                  (fun (i, e) ->
-                    note Ierr.Profile_run
-                      (Printf.sprintf "run on input %d failed after retry (%s)"
-                         i
-                         (exn_detail Ierr.Profile_run e))
-                      "dropped from profile average")
-                  failures;
-                (profile, List.map outcome_pair runs, failures)
-              with e ->
-                static_fallback := true;
-                note Ierr.Profile_run
-                  (Printf.sprintf "profiling failed (%s)"
-                     (exn_detail Ierr.Profile_run e))
-                  "fell back to static uniform weights (no inlining)";
-                (Profile.static_uniform ~nfuncs ~nsites, [], []))
-          in
-          if
-            profile_cacheable && failures = []
-            && (not !static_fallback)
-            && clean since
-          then
-            cache_put ~stage:"profile" ~key:(profile_key_of prog_sum)
-              (profile, runs);
-          (profile, runs, failures)
+              failures := r.Profiler.failures;
+              List.iter
+                (fun (i, e) ->
+                  note Ierr.Profile_run
+                    (Printf.sprintf "%s on input %d failed after retry (%s)"
+                       runs_name i
+                       (exn_detail Ierr.Profile_run e))
+                    ("dropped from " ^ average))
+                r.Profiler.failures;
+              (r.Profiler.profile, List.map outcome_pair r.Profiler.runs))
+        with
+        | profile, pairs -> Some (profile, pairs, !failures)
+        | exception e when policy = Degrade ->
+          note Ierr.Profile_run
+            (Printf.sprintf "%s failed (%s)" pass_name
+               (exn_detail Ierr.Profile_run e))
+            fallback;
+          None
       in
-      let profile_sum = Impact_profile.Profile_io.profile_checksum profile in
-      let config_fp = Config.fingerprint config in
       (* Classification depends on the program, the profile's content,
          the config, and which pointer-target analysis actually ran (the
          post pass never refines, whatever the config says). *)
-      let classify_key_of ~tag ~prog_sum ~profile_sum ~refine =
-        Cache.key
-          [ "classify"; tag; prog_sum; profile_sum; config_fp;
-            string_of_bool refine ]
-      in
-      let classified =
-        let key =
-          classify_key_of ~tag:"pre" ~prog_sum ~profile_sum
-            ~refine:config.Config.refine_pointer_targets
-        in
-        match cache_find ~stage:"classify" ~key with
-        | Some cl -> cl
-        | None ->
-          let graph =
-            Errors.guard Ierr.Callgraph (fun () ->
-                Obs.span obs "callgraph" (fun () ->
-                    Callgraph.build
-                      ~refine_pointer_targets:
-                        config.Config.refine_pointer_targets prog profile))
-          in
-          let cl =
+      let classify ~tag ~span ?graph_span ~refine ~sum ~profile_sum p profile
+          =
+        stage "classify"
+          ~key:(fun () ->
+            Cache.key
+              [ "classify"; tag; Lazy.force sum; Lazy.force profile_sum;
+                Lazy.force config_fp; string_of_bool refine ])
+          (fun () ->
+            let build () =
+              Callgraph.build ~refine_pointer_targets:refine p profile
+            in
+            let graph =
+              Errors.guard Ierr.Callgraph (fun () ->
+                  match graph_span with
+                  | Some name -> Obs.span obs name build
+                  | None -> build ())
+            in
             Errors.guard Ierr.Select (fun () ->
-                Obs.span obs "classify" (fun () ->
-                    Classify.classify ~obs ~stage:"classify.pre" graph config))
-          in
-          cache_put ~stage:"classify" ~key cl;
-          cl
+                Obs.span obs span (fun () ->
+                    Classify.classify ~obs ~stage:("classify." ^ tag) graph
+                      config)))
+      in
+      let static_fallback, profile, runs, pre_failures =
+        match
+          profile_pass ~span:"profile" ~runs_name:"run"
+            ~average:"profile average" ~pass_name:"profiling"
+            ~fallback:"fell back to static uniform weights (no inlining)" prog
+            prog_sum
+        with
+        | Some (profile, runs, failures) -> (false, profile, runs, failures)
+        | None ->
+          (true, Profile.static_uniform ~nfuncs ~nsites:prog.Il.next_site, [], [])
+      in
+      let pre_profile_sum = profile_sum profile in
+      let classified =
+        classify ~tag:"pre" ~span:"classify" ~graph_span:"callgraph"
+          ~refine:config.Config.refine_pointer_targets ~sum:prog_sum
+          ~profile_sum:pre_profile_sum prog profile
       in
       (* Expansion failures are typed at the source: in Strict they abort
          with a caller-naming [Expand] error; in Degrade the caller is
@@ -289,58 +289,55 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
          whole report (expanded program included), so a hit skips
          linearisation, selection, expansion and DCE in one step. *)
       let inliner =
-        let key =
-          Cache.key
-            [ "inline"; prog_sum; profile_sum; config_fp;
-              string_of_bool post_cleanup ]
-        in
-        match cache_find ~stage:"inline" ~key with
-        | Some r ->
-          Obs.instant obs ~kind:"decision"
-            ~attrs:
-              [
-                ("benchmark", Impact_obs.Sink.String bench.Benchmark.name);
-                ("config", Impact_obs.Sink.String config_fp);
-                ("profile", Impact_obs.Sink.String profile_sum);
-              ]
-            "inline.cached";
-          r
-        | None ->
-          let since = clean_mark () in
-          let run_inliner config =
-            Errors.guard Ierr.Select (fun () ->
-                Obs.span obs "inline" (fun () ->
-                    Inliner.run ~obs ~config ~on_expand_error prog profile))
-          in
-          let r =
-            match policy with
-            | Strict -> run_inliner config
-            | Degrade when not config.Config.devirt -> run_inliner config
-            | Degrade -> (
-              (* Devirtualization is optional speculation: a failure
-                 inside the speculating inliner degrades to the plain
-                 one rather than killing the run. *)
-              try run_inliner config
-              with Ierr.Error e ->
-                note e.Ierr.stage
-                  (Printf.sprintf "inlining with devirt failed (%s)"
-                     e.Ierr.msg)
-                  "retried with devirtualization disabled";
-                run_inliner { config with Config.devirt = false })
-          in
-          if post_cleanup then
-            Errors.guard Ierr.Lower (fun () ->
-                ignore
-                  (Obs.span obs "post_opt" (fun () ->
-                       Impact_opt.Driver.post_inline_cleanup
-                         r.Inliner.program)));
-          if clean since then cache_put ~stage:"inline" ~key r;
-          r
+        stage "inline"
+          ~key:(fun () ->
+            Cache.key
+              [ "inline"; Lazy.force prog_sum; Lazy.force pre_profile_sum;
+                Lazy.force config_fp; string_of_bool post_cleanup ])
+          ~on_hit:(fun () ->
+            Obs.instant obs ~kind:"decision"
+              ~attrs:
+                [
+                  ("benchmark", Impact_obs.Sink.String bench.Benchmark.name);
+                  ("config", Impact_obs.Sink.String (Lazy.force config_fp));
+                  ( "profile",
+                    Impact_obs.Sink.String (Lazy.force pre_profile_sum) );
+                ]
+              "inline.cached")
+          (fun () ->
+            let run_inliner config =
+              Errors.guard Ierr.Select (fun () ->
+                  Obs.span obs "inline" (fun () ->
+                      Inliner.run ~obs ~config ~on_expand_error prog profile))
+            in
+            let r =
+              match policy with
+              | Strict -> run_inliner config
+              | Degrade when not config.Config.devirt -> run_inliner config
+              | Degrade -> (
+                (* Devirtualization is optional speculation: a failure
+                   inside the speculating inliner degrades to the plain
+                   one rather than killing the run. *)
+                try run_inliner config
+                with Ierr.Error e ->
+                  note e.Ierr.stage
+                    (Printf.sprintf "inlining with devirt failed (%s)"
+                       e.Ierr.msg)
+                    "retried with devirtualization disabled";
+                  run_inliner { config with Config.devirt = false })
+            in
+            if post_cleanup then
+              Errors.guard Ierr.Lower (fun () ->
+                  ignore
+                    (Obs.span obs "post_opt" (fun () ->
+                         Impact_opt.Driver.post_inline_cleanup
+                           r.Inliner.program)));
+            r)
       in
       Obs.gauge_int obs "il.size_post_inline"
         (Il.program_code_size inliner.Inliner.program);
       let post_prog = inliner.Inliner.program in
-      let post_sum = Impact_profile.Profile_io.program_checksum post_prog in
+      let post_sum = program_sum post_prog in
       (* Positional comparison of pre- and post-expansion runs; under
          Degrade the two passes may have dropped different inputs, so
          failures are scattered back onto input positions first. *)
@@ -357,107 +354,36 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         done;
         !matches
       in
+      let post_static () =
+        Profile.static_uniform
+          ~nfuncs:(Array.length post_prog.Il.funcs)
+          ~nsites:post_prog.Il.next_site
+      in
       let post_profile, outputs_match =
-        if !static_fallback then (
+        if static_fallback then (
           (* No dynamic behaviour was ever observed; the expanded program
              equals the no-inlining baseline, so re-running it could only
              repeat the original failure. *)
           note Ierr.Profile_run "no dynamic profile to compare against"
             "re-profile skipped; post metrics are static";
-          ( Profile.static_uniform
-              ~nfuncs:(Array.length post_prog.Il.funcs)
-              ~nsites:post_prog.Il.next_site,
-            true ))
+          (post_static (), true))
         else
           match
-            if profile_cacheable then
-              cache_find ~stage:"profile" ~key:(profile_key_of post_sum)
-            else None
+            profile_pass ~span:"re_profile" ~runs_name:"re-profile run"
+              ~average:"post-inline average" ~pass_name:"re-profiling"
+              ~fallback:"post metrics are static; outputs unverified" post_prog
+              post_sum
           with
-          | Some (post_profile, post_pairs) ->
-            (post_profile, compare_runs post_pairs [])
-          | None -> (
-            match policy with
-            | Strict ->
-              let { Profiler.profile = post_profile; runs = post_runs; _ } =
-                Errors.guard Ierr.Profile_run (fun () ->
-                    Obs.span obs "re_profile" (fun () ->
-                        Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                          ~keep_outputs:false ~mode:profile_mode post_prog
-                          ~inputs))
-              in
-              let post_pairs = List.map outcome_pair post_runs in
-              if profile_cacheable then
-                cache_put ~stage:"profile" ~key:(profile_key_of post_sum)
-                  (post_profile, post_pairs);
-              (post_profile, compare_runs post_pairs [])
-            | Degrade -> (
-              let since = clean_mark () in
-              try
-                let {
-                  Profiler.profile = post_profile;
-                  runs = post_runs;
-                  failures = post_failures;
-                  _;
-                } =
-                  Obs.span obs "re_profile" (fun () ->
-                      Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                        ~keep_outputs:false ~tolerant:true ~mode:profile_mode
-                        ~on_retry:(fun i e ->
-                          note Ierr.Profile_run
-                            (Printf.sprintf
-                               "re-profile run on input %d failed (%s)" i
-                               (exn_detail Ierr.Profile_run e))
-                            "retried once")
-                      post_prog ~inputs)
-                in
-                List.iter
-                  (fun (i, e) ->
-                    note Ierr.Profile_run
-                      (Printf.sprintf
-                         "re-profile run on input %d failed after retry (%s)" i
-                         (exn_detail Ierr.Profile_run e))
-                      "dropped from post-inline average")
-                  post_failures;
-                let post_pairs = List.map outcome_pair post_runs in
-                if profile_cacheable && post_failures = [] && clean since then
-                  cache_put ~stage:"profile" ~key:(profile_key_of post_sum)
-                    (post_profile, post_pairs);
-                (post_profile, compare_runs post_pairs post_failures)
-              with e ->
-                note Ierr.Profile_run
-                  (Printf.sprintf "re-profiling failed (%s)"
-                     (exn_detail Ierr.Profile_run e))
-                  "post metrics are static; outputs unverified";
-                ( Profile.static_uniform
-                    ~nfuncs:(Array.length post_prog.Il.funcs)
-                    ~nsites:post_prog.Il.next_site,
-                  false )))
+          | Some (post_profile, post_pairs, post_failures) ->
+            (post_profile, compare_runs post_pairs post_failures)
+          | None -> (post_static (), false)
       in
       let post_classified =
-        let key =
-          classify_key_of ~tag:"post" ~prog_sum:post_sum
-            ~profile_sum:
-              (Impact_profile.Profile_io.profile_checksum post_profile)
-            ~refine:false
-        in
-        match cache_find ~stage:"classify" ~key with
-        | Some cl -> cl
-        | None ->
-          let post_graph =
-            Errors.guard Ierr.Callgraph (fun () ->
-                Callgraph.build post_prog post_profile)
-          in
-          let cl =
-            Errors.guard Ierr.Select (fun () ->
-                Obs.span obs "post_classify" (fun () ->
-                    Classify.classify ~obs ~stage:"classify.post" post_graph
-                      config))
-          in
-          cache_put ~stage:"classify" ~key cl;
-          cl
+        classify ~tag:"post" ~span:"post_classify" ~refine:false ~sum:post_sum
+          ~profile_sum:(profile_sum post_profile) post_prog post_profile
       in
-      Obs.gauge_int obs "pipeline.c_lines" (count_c_lines bench.Benchmark.source);
+      let c_lines = count_c_lines bench.Benchmark.source in
+      Obs.gauge_int obs "pipeline.c_lines" c_lines;
       Obs.gauge_int obs "pipeline.nruns" (List.length inputs);
       (* A broken trace sink never took the computation down (sinks fail
          open); decide its severity now that the result is in hand. *)
@@ -473,7 +399,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       (match cache with Some c -> Cache.publish c obs | None -> ());
       {
         bench;
-        c_lines = count_c_lines bench.Benchmark.source;
+        c_lines;
         nruns = List.length inputs;
         prog;
         profile;

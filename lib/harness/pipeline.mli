@@ -74,8 +74,7 @@ type result = {
     {!Impact_profile.Coverage.Full}) selects the instrumentation mode
     for both profiling passes: [Min] counts only the co-forest call
     sites and reconstructs the rest exactly (bit-identical result,
-    cheaper runs); [Sampled] is approximate (see
-    {!Impact_profile.Profiler.profile}).
+    fewer instrumentation stores).
 
     [cache] makes the run incremental: each expensive stage — front end
     (keyed by source text), the two profiling passes (keyed by program
@@ -83,10 +82,12 @@ type result = {
     selection+expansion (keyed by program/profile checksums and the
     {!Impact_core.Config.fingerprint}) — first consults the stage cache
     and, on a verified hit, is skipped entirely with a byte-identical
-    result.  Only clean computations are stored (no degradations, no
-    dropped runs, no budget/fuel truncation), so a cached artifact never
-    replays a recovery; a corrupt cache entry is a counted miss, never a
-    failure, even under [Strict].  Hits and misses appear as
+    result.  Keys and the checksums in them are computed only when a
+    cache is given, each at most once per run.  Only clean computations
+    are stored (no degradations, no dropped runs, no budget/fuel
+    truncation), so a cached artifact never replays a recovery; a
+    corrupt cache entry is a counted miss, never a failure, even under
+    [Strict].  Hits and misses appear as
     [cache.hit]/[cache.miss] counters and ["cache.reuse"] instants on
     [obs], and a reused selection additionally logs an ["inline.cached"]
     decision event.

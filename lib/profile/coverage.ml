@@ -39,21 +39,12 @@ module Iplan = Impact_interp.Iplan
 type mode =
   | Full
   | Min
-  | Sampled
 
-let mode_name = function Full -> "full" | Min -> "min" | Sampled -> "sampled"
+let all_modes = [ Full; Min ]
 
-let mode_of_string = function
-  | "full" -> Some Full
-  | "min" -> Some Min
-  | "sampled" -> Some Sampled
-  | _ -> None
+let mode_name = function Full -> "full" | Min -> "min"
 
-let all_modes = [ Full; Min; Sampled ]
-
-(* Prime sampling period, so the fuel-phase gate does not alias with the
-   power-of-two-ish periodicities loops tend to have. *)
-let sample_period = 1021
+let mode_of_string s = List.find_opt (fun m -> mode_name m = s) all_modes
 
 type direct_elision = {
   e_site : int;
@@ -180,19 +171,6 @@ let build (prog : Il.program) mode =
   let nsites = prog.Il.next_site in
   match mode with
   | Full -> full_plan Full ~total_sites:(count_alive_sites prog)
-  | Sampled ->
-    let total_sites = count_alive_sites prog in
-    let iplan =
-      Iplan.create ~kind:(Iplan.Sampled sample_period) ~nsites ~nfuncs
-    in
-    {
-      mode = Sampled;
-      iplan = Some iplan;
-      directs = [];
-      ext = None;
-      total_sites;
-      counted_sites = total_sites;
-    }
   | Min ->
     (* Collect the weighted arcs of alive code: direct in-sites grouped
        per callee, and the external sites as one pool.  The site total
@@ -276,7 +254,7 @@ let build (prog : Il.program) mode =
          engines keep their plan-less fast path. *)
       full_plan Min ~total_sites
     else begin
-      let iplan = Iplan.create ~kind:Iplan.Exact ~nsites ~nfuncs in
+      let iplan = Iplan.create ~nsites ~nfuncs in
       List.iter
         (fun e ->
           iplan.Iplan.site_counted.(e.e_site) <- false;

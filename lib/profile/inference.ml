@@ -21,65 +21,34 @@
    Both reconstructions are integer arithmetic on deterministic
    interpreter counts: the patched counters are bit-for-bit what full
    instrumentation would have produced (the test suite pins this
-   against the oracle on every benchmark and on generated programs).
-
-   Sampled plans are different in kind: every per-site store was gated
-   on a fuel phase, so the counts are scaled back up by the period and
-   reported with a coverage figure — approximate by construction. *)
+   against the oracle on every benchmark and on generated programs). *)
 
 module Counters = Impact_interp.Counters
 
-type stats = {
-  inferred_sites : int;
-  sample_coverage : float option;
-      (* Sampled only: scaled sample mass over the exact call total *)
-}
-
+(* A full plan elides nothing, so it has no directs and no external
+   elision: applying it is a no-op. *)
 let apply (plan : Coverage.t) ~nruns (acc : Counters.t) =
-  match plan.Coverage.mode with
-  | Coverage.Full -> { inferred_sites = 0; sample_coverage = None }
-  | Coverage.Min ->
-    List.iter
-      (fun (e : Coverage.direct_elision) ->
-        let entry = if e.Coverage.e_callee_is_main then nruns else 0 in
-        let inflow = acc.Counters.func_counts.(e.Coverage.e_callee) - entry in
-        let measured =
-          List.fold_left
-            (fun sum s -> sum + acc.Counters.site_counts.(s))
-            0 e.Coverage.e_siblings
-        in
-        let count = inflow - measured in
-        acc.Counters.site_counts.(e.Coverage.e_site) <- count;
-        (* The elided arc skipped its run-level calls bump too. *)
-        acc.Counters.calls <- acc.Counters.calls + count)
-      plan.Coverage.directs;
-    (match plan.Coverage.ext with
-    | Some x ->
+  List.iter
+    (fun (e : Coverage.direct_elision) ->
+      let entry = if e.Coverage.e_callee_is_main then nruns else 0 in
+      let inflow = acc.Counters.func_counts.(e.Coverage.e_callee) - entry in
       let measured =
         List.fold_left
           (fun sum s -> sum + acc.Counters.site_counts.(s))
-          0 x.Coverage.x_others
+          0 e.Coverage.e_siblings
       in
-      acc.Counters.site_counts.(x.Coverage.x_site) <-
-        acc.Counters.ext_calls - measured
-    | None -> ());
-    {
-      inferred_sites =
-        List.length plan.Coverage.directs
-        + (match plan.Coverage.ext with Some _ -> 1 | None -> 0);
-      sample_coverage = None;
-    }
-  | Coverage.Sampled ->
-    let period = Coverage.sample_period in
-    let sc = acc.Counters.site_counts in
-    let scaled = ref 0 in
-    for i = 0 to Array.length sc - 1 do
-      let s = sc.(i) * period in
-      sc.(i) <- s;
-      scaled := !scaled + s
-    done;
-    let coverage =
-      if acc.Counters.calls <= 0 then 0.
-      else Float.min 1. (float_of_int !scaled /. float_of_int acc.Counters.calls)
+      let count = inflow - measured in
+      acc.Counters.site_counts.(e.Coverage.e_site) <- count;
+      (* The elided arc skipped its run-level calls bump too. *)
+      acc.Counters.calls <- acc.Counters.calls + count)
+    plan.Coverage.directs;
+  match plan.Coverage.ext with
+  | Some x ->
+    let measured =
+      List.fold_left
+        (fun sum s -> sum + acc.Counters.site_counts.(s))
+        0 x.Coverage.x_others
     in
-    { inferred_sites = 0; sample_coverage = Some coverage }
+    acc.Counters.site_counts.(x.Coverage.x_site) <-
+      acc.Counters.ext_calls - measured
+  | None -> ()

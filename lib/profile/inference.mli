@@ -6,19 +6,9 @@
     elided in-arc, each equation one unknown) and restores the
     run-level calls scalar.  For [Min] plans the patched counters are
     bit-for-bit identical to full instrumentation — these are
-    deterministic interpreter counts, not samples.  For [Sampled] plans
-    the per-site counts are scaled by {!Coverage.sample_period} and a
-    coverage figure is reported; the result is approximate. *)
-
-type stats = {
-  inferred_sites : int;  (** elided sites whose counts were reconstructed *)
-  sample_coverage : float option;
-      (** [Sampled] only: scaled sample mass over the exact call total,
-          in [0, 1] — how much of the dynamic call volume the samples
-          explain *)
-}
+    deterministic interpreter counts, not samples. *)
 
 (** [apply plan ~nruns acc] mutates [acc] in place.  [nruns] is the
     number of runs aggregated into [acc] (main's virtual entry arc).
     Caller must ensure the plan is not {!Coverage.poisoned} first. *)
-val apply : Coverage.t -> nruns:int -> Impact_interp.Counters.t -> stats
+val apply : Coverage.t -> nruns:int -> Impact_interp.Counters.t -> unit

@@ -3,7 +3,7 @@
    Current format (v4) adds the per-indirect-site value profile
    ("vsite" lines) on top of the v3 mode extension:
 
-     impact-profile v4 <md5-of-program-dump | -> <full|min|sampled | ->
+     impact-profile v4 <md5-of-program-dump | -> <full|min | ->
      ...
      vsite <site> <other-weight> <fid>:<weight> ...
 
@@ -11,7 +11,7 @@
    data (some indirect site executed); otherwise the previous headers
    are kept — v3 when the writer states a mode:
 
-     impact-profile v3 <md5-of-program-dump | -> <full|min|sampled>
+     impact-profile v3 <md5-of-program-dump | -> <full|min>
 
    and v2 when it does not:
 
@@ -22,7 +22,8 @@
    files read back with an empty value profile (they predate it, and an
    empty value profile simply disables devirtualization); v1 files
    ("impact-profile 1") are still read and carry neither checksum nor
-   mode, so staleness cannot be detected for them.
+   mode, so staleness cannot be detected for them.  A header naming any
+   other mode (the retired "sampled" included) is a typed error.
 
    "vsite" lines are deliberately forgiving in a different way from the
    rest of the format: a malformed, truncated or out-of-bounds value

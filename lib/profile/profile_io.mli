@@ -5,7 +5,7 @@
     The format is a line-oriented text file:
 
     {v
-    impact-profile v4 <checksum> <full|min|sampled|->
+    impact-profile v4 <checksum> <full|min|->
     runs <n>
     totals <ils> <cts> <calls> <returns> <ext_calls> <max_stack>
     func <fid> <weight>      (one line per non-zero node weight)
@@ -17,9 +17,9 @@
     header's [<checksum>] is the {!program_checksum} of the program the
     profile was collected against ([-] when not recorded), so a stale
     profile is detected at load time.  The mode field records the
-    instrumentation mode the profile was collected under, so an
-    approximate [sampled] profile is never silently reused to answer a
-    request for an exact one.
+    instrumentation mode the profile was collected under; a header
+    naming any other mode, such as the retired [sampled], is a typed
+    error.
 
     Writers emit a v4 header only when the profile carries a value
     profile (some indirect site executed); otherwise a v3 header is

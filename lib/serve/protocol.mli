@@ -64,9 +64,11 @@ type job = {
   j_policy : Impact_harness.Pipeline.policy;  (** default [Strict] *)
   j_engine : Impact_interp.Machine.engine;  (** default [Threaded] *)
   j_profile_mode : Impact_profile.Coverage.mode;
-      (** wire field [profile_mode], one of ["full"]/["min"]/["sampled"];
-          absent (requests from clients predating the field) defaults to
-          [Full] — the historical behaviour *)
+      (** wire field [profile_mode], ["full"] or ["min"]
+          ({!Impact_profile.Coverage.mode_name}); absent (requests from
+          clients predating the field) defaults to [Full] — the
+          historical behaviour; any other value, the retired
+          ["sampled"] included, is a typed [serve] error *)
   j_devirt : bool;
       (** wire field [devirt]; absent defaults to [false] — requests
           from clients predating the field keep the exact

@@ -182,6 +182,58 @@ let test_warm_run_identical () =
   Alcotest.(check int) "inline.cached decision logged" 1
     (List.length cached_decisions)
 
+(* The stage keys, pinned to their documented parts and order: a warm
+   rerun's six [cache.reuse] instants name exactly the keys rebuilt here,
+   in pipeline order.  Existing caches, and any tool that replays the
+   keys, depend on these parts. *)
+let test_stage_keys_pinned () =
+  let cache = Cache.create (tmp_dir ()) in
+  let bench = Suite.find "cmp" in
+  ignore (Pipeline.run ~cache bench);
+  let obs = Obs.create (Sink.memory ()) in
+  let r = Pipeline.run ~obs ~cache bench in
+  let reused =
+    List.filter_map
+      (fun (e : Sink.event) ->
+        match
+          ( e.Sink.ev_name,
+            List.assoc_opt "stage" e.Sink.ev_attrs,
+            List.assoc_opt "key" e.Sink.ev_attrs )
+        with
+        | "cache.reuse", Some (Sink.String stage), Some (Sink.String key) ->
+          Some (stage, key)
+        | _ -> None)
+      (Sink.events (Obs.sink obs))
+  in
+  let module Profile_io = Impact_profile.Profile_io in
+  let prog_sum = Profile_io.program_checksum r.Pipeline.prog in
+  let profile_sum = Profile_io.profile_checksum r.Pipeline.profile in
+  let post_sum =
+    Profile_io.program_checksum r.Pipeline.inliner.Inliner.program
+  in
+  let post_profile_sum = Profile_io.profile_checksum r.Pipeline.post_profile in
+  let fp = Config.fingerprint Config.default in
+  let profile sum =
+    ( "profile",
+      "profile-threaded" :: "mode-full" :: sum :: bench.Benchmark.inputs () )
+  in
+  let expected =
+    List.map
+      (fun (stage, parts) -> (stage, Cache.key parts))
+      [
+        ("front", [ "front"; bench.Benchmark.source; "true" ]);
+        profile prog_sum;
+        ( "classify",
+          [ "classify"; "pre"; prog_sum; profile_sum; fp;
+            string_of_bool Config.default.Config.refine_pointer_targets ] );
+        ("inline", [ "inline"; prog_sum; profile_sum; fp; "false" ]);
+        profile post_sum;
+        ("classify", [ "classify"; "post"; post_sum; post_profile_sum; fp; "false" ]);
+      ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "reused keys rebuild from their parts" expected reused
+
 let test_warm_suite_report () =
   (* The suite driver threads one shared cache through every benchmark;
      keep it to a two-benchmark slice so the test stays quick. *)
@@ -419,6 +471,8 @@ let tests =
     Alcotest.test_case "LRU eviction under a byte budget" `Quick test_eviction;
     Alcotest.test_case "warm rerun is byte-identical, all hits" `Quick
       test_warm_run_identical;
+    Alcotest.test_case "stage keys rebuild from their parts" `Quick
+      test_stage_keys_pinned;
     Alcotest.test_case "warm suite rerun skips all stage work" `Quick
       test_warm_suite_report;
     Alcotest.test_case "invalidation is stage-precise" `Quick

@@ -417,6 +417,33 @@ let test_cache_write_fault_is_transparent () =
     stats.Impact_support.Cstore.misses;
   Alcotest.(check int) "no corrupt entries" 0 stats.Impact_support.Cstore.corrupt
 
+(* The Degrade re-profile path.  With one job the pool passes its
+   worker-start point once per sweep, so a fault armed for the second
+   pass kills only the re-profile: the pre-inline profile is clean and
+   stored, the re-profile is noted and never stored, and the outputs
+   stay unverified. *)
+let test_degrade_reprofile_failure () =
+  let obs = Obs.create (Sink.memory ()) in
+  let cache = Impact_harness.Cache.create (cache_tmp_dir ()) in
+  let r =
+    Fault.with_point Fault.Pool_worker_start ~after:1 (fun () ->
+        Pipeline.run ~obs ~policy:Pipeline.Degrade ~cache (bench ()))
+  in
+  Alcotest.(check (list string)) "exactly one degradation"
+    [
+      "[profile-run] re-profiling failed (profile-run error: injected fault \
+       at pool-worker-start) -> post metrics are static; outputs unverified";
+    ]
+    (List.map
+       (fun (d : Pipeline.degradation) ->
+         Printf.sprintf "[%s] %s -> %s"
+           (Ierr.stage_name d.Pipeline.d_stage)
+           d.Pipeline.d_detail d.Pipeline.d_action)
+       r.Pipeline.degradations);
+  Alcotest.(check bool) "outputs unverified" false r.Pipeline.outputs_match;
+  Alcotest.(check int) "only the pre-inline profile stored" 1
+    (Impact_obs.Metrics.counter_value obs.Obs.metrics "cache.store.profile")
+
 let tests =
   [
     Alcotest.test_case "matrix: strict yields one typed error" `Quick
@@ -449,5 +476,7 @@ let tests =
       test_cache_read_fault_is_transparent;
     Alcotest.test_case "cache write fault is transparent" `Quick
       test_cache_write_fault_is_transparent;
+    Alcotest.test_case "degrade: re-profile failure is noted, not stored"
+      `Quick test_degrade_reprofile_failure;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_mutated_profiles_never_raise ]

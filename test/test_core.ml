@@ -311,7 +311,7 @@ let test_expand_engines_agree () =
   let indexed = Il.copy_program prog in
   let r_indexed = Expand.expand_all indexed linear sel in
   let rescan = Il.copy_program prog in
-  let r_rescan = Expand.expand_all_rescan rescan linear sel in
+  let r_rescan = Expand_rescan.expand_all rescan linear sel in
   Alcotest.(check bool) "reports agree" true (r_indexed = r_rescan);
   Alcotest.(check int) "next_site agrees" rescan.Il.next_site indexed.Il.next_site;
   Array.iteri

@@ -88,7 +88,7 @@ let test_v4_roundtrip () =
   Alcotest.(check bool) "checksum+mode round-trip keeps vsites" true
     (p2.Profile.vsites = p.Profile.vsites);
   (* A recorded mode is still enforced on a v4 header. *)
-  match Profile_io.of_string ~expect_mode:Coverage.Sampled s2 with
+  match Profile_io.of_string ~expect_mode:Coverage.Full s2 with
   | Ok _ -> Alcotest.fail "v4 mode mismatch accepted"
   | Error e ->
     Alcotest.(check string) "mode mismatch is typed" "profile-io"

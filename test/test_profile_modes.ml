@@ -5,9 +5,9 @@
    to the fully instrumented one — on every suite benchmark and on
    generated C programs — so inline decisions and reports cannot
    depend on the mode.  Around it: the versioned Profile_io header
-   that records the mode, sampled-mode coverage reporting, plan
-   sharing across pool domains (one build per program, never one per
-   run), and the degraded pipeline under an interpreter fault while
+   that records the mode, typed refusals of the retired [sampled] mode,
+   plan sharing across pool domains (one build per program, never one
+   per run), and the degraded pipeline under an interpreter fault while
    min-mode profiling. *)
 
 module Il_pp = Impact_il.Il_pp
@@ -113,32 +113,6 @@ let prop_min_preserves_everything =
     Test_cgen.gen_source min_preserves_everything
 
 (* ------------------------------------------------------------------ *)
-(* Sampled mode                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_sampled_reports_coverage () =
-  let b = Suite.find "cmp" in
-  let prog = Lower.lower_source b.Benchmark.source in
-  let inputs = b.Benchmark.inputs () in
-  let full = Profiler.profile ~keep_outputs:false prog ~inputs in
-  let s = Profiler.profile ~keep_outputs:false ~mode:Coverage.Sampled prog ~inputs in
-  let c = s.Profiler.coverage in
-  Alcotest.(check bool) "sampled stays sampled" true
-    (c.Profiler.effective = Coverage.Sampled);
-  (match c.Profiler.sample_coverage with
-  | Some cov ->
-    if not (cov > 0. && cov <= 1.) then
-      Alcotest.failf "sample coverage %.4f outside (0, 1]" cov
-  | None -> Alcotest.fail "sampled run carries no coverage figure");
-  (* Scalars are never sampled, so the run-level averages stay exact
-     even while the per-site weights are approximate. *)
-  let p_full = full.Profiler.profile and p_s = s.Profiler.profile in
-  Alcotest.(check (float 0.)) "avg calls exact under sampling"
-    p_full.Profile.avg_calls p_s.Profile.avg_calls;
-  Alcotest.(check (float 0.)) "avg ext calls exact under sampling"
-    p_full.Profile.avg_ext_calls p_s.Profile.avg_ext_calls
-
-(* ------------------------------------------------------------------ *)
 (* Versioned serialisation                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -163,11 +137,57 @@ let test_mode_header_roundtrip () =
   (match Profile_io.of_string v3 with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "v3 without expectation failed: %s" (Ierr.to_string e));
-  match Profile_io.of_string ~expect_mode:Coverage.Sampled v3 with
+  match Profile_io.of_string ~expect_mode:Coverage.Full v3 with
   | Ok _ -> Alcotest.fail "mode mismatch accepted"
   | Error e ->
     Alcotest.(check string) "mode mismatch is a typed profile-io error"
       "profile-io" (Ierr.stage_name e.Ierr.stage)
+
+(* A header naming the retired [sampled] mode, v3 or v4, is refused like
+   any unknown mode: a typed profile-io error, with or without an
+   expected mode. *)
+let test_sampled_header_refused () =
+  let p = Profile.static_uniform ~nfuncs:2 ~nsites:2 in
+  let v3 = Profile_io.to_string ~mode:Coverage.Full p in
+  let nl = String.index v3 '\n' in
+  let body = String.sub v3 nl (String.length v3 - nl) in
+  List.iter
+    (fun version ->
+      let s = Printf.sprintf "impact-profile %s - sampled%s" version body in
+      List.iter
+        (fun expect_mode ->
+          match Profile_io.of_string ?expect_mode s with
+          | Ok _ -> Alcotest.failf "%s sampled header accepted" version
+          | Error e ->
+            Alcotest.(check string)
+              (version ^ ": typed profile-io error")
+              "profile-io" (Ierr.stage_name e.Ierr.stage);
+            Alcotest.(check string)
+              (version ^ ": names the mode")
+              "bad profile mode \"sampled\" in header" e.Ierr.msg)
+        [ None; Some Coverage.Full ])
+    [ "v3"; "v4" ]
+
+(* On the command line the retired mode is a usage error (exit 2), and
+   both remaining modes are accepted. *)
+let test_cli_refuses_sampled () =
+  let impactc =
+    Filename.concat
+      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
+      "impactc.exe"
+  in
+  let run mode =
+    Sys.command
+      (Filename.quote_command impactc ~stdout:Filename.null
+         ~stderr:Filename.null
+         [ "bench"; "--profile-mode"; mode; "tee" ])
+  in
+  Alcotest.(check int) "sampled is a usage error" 2 (run "sampled");
+  List.iter
+    (fun m ->
+      Alcotest.(check int) (Coverage.mode_name m ^ " is accepted") 0
+        (run (Coverage.mode_name m)))
+    Coverage.all_modes
 
 (* ------------------------------------------------------------------ *)
 (* Plan sharing across pool domains                                    *)
@@ -229,10 +249,12 @@ let tests =
   [
     Alcotest.test_case "min profile byte-identical across the suite" `Quick
       test_min_identical_on_suite;
-    Alcotest.test_case "sampled mode reports its coverage" `Quick
-      test_sampled_reports_coverage;
     Alcotest.test_case "mode-stamped profile header roundtrips" `Quick
       test_mode_header_roundtrip;
+    Alcotest.test_case "sampled profile header is a typed error" `Quick
+      test_sampled_header_refused;
+    Alcotest.test_case "impactc refuses --profile-mode sampled" `Quick
+      test_cli_refuses_sampled;
     Alcotest.test_case "one plan per pooled sweep" `Quick
       test_plan_built_once_across_pool;
     Alcotest.test_case "sticky fault: min mode degrades to baseline" `Quick

@@ -70,7 +70,7 @@ let engines_agree config src =
   let p1 = Il.copy_program prog in
   let p2 = Il.copy_program prog in
   let r1 = Impact_core.Expand.expand_all p1 linear selection in
-  let r2 = Impact_core.Expand.expand_all_rescan p2 linear selection in
+  let r2 = Expand_rescan.expand_all p2 linear selection in
   Impact_il.Il_check.check_exn p1;
   if r1 <> r2 then QCheck.Test.fail_reportf "engine reports differ";
   if p1.Il.next_site <> p2.Il.next_site then

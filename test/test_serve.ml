@@ -317,6 +317,34 @@ let test_fuzz_frames () =
       Alcotest.(check bool) "malformed traffic was counted" true
         (int_field (Sink.mem "requests" stats) "malformed" > 0))
 
+(* The retired [sampled] profiling mode: a request naming it is refused
+   on the wire with a typed serve error naming the value, and the same
+   connection goes on to profile under a mode that exists. *)
+let test_retired_profile_mode () =
+  with_server (fun t ->
+      with_client t (fun c ->
+          Client.send_raw c
+            (raw_frame
+               "{\"v\":1,\"id\":1,\"kind\":\"profile\",\"source\":\"int \
+                main(){return 0;}\",\"profile_mode\":\"sampled\"}\n");
+          (match Client.read_response c with
+          | Ok (Error e) ->
+            Alcotest.(check string) "typed serve error" "serve"
+              (Ierr.stage_name e.Ierr.stage);
+            Alcotest.(check string) "names the refused mode"
+              "unknown profile_mode \"sampled\"" e.Ierr.msg
+          | _ -> Alcotest.fail "sampled profile mode accepted");
+          let job =
+            { Protocol.default_job with
+              Protocol.j_source = tick_src;
+              j_inputs = [ "ab" ];
+              j_profile_mode = Impact_profile.Coverage.Min }
+          in
+          let p = ok_or_fail (Client.request c (Protocol.Profile job)) in
+          match Sink.mem "profile_mode" p with
+          | Sink.String m -> Alcotest.(check string) "min still served" "min" m
+          | _ -> Alcotest.fail "profile reply lacks its mode"))
+
 let test_interleaved_clients () =
   with_server ~domains:2 (fun t ->
       let nclients = 8 and per_client = 5 in
@@ -433,6 +461,8 @@ let tests =
     Alcotest.test_case "profile and report requests" `Quick test_profile_and_report;
     Alcotest.test_case "compile errors keep their stage" `Quick
       test_compile_error_is_typed;
+    Alcotest.test_case "retired sampled mode is a typed wire error" `Quick
+      test_retired_profile_mode;
     Alcotest.test_case "protocol fuzz matrix never kills the daemon" `Quick
       test_fuzz_frames;
     Alcotest.test_case "interleaved concurrent clients" `Quick
