@@ -14,6 +14,9 @@
    the committed baseline: the run fails if it regresses by more than
    IMPACT_PERF_TOLERANCE percent (default 25).
 
+   A warm stage-cache rerun of the suite must compute no content
+   checksum (each hit carries its own): the run fails if it counts any.
+
    The scaling sweep runs with the flight recorder attached and is
    guarded too: the run fails when the jobs=4 vs jobs=1 speedup falls
    below IMPACT_SCALING_FLOOR (default 1.0 — more parallelism must
@@ -193,14 +196,19 @@ let () =
   Printf.printf "  recommended domains: %d measured, %d runtime\n"
     scaling.Perf.sc_recommended scaling.Perf.sc_recommended_runtime;
   Printf.printf
-    "  stage cache: cold %.0f ms, warm %.0f ms (%.1fx; warm %d hit(s), %d miss(es))\n"
+    "  stage cache: cold %.0f ms, warm %.0f ms (%.1fx; warm %d hit(s), %d miss(es), \
+     %d checksum(s), %d key byte(s))\n"
     cache.Perf.cache_cold_ms cache.Perf.cache_warm_ms
     (if cache.Perf.cache_warm_ms > 0. then
        cache.Perf.cache_cold_ms /. cache.Perf.cache_warm_ms
      else 0.)
-    cache.Perf.warm_hits cache.Perf.warm_misses;
+    cache.Perf.warm_hits cache.Perf.warm_misses cache.Perf.warm_checksums
+    cache.Perf.warm_key_bytes;
   if cache.Perf.warm_misses > 0 then
     warn "warm cache rerun still missed %d stage(s)" cache.Perf.warm_misses;
+  if cache.Perf.warm_checksums > 0 then
+    fail "warm cache rerun computed %d checksum(s); every hit carries its own"
+      cache.Perf.warm_checksums;
   List.iter
     (fun (row : Perf.devirt_row) ->
       Printf.printf

@@ -15,14 +15,20 @@ module Obs = Impact_obs.Obs
 type t = { store : Cstore.t }
 
 (* fmt2: Profile.t grew the value-profile component (vsites), changing
-   its Marshal shape — fmt1 entries must never match. *)
-let format_salt = "impact-stage-cache fmt2 " ^ Sys.ocaml_version
+   its Marshal shape.  fmt3: the front, profile and inline payloads
+   became (artifact, checksum) pairs; Marshal decodes an older payload
+   as a pair without raising, so older entries must never match. *)
+let format_salt = "impact-stage-cache fmt3 " ^ Sys.ocaml_version
 
 let create ?max_bytes dir = { store = Cstore.create ?max_bytes dir }
 
 let cstore t = t.store
 
-let key parts = Cstore.digest_key (format_salt :: parts)
+let salt_digest = Digest.string format_salt
+
+let key_of_digests digests = Cstore.key_of_digests (salt_digest :: digests)
+
+let key parts = key_of_digests (List.map Digest.string parts)
 
 let count obs outcome stage =
   Obs.incr obs ("cache." ^ outcome);

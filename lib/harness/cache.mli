@@ -29,6 +29,11 @@ val cstore : t -> Impact_support.Cstore.t
     over the parts with the format salt prepended. *)
 val key : string list -> string
 
+(** [key_of_digests ds] is the same key from the parts' MD5s:
+    [key parts = key_of_digests (List.map Digest.string parts)], so a
+    caller can digest a part shared by several keys once. *)
+val key_of_digests : Digest.t list -> string
+
 (** [find t obs ~stage ~key] — [Some v] on a verified hit; [None] on a
     miss or a corrupt entry (the store drops corrupt entries and keeps
     the typed reason in {!Impact_support.Cstore.last_error}). *)

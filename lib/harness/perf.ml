@@ -12,6 +12,8 @@ module Sink = Impact_obs.Sink
 module Machine = Impact_interp.Machine
 module Pool = Impact_support.Pool
 module Cstore = Impact_support.Cstore
+module Obs = Impact_obs.Obs
+module Metrics = Impact_obs.Metrics
 
 type timing = {
   stage : string;
@@ -353,6 +355,8 @@ type cache_timing = {
   cache_warm_ms : float;
   warm_hits : int;
   warm_misses : int;
+  warm_checksums : int;
+  warm_key_bytes : int;
 }
 
 let rec rm_rf path =
@@ -387,11 +391,17 @@ let cache_cold_warm ?jobs () =
       in
       let cold_ms, _cold = timed_run () in
       let warm_ms, warm = timed_run () in
+      (* One more warm rerun, counted: the timed ones stay uninstrumented. *)
+      let obs = Obs.create (Sink.custom ignore) in
+      ignore (Pipeline.run_suite ?jobs ~obs ~cache:(Cache.create dir) ());
+      let counted = Metrics.counter_value obs.Obs.metrics in
       {
         cache_cold_ms = cold_ms;
         cache_warm_ms = warm_ms;
         warm_hits = warm.Cstore.hits;
         warm_misses = warm.Cstore.misses;
+        warm_checksums = counted "cache.checksum";
+        warm_key_bytes = counted "cache.key_bytes";
       })
 
 (* Devirt ablation: the same benchmark through the full pipeline with
@@ -584,6 +594,8 @@ let to_json ?suite_wall_ms ?suite_jobs ?scaling ?cache ?profiling ?devirt perfs 
                    else 0.) );
               ("warm_hits", Sink.Int c.warm_hits);
               ("warm_misses", Sink.Int c.warm_misses);
+              ("warm_checksums", Sink.Int c.warm_checksums);
+              ("warm_key_bytes", Sink.Int c.warm_key_bytes);
               ( "warm_hit_rate",
                 Sink.Float
                   (let total = c.warm_hits + c.warm_misses in

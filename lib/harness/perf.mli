@@ -136,20 +136,26 @@ val scaling_to_json : scaling -> Impact_obs.Sink.json
     content-addressed stage cache ({!Cache}).  [warm_hits] and
     [warm_misses] come from the warm run only (a fresh handle over the
     same directory), so [warm_misses = 0] means the rerun did no stage
-    work at all. *)
+    work at all.  [warm_checksums] and [warm_key_bytes] are a warm
+    rerun's [cache.checksum] and [cache.key_bytes] counters: the content
+    checksums it computed (0 when every hit carries its own) and the
+    bytes it digested into keys. *)
 type cache_timing = {
   cache_cold_ms : float;
   cache_warm_ms : float;
   warm_hits : int;
   warm_misses : int;
+  warm_checksums : int;
+  warm_key_bytes : int;
 }
 
 (** [cache_cold_warm ?jobs ()] runs the suite twice against a fresh
     temporary cache directory — cold (populating) then warm (replaying)
     — and reports both wall clocks plus the warm run's hit/miss
-    counters.  The temporary directory is removed afterwards — also when
-    a run raises (recursive cleanup under [Fun.protect]).  Raises
-    [Failure] if either cached run's inlined outputs diverge. *)
+    counters; a third, untimed warm run supplies the checksum and
+    key-byte counters.  The temporary directory is removed afterwards —
+    also when a run raises (recursive cleanup under [Fun.protect]).
+    Raises [Failure] if either timed run's inlined outputs diverge. *)
 val cache_cold_warm : ?jobs:int -> unit -> cache_timing
 
 (** Devirt ablation: one benchmark through the full pipeline with

@@ -3,6 +3,7 @@ module Lower = Impact_il.Lower
 module Machine = Impact_interp.Machine
 module Profiler = Impact_profile.Profiler
 module Profile = Impact_profile.Profile
+module Profile_io = Impact_profile.Profile_io
 module Callgraph = Impact_callgraph.Callgraph
 module Inliner = Impact_core.Inliner
 module Classify = Impact_core.Classify
@@ -90,15 +91,15 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
   in
   (* The one place the stage cache is read or written.  Without a cache
      (or for an uncacheable stage) [compute] simply runs: no key, and so
-     no checksum, is ever computed.  With one, [key] is forced once and
-     serves both the lookup and the store.  A result is stored only when
-     computing it noted no degradation: a cached artifact always replays
-     a clean computation, never a recovered one whose notes would
-     silently vanish on reuse. *)
+     no checksum, is ever computed.  With one, [key] (the digests of the
+     key's parts) is forced once and serves both the lookup and the
+     store.  A result is stored only when computing it noted no
+     degradation: a cached artifact always replays a clean computation,
+     never a recovered one whose notes would silently vanish on reuse. *)
   let stage name ?(cacheable = true) ?(on_hit = ignore) ~key compute =
     match cache with
     | Some c when cacheable -> (
-      let key = key () in
+      let key = Cache.key_of_digests (key ()) in
       match Cache.find c obs ~stage:name ~key with
       | Some v ->
         on_hit ();
@@ -111,15 +112,38 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         v)
     | _ -> compute ()
   in
+  let digest part =
+    Obs.incr obs ~by:(String.length part) "cache.key_bytes";
+    Digest.string part
+  in
+  (* The content checksum of a stage's output, which keys later stages.
+     Only a cache ever builds a key, so without one no checksum is
+     computed and the result is "". *)
+  let checksum f v =
+    match cache with
+    | None -> ""
+    | Some _ ->
+      Obs.incr obs "cache.checksum";
+      f v
+  in
+  (* A stage whose output a later key depends on: the payload carries
+     the output's checksum, so a hit reads it back instead of
+     recomputing it from the artifact. *)
+  let summed name ?cacheable ?on_hit ~sum ~key compute =
+    stage name ?cacheable ?on_hit ~key (fun () ->
+        let v = compute () in
+        (v, checksum sum v))
+  in
   Obs.span obs "pipeline"
     ~attrs:[ ("benchmark", Impact_obs.Sink.String bench.Benchmark.name) ]
     (fun () ->
       (* Front end (parse + sema + lower + pre-inline optimisation) is a
          pure function of the source text and the [pre_opt] switch. *)
-      let prog =
-        stage "front"
+      let prog, prog_sum =
+        summed "front" ~sum:Profile_io.program_checksum
           ~key:(fun () ->
-            Cache.key [ "front"; bench.Benchmark.source; string_of_bool pre_opt ])
+            List.map digest
+              [ "front"; bench.Benchmark.source; string_of_bool pre_opt ])
           (fun () ->
             let ast =
               Errors.guard Ierr.Parse (fun () ->
@@ -149,22 +173,21 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         Errors.guard Ierr.Driver (fun () -> bench.Benchmark.inputs ())
       in
       let nfuncs = Array.length prog.Il.funcs in
-      (* Key ingredients, each computed at most once and only when a key
-         needs it. *)
-      let program_sum p = lazy (Impact_profile.Profile_io.program_checksum p) in
-      let profile_sum p = lazy (Impact_profile.Profile_io.profile_checksum p) in
+      (* Key parts shared by several keys, each computed at most once and
+         only when a key needs it. *)
+      let input_digests = lazy (List.map digest inputs) in
       let config_fp = lazy (Config.fingerprint config) in
-      let prog_sum = program_sum prog in
       (* One profiling pass, for the pre-inline profile and the re-profile
          alike.  A profile entry is keyed by the engine, the
          instrumentation mode, the program's checksum and the raw input
-         bytes; the payload carries the averaged profile plus each run's
-         (digest, exit code) pair, so a warm rerun can still verify
-         outputs without executing anything.  The mode stays in the key
-         although [Min] and [Full] profiles are bit-identical, so existing
-         entries keep matching.  Wall-clock budgets and fuel can truncate
-         runs non-deterministically, so profiles collected under either
-         are never cached.
+         bytes; the payload carries the averaged profile and its checksum
+         plus each run's (digest, exit code) pair, so a warm rerun can
+         still verify outputs without executing anything.  The mode stays
+         in the key although [Min] and [Full] profiles are bit-identical:
+         the key parts are documented, and tools rebuild keys from them.
+         Wall-clock budgets and fuel can truncate runs
+         non-deterministically, so profiles collected under either are
+         never cached.
 
          The policy only sets tolerance.  Under [Strict] the first
          failing run raises a typed error.  Under [Degrade] a failing run
@@ -175,15 +198,19 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       let profile_pass ~span ~runs_name ~average ~pass_name ~fallback p sum =
         let failures = ref [] in
         match
-          stage "profile"
+          summed "profile"
             ~cacheable:(budget = None && fuel = None)
+            ~sum:(fun (profile, _) -> Profile_io.profile_checksum profile)
             ~key:(fun () ->
-              Cache.key
-                (("profile-"
-                 ^ Machine.engine_to_string
-                     (Option.value engine ~default:Machine.Threaded))
-                :: ("mode-" ^ Impact_profile.Coverage.mode_name profile_mode)
-                :: Lazy.force sum :: inputs))
+              List.map digest
+                [
+                  "profile-"
+                  ^ Machine.engine_to_string
+                      (Option.value engine ~default:Machine.Threaded);
+                  "mode-" ^ Impact_profile.Coverage.mode_name profile_mode;
+                  sum;
+                ]
+              @ Lazy.force input_digests)
             (fun () ->
               let r =
                 Errors.guard Ierr.Profile_run (fun () ->
@@ -210,7 +237,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
                 r.Profiler.failures;
               (r.Profiler.profile, List.map outcome_pair r.Profiler.runs))
         with
-        | profile, pairs -> Some (profile, pairs, !failures)
+        | (profile, pairs), profile_sum ->
+          Some ((profile, profile_sum), pairs, !failures)
         | exception e when policy = Degrade ->
           note Ierr.Profile_run
             (Printf.sprintf "%s failed (%s)" pass_name
@@ -225,9 +253,9 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
           =
         stage "classify"
           ~key:(fun () ->
-            Cache.key
-              [ "classify"; tag; Lazy.force sum; Lazy.force profile_sum;
-                Lazy.force config_fp; string_of_bool refine ])
+            List.map digest
+              [ "classify"; tag; sum; profile_sum; Lazy.force config_fp;
+                string_of_bool refine ])
           (fun () ->
             let build () =
               Callgraph.build ~refine_pointer_targets:refine p profile
@@ -243,22 +271,29 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
                     Classify.classify ~obs ~stage:("classify." ^ tag) graph
                       config)))
       in
-      let static_fallback, profile, runs, pre_failures =
+      (* The static fallback for [p], with its checksum like a profiling
+         pass's. *)
+      let static_profile p =
+        let s =
+          Profile.static_uniform ~nfuncs:(Array.length p.Il.funcs)
+            ~nsites:p.Il.next_site
+        in
+        (s, checksum Profile_io.profile_checksum s)
+      in
+      let static_fallback, (profile, profile_sum), runs, pre_failures =
         match
           profile_pass ~span:"profile" ~runs_name:"run"
             ~average:"profile average" ~pass_name:"profiling"
             ~fallback:"fell back to static uniform weights (no inlining)" prog
             prog_sum
         with
-        | Some (profile, runs, failures) -> (false, profile, runs, failures)
-        | None ->
-          (true, Profile.static_uniform ~nfuncs ~nsites:prog.Il.next_site, [], [])
+        | Some (profiled, runs, failures) -> (false, profiled, runs, failures)
+        | None -> (true, static_profile prog, [], [])
       in
-      let pre_profile_sum = profile_sum profile in
       let classified =
         classify ~tag:"pre" ~span:"classify" ~graph_span:"callgraph"
           ~refine:config.Config.refine_pointer_targets ~sum:prog_sum
-          ~profile_sum:pre_profile_sum prog profile
+          ~profile_sum prog profile
       in
       (* Expansion failures are typed at the source: in Strict they abort
          with a caller-naming [Expand] error; in Degrade the caller is
@@ -288,20 +323,20 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
          profile's content and the config; the cached payload is the
          whole report (expanded program included), so a hit skips
          linearisation, selection, expansion and DCE in one step. *)
-      let inliner =
-        stage "inline"
+      let inliner, post_sum =
+        summed "inline"
+          ~sum:(fun r -> Profile_io.program_checksum r.Inliner.program)
           ~key:(fun () ->
-            Cache.key
-              [ "inline"; Lazy.force prog_sum; Lazy.force pre_profile_sum;
-                Lazy.force config_fp; string_of_bool post_cleanup ])
+            List.map digest
+              [ "inline"; prog_sum; profile_sum; Lazy.force config_fp;
+                string_of_bool post_cleanup ])
           ~on_hit:(fun () ->
             Obs.instant obs ~kind:"decision"
               ~attrs:
                 [
                   ("benchmark", Impact_obs.Sink.String bench.Benchmark.name);
                   ("config", Impact_obs.Sink.String (Lazy.force config_fp));
-                  ( "profile",
-                    Impact_obs.Sink.String (Lazy.force pre_profile_sum) );
+                  ("profile", Impact_obs.Sink.String profile_sum);
                 ]
               "inline.cached")
           (fun () ->
@@ -337,7 +372,6 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       Obs.gauge_int obs "il.size_post_inline"
         (Il.program_code_size inliner.Inliner.program);
       let post_prog = inliner.Inliner.program in
-      let post_sum = program_sum post_prog in
       (* Positional comparison of pre- and post-expansion runs; under
          Degrade the two passes may have dropped different inputs, so
          failures are scattered back onto input positions first. *)
@@ -354,19 +388,14 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         done;
         !matches
       in
-      let post_static () =
-        Profile.static_uniform
-          ~nfuncs:(Array.length post_prog.Il.funcs)
-          ~nsites:post_prog.Il.next_site
-      in
-      let post_profile, outputs_match =
+      let (post_profile, post_profile_sum), outputs_match =
         if static_fallback then (
           (* No dynamic behaviour was ever observed; the expanded program
              equals the no-inlining baseline, so re-running it could only
              repeat the original failure. *)
           note Ierr.Profile_run "no dynamic profile to compare against"
             "re-profile skipped; post metrics are static";
-          (post_static (), true))
+          (static_profile post_prog, true))
         else
           match
             profile_pass ~span:"re_profile" ~runs_name:"re-profile run"
@@ -374,13 +403,13 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               ~fallback:"post metrics are static; outputs unverified" post_prog
               post_sum
           with
-          | Some (post_profile, post_pairs, post_failures) ->
-            (post_profile, compare_runs post_pairs post_failures)
-          | None -> (post_static (), false)
+          | Some (post_profiled, post_pairs, post_failures) ->
+            (post_profiled, compare_runs post_pairs post_failures)
+          | None -> (static_profile post_prog, false)
       in
       let post_classified =
         classify ~tag:"post" ~span:"post_classify" ~refine:false ~sum:post_sum
-          ~profile_sum:(profile_sum post_profile) post_prog post_profile
+          ~profile_sum:post_profile_sum post_prog post_profile
       in
       let c_lines = count_c_lines bench.Benchmark.source in
       Obs.gauge_int obs "pipeline.c_lines" c_lines;

@@ -83,7 +83,11 @@ type result = {
     {!Impact_core.Config.fingerprint}) — first consults the stage cache
     and, on a verified hit, is skipped entirely with a byte-identical
     result.  Keys and the checksums in them are computed only when a
-    cache is given, each at most once per run.  Only clean computations
+    cache is given: each key part is digested once per key (the
+    profiling inputs once per run), and the front, profile and inline
+    payloads carry their output's checksum, so a hit recomputes none
+    and a miss computes it once.  The [cache.checksum] and
+    [cache.key_bytes] counters on [obs] count both.  Only clean computations
     are stored (no degradations, no dropped runs, no budget/fuel
     truncation), so a cached artifact never replays a recovery; a
     corrupt cache entry is a counted miss, never a failure, even under

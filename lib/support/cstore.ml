@@ -71,18 +71,14 @@ let suffix = ".ice"
 
 let entry_file ~stage ~key = stage ^ "-" ^ key ^ suffix
 
-(* A collision-free digest over an ordered list of parts: each part is
-   length-prefixed so ("ab","c") and ("a","bc") cannot collide, and the
-   parts may hold arbitrary bytes (program sources, stdin data). *)
-let digest_key parts =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (string_of_int (String.length p));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf p)
-    parts;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+(* A key is the MD5 over the concatenated 16-byte MD5s of its ordered
+   parts.  Fixed-width digests cannot run into one another, so
+   ("ab","c") and ("a","bc") cannot collide without length prefixes;
+   the parts may hold arbitrary bytes (program sources, stdin data),
+   and a part shared by several keys can be digested once. *)
+let key_of_digests digests = Digest.to_hex (Digest.string (String.concat "" digests))
+
+let digest_key parts = key_of_digests (List.map Digest.string parts)
 
 let cache_error fmt =
   Printf.ksprintf

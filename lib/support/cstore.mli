@@ -52,10 +52,16 @@ type lookup =
   | Corrupt of Ierr.t
 
 (** [digest_key parts] is a collision-free MD5 (hex) over the ordered
-    parts: each part is length-prefixed, so [["ab"; "c"]] and
+    parts: the MD5 of their concatenated 16-byte MD5s.  Fixed-width
+    digests cannot run into one another, so [["ab"; "c"]] and
     [["a"; "bc"]] digest differently, and parts may hold arbitrary
     bytes (program sources, stdin data). *)
 val digest_key : string list -> string
+
+(** [key_of_digests ds] is the key whose parts have the MD5s [ds]:
+    [digest_key parts = key_of_digests (List.map Digest.string parts)].
+    A part shared by several keys is then digested once. *)
+val key_of_digests : Digest.t list -> string
 
 (** [create ?max_bytes dir] opens (creating if needed) a store rooted at
     [dir], scanning existing entries and the [INDEX] for recency.

@@ -5,6 +5,9 @@
    number shows up as a one-line diff under `dune runtest` and is
    accepted with `dune promote`.
 
+   With the single argument [checksums] it prints, instead, the
+   persisted checksums of every suite program (see [print_checksums]).
+
    Everything printed is deterministic: the benchmarks' workloads are
    seeded, the pipeline is single-threaded here, and the report carries
    no timing data. *)
@@ -62,7 +65,31 @@ let config_of = function
     { Config.default with Config.devirt = true }
   | other -> failwith ("golden_gen: unknown config " ^ other)
 
+(* The checksums that profile headers and stage-cache keys persist, pre
+   and post inline, for every suite program: a drift in [Il_pp] or
+   [Profile_io.to_string] silently invalidates every saved profile and
+   cache entry, so it must show up here as a diff. *)
+let print_checksums () =
+  let module Pipeline = Impact_harness.Pipeline in
+  let module Profile_io = Impact_profile.Profile_io in
+  List.iter
+    (fun bench ->
+      let r = Pipeline.run bench in
+      let line what phase sum =
+        Printf.printf "%s %s %s %s\n" bench.Impact_bench_progs.Benchmark.name
+          what phase sum
+      in
+      line "program_checksum" "pre " (Profile_io.program_checksum r.Pipeline.prog);
+      line "program_checksum" "post"
+        (Profile_io.program_checksum
+           r.Pipeline.inliner.Impact_core.Inliner.program);
+      line "profile_checksum" "pre " (Profile_io.profile_checksum r.Pipeline.profile);
+      line "profile_checksum" "post"
+        (Profile_io.profile_checksum r.Pipeline.post_profile))
+    Impact_bench_progs.Suite.all
+
 let () =
+  if Sys.argv.(1) = "checksums" then (print_checksums (); exit 0);
   let bench = Impact_bench_progs.Suite.find Sys.argv.(1) in
   let config = config_of Sys.argv.(2) in
   let r = Impact_harness.Pipeline.run ~config bench in

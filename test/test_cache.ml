@@ -3,12 +3,15 @@
 
    - store unit behaviour: roundtrip, persistence, key hygiene, LRU
      eviction under a byte budget;
+   - keys: the pipeline's pre-digested form equals [Cache.key] of the
+     documented parts, and a checksum carried in a payload keys exactly
+     what a recomputed one would;
    - on-disk corruption (bit flips, truncation, foreign files) is a
      typed miss that repairs itself, never a failure — even under the
      Strict pipeline policy;
    - a warm pipeline rerun is byte-identical to the cold one and skips
      every stage (the ISSUE's >= 90% criterion, observed through the
-     cache hit/miss counters);
+     cache hit/miss counters), checksums included;
    - invalidation is precise: a whitespace-only source change recompiles
      the front end but reuses every later stage (the lowered program's
      checksum is unchanged); flipping one config field reuses the front
@@ -42,7 +45,7 @@ let counter obs name = Metrics.counter_value obs.Obs.metrics name
 
 let test_roundtrip () =
   Alcotest.(check bool)
-    "length-prefixed parts cannot collide" true
+    "moving a split point changes the key" true
     (Cstore.digest_key [ "ab"; "c" ] <> Cstore.digest_key [ "a"; "bc" ]);
   let dir = tmp_dir () in
   let s = Cstore.create dir in
@@ -144,6 +147,51 @@ let test_eviction () =
   | Cstore.Miss -> ()
   | _ -> Alcotest.fail "LRU entry survived"
 
+(* Keys over arbitrary byte strings, empty parts and empty lists
+   included.  The pipeline's form, whose shared trailing parts (the
+   profiling inputs) arrive pre-digested, is [Cache.key] of the same
+   parts; and adding an empty part, swapping two parts or moving the
+   split point between two neighbours changes the key. *)
+let prop_keys =
+  let part = QCheck.Gen.(oneof [ return ""; string_size (int_bound 3); string ]) in
+  let parts = QCheck.Gen.(list_size (int_bound 5) part) in
+  QCheck.Test.make ~count:1000
+    ~name:"keys: pre-digested form, split points, empty parts, order"
+    (QCheck.make
+       ~print:QCheck.Print.(quad (list string) (list string) int int)
+       QCheck.Gen.(quad parts parts nat nat))
+    (fun (a, b, i, j) ->
+      let parts = a @ b in
+      let key = Cache.key parts in
+      let n = List.length parts in
+      let arr = Array.of_list parts in
+      let distinct l = l = parts || Cache.key l <> key in
+      let with_empty =
+        let k = i mod (n + 1) in
+        List.filteri (fun x _ -> x < k) parts
+        @ ("" :: List.filteri (fun x _ -> x >= k) parts)
+      in
+      let swapped () =
+        let s = Array.copy arr in
+        s.(i mod n) <- arr.(j mod n);
+        s.(j mod n) <- arr.(i mod n);
+        Array.to_list s
+      in
+      let resplit () =
+        let p = i mod (n - 1) in
+        let joined = arr.(p) ^ arr.(p + 1) in
+        let k = j mod (String.length joined + 1) in
+        let s = Array.copy arr in
+        s.(p) <- String.sub joined 0 k;
+        s.(p + 1) <- String.sub joined k (String.length joined - k);
+        Array.to_list s
+      in
+      Cache.key_of_digests (List.map Digest.string a @ List.map Digest.string b)
+      = key
+      && Cache.key with_empty <> key
+      && (n < 1 || distinct (swapped ()))
+      && (n < 2 || distinct (resplit ())))
+
 (* ------------------------------------------------------------------ *)
 (* Warm pipeline reruns                                                *)
 (* ------------------------------------------------------------------ *)
@@ -153,14 +201,61 @@ let fingerprint (r : Pipeline.result) =
   Il_pp.dump r.Pipeline.inliner.Inliner.program
   ^ "\n" ^ Sink.json_to_string (Report.to_json [ r ])
 
+(* The six stage keys' documented parts, in pipeline order, rebuilt from
+   a result's artifacts with freshly computed checksums. *)
+let stage_parts ?(config = Config.default) (r : Pipeline.result) =
+  let module Profile_io = Impact_profile.Profile_io in
+  let bench = r.Pipeline.bench in
+  let prog_sum = Profile_io.program_checksum r.Pipeline.prog in
+  let profile_sum = Profile_io.profile_checksum r.Pipeline.profile in
+  let post_sum =
+    Profile_io.program_checksum r.Pipeline.inliner.Inliner.program
+  in
+  let post_profile_sum = Profile_io.profile_checksum r.Pipeline.post_profile in
+  let fp = Config.fingerprint config in
+  let profile sum =
+    ( "profile",
+      "profile-threaded" :: "mode-full" :: sum :: bench.Benchmark.inputs () )
+  in
+  [
+    ("front", [ "front"; bench.Benchmark.source; "true" ]);
+    profile prog_sum;
+    ( "classify",
+      [ "classify"; "pre"; prog_sum; profile_sum; fp;
+        string_of_bool config.Config.refine_pointer_targets ] );
+    ("inline", [ "inline"; prog_sum; profile_sum; fp; "false" ]);
+    profile post_sum;
+    ("classify", [ "classify"; "post"; post_sum; post_profile_sum; fp; "false" ]);
+  ]
+
+let key_work obs = (counter obs "cache.checksum", counter obs "cache.key_bytes")
+
 let test_warm_run_identical () =
   let dir = tmp_dir () in
   let bench = Suite.find "cmp" in
+  (* Without a cache no key is built, so nothing is checksummed or
+     digested. *)
+  let plain_obs = Obs.create (Sink.memory ()) in
+  let plain = Pipeline.run ~obs:plain_obs bench in
+  Alcotest.(check (pair int int)) "uncached run: no checksum, no key bytes"
+    (0, 0) (key_work plain_obs);
   let cold_obs = Obs.create (Sink.memory ()) in
   let cold = Pipeline.run ~obs:cold_obs ~cache:(Cache.create dir) bench in
+  Alcotest.(check string) "the cache changes no answer" (fingerprint plain)
+    (fingerprint cold);
   Alcotest.(check int) "cold run has no hits" 0 (counter cold_obs "cache.hit");
   Alcotest.(check int) "cold run stores every stage" 6
     (counter cold_obs "cache.store");
+  (* Every key part is digested once per key, except the profiling
+     inputs, which both profile keys share and are digested once. *)
+  let part_bytes parts = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let key_bytes =
+    List.fold_left (fun n (_, parts) -> n + part_bytes parts) 0 (stage_parts cold)
+    - part_bytes (bench.Benchmark.inputs ())
+  in
+  Alcotest.(check (pair int int))
+    "cold run: four checksums, inputs digested once" (4, key_bytes)
+    (key_work cold_obs);
   (* A fresh handle over the same directory: the warm run must rebuild
      its view of the store from disk alone. *)
   let obs = Obs.create (Sink.memory ()) in
@@ -170,6 +265,9 @@ let test_warm_run_identical () =
     (fingerprint warm);
   Alcotest.(check int) "warm run misses nothing" 0 (counter obs "cache.miss");
   Alcotest.(check int) "warm run hits every stage" 6 (counter obs "cache.hit");
+  Alcotest.(check (pair int int))
+    "warm run: checksums come from the hits, same key bytes" (0, key_bytes)
+    (key_work obs);
   (* The ISSUE's acceptance bar: >= 90% of stage work skipped. *)
   Alcotest.(check bool) "hit rate >= 0.9" true
     (Cstore.hit_rate (Cstore.stats (Cache.cstore cache)) >= 0.9);
@@ -182,57 +280,63 @@ let test_warm_run_identical () =
   Alcotest.(check int) "inline.cached decision logged" 1
     (List.length cached_decisions)
 
-(* The stage keys, pinned to their documented parts and order: a warm
-   rerun's six [cache.reuse] instants name exactly the keys rebuilt here,
-   in pipeline order.  Existing caches, and any tool that replays the
-   keys, depend on these parts. *)
+(* The stage keys, pinned to their documented parts and order: a run's
+   [cache.reuse] instants name exactly the keys rebuilt here from
+   freshly computed checksums, in pipeline order, and every stage's
+   entry sits under its rebuilt key.  Any tool that replays the keys
+   depends on these parts, and a checksum carried in a payload must
+   never drift from a recomputed one. *)
 let test_stage_keys_pinned () =
-  let cache = Cache.create (tmp_dir ()) in
-  let bench = Suite.find "cmp" in
-  ignore (Pipeline.run ~cache bench);
-  let obs = Obs.create (Sink.memory ()) in
-  let r = Pipeline.run ~obs ~cache bench in
-  let reused =
-    List.filter_map
-      (fun (e : Sink.event) ->
-        match
-          ( e.Sink.ev_name,
-            List.assoc_opt "stage" e.Sink.ev_attrs,
-            List.assoc_opt "key" e.Sink.ev_attrs )
-        with
-        | "cache.reuse", Some (Sink.String stage), Some (Sink.String key) ->
-          Some (stage, key)
-        | _ -> None)
-      (Sink.events (Obs.sink obs))
+  let dir = tmp_dir () in
+  let cache = Cache.create dir in
+  let check label ?(config = Config.default) bench ~hits =
+    let obs = Obs.create (Sink.memory ()) in
+    let r = Pipeline.run ~obs ~cache ~config bench in
+    let reused =
+      List.filter_map
+        (fun (e : Sink.event) ->
+          match
+            ( e.Sink.ev_name,
+              List.assoc_opt "stage" e.Sink.ev_attrs,
+              List.assoc_opt "key" e.Sink.ev_attrs )
+          with
+          | "cache.reuse", Some (Sink.String stage), Some (Sink.String key) ->
+            Some (stage, key)
+          | _ -> None)
+        (Sink.events (Obs.sink obs))
+    in
+    let expected =
+      List.map
+        (fun (stage, parts) -> (stage, Cache.key parts))
+        (stage_parts ~config r)
+    in
+    Alcotest.(check (list (pair string string)))
+      (label ^ ": reused keys rebuild from their parts")
+      (List.filteri (fun i _ -> List.nth hits i) expected)
+      reused;
+    List.iter
+      (fun (stage, key) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s entry stored under its rebuilt key" label stage)
+          true
+          (Sys.file_exists (Filename.concat dir (stage ^ "-" ^ key ^ ".ice"))))
+      expected
   in
-  let module Profile_io = Impact_profile.Profile_io in
-  let prog_sum = Profile_io.program_checksum r.Pipeline.prog in
-  let profile_sum = Profile_io.profile_checksum r.Pipeline.profile in
-  let post_sum =
-    Profile_io.program_checksum r.Pipeline.inliner.Inliner.program
-  in
-  let post_profile_sum = Profile_io.profile_checksum r.Pipeline.post_profile in
-  let fp = Config.fingerprint Config.default in
-  let profile sum =
-    ( "profile",
-      "profile-threaded" :: "mode-full" :: sum :: bench.Benchmark.inputs () )
-  in
-  let expected =
-    List.map
-      (fun (stage, parts) -> (stage, Cache.key parts))
-      [
-        ("front", [ "front"; bench.Benchmark.source; "true" ]);
-        profile prog_sum;
-        ( "classify",
-          [ "classify"; "pre"; prog_sum; profile_sum; fp;
-            string_of_bool Config.default.Config.refine_pointer_targets ] );
-        ("inline", [ "inline"; prog_sum; profile_sum; fp; "false" ]);
-        profile post_sum;
-        ("classify", [ "classify"; "post"; post_sum; post_profile_sum; fp; "false" ]);
-      ]
-  in
-  Alcotest.(check (list (pair string string)))
-    "reused keys rebuild from their parts" expected reused
+  let cmp = Suite.find "cmp" and espresso = Suite.find "espresso" in
+  ignore (Pipeline.run ~cache cmp);
+  check "warm rerun" cmp ~hits:[ true; true; true; true; true; true ];
+  (* A comment edit misses the front end, which checksums the program it
+     recomputes; the later stages must hit under keys built from it. *)
+  check "comment edit"
+    { cmp with Benchmark.source = cmp.Benchmark.source ^ "/* edited */\n" }
+    ~hits:[ false; true; true; true; true; true ];
+  (* Devirtualization misses selection and expansion; the checksum the
+     inline stage computes for the expanded program must key the
+     re-profile. *)
+  ignore (Pipeline.run ~cache espresso);
+  check "espresso devirt" espresso
+    ~config:{ Config.default with Config.devirt = true }
+    ~hits:[ true; true; false; false; false; false ]
 
 let test_warm_suite_report () =
   (* The suite driver threads one shared cache through every benchmark;
@@ -481,4 +585,5 @@ let tests =
       test_profile_mode_is_stale;
     Alcotest.test_case "pipeline survives a fully corrupt cache" `Quick
       test_pipeline_survives_corruption;
+    QCheck_alcotest.to_alcotest prop_keys;
   ]
