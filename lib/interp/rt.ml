@@ -78,6 +78,11 @@ type state = {
   stack_base : int;  (* lowest legal stack address *)
   stack_top : int;
   mutable min_sp : int;
+  mutable low_end : int;
+  mutable high_start : int;
+  (* the run's written extent: [low_end] is the end of its highest write
+     below [stack_base], [high_start] the start of its lowest write at or
+     above it; the image is untouched in [low_end, high_start) *)
   mutable fuel : int;
   (* absolute wall-clock deadline ([infinity] = none) and output
      watermark in bytes ([max_int] = none), from the run's [budget] *)
@@ -132,8 +137,18 @@ let[@inline] load_word st addr =
   if Sys.big_endian then Int64.to_int (Bytes.get_int64_le st.mem addr)
   else Int64.to_int (unsafe_get_64 st.mem addr)
 
+(* Every write to the image records itself here (after its bounds
+   check, so [addr + n] cannot overflow); the next run on this domain
+   re-zeroes only the extent these marks cover — see {!image_bytes}. *)
+let[@inline] note_write st addr n =
+  if addr < st.stack_base then begin
+    if addr + n > st.low_end then st.low_end <- addr + n
+  end
+  else if addr < st.high_start then st.high_start <- addr
+
 let[@inline] store_word st addr v =
   check_range st addr 8;
+  note_write st addr 8;
   if Sys.big_endian then Bytes.set_int64_le st.mem addr (Int64.of_int v)
   else unsafe_set_64 st.mem addr (Int64.of_int v)
 
@@ -143,6 +158,7 @@ let[@inline] load_byte st addr =
 
 let[@inline] store_byte st addr v =
   check_range st addr 1;
+  note_write st addr 1;
   Bytes.unsafe_set st.mem addr (Char.unsafe_chr (v land 0xff))
 
 (* ------------------------------------------------------------------ *)
@@ -207,6 +223,7 @@ let ext_read st ptr n =
   let count = min n avail in
   if count > 0 then begin
     check_range st ptr count;
+    note_write st ptr count;
     Bytes.blit_string st.input st.in_pos st.mem ptr count;
     st.in_pos <- st.in_pos + count
   end;
@@ -352,28 +369,54 @@ let switch_table st ~fid ~index table =
    single largest source of major-heap churn during profiling sweeps —
    the PR 6 flight recorder measured the cross-domain minor-GC barriers
    it triggered as the dominant anti-scaling term.  With [~reuse_mem]
-   the image lives in domain-local storage and is re-zeroed (only up to
-   the run's logical size) instead of re-allocated.  Sound only while a
+   the image lives in domain-local storage instead.  Sound only while a
    domain runs at most one state at a time, which is why reuse is
    opt-in: the two engine entry points enable it, everything else
-   defaults to fresh allocation. *)
-let scratch_mem : Bytes.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref Bytes.empty)
+   defaults to fresh allocation.
+
+   Invariant: [buf] is zero outside [0, dirty_low) and
+   [dirty_high, dirty_top).  So a run re-zeroes only those two ranges,
+   not its whole logical size.  While it runs, the cell says "all
+   dirty"; a run that reaches {!finish} narrows it to the extent its
+   writes recorded ({!note_write}), and one that raises (trap,
+   [Out_of_fuel], deadline) leaves it all dirty for the next run to
+   zero in full.  The invariant holds for wild writes too — into the
+   unallocated heap, below the deepest frame — because every write to
+   the image goes through the same recording store path. *)
+type scratch = {
+  mutable buf : Bytes.t;
+  mutable dirty_low : int;
+  mutable dirty_high : int;
+  mutable dirty_top : int;
+}
+
+let scratch_mem : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { buf = Bytes.empty; dirty_low = 0; dirty_high = 0; dirty_top = 0 })
 
 let image_bytes ~reuse len =
   if not reuse then Bytes.make len '\000'
   else begin
-    let cell = Domain.DLS.get scratch_mem in
-    let b = !cell in
-    if Bytes.length b >= len then begin
-      Bytes.fill b 0 len '\000';
-      b
+    let s = Domain.DLS.get scratch_mem in
+    if Bytes.length s.buf >= len then begin
+      Bytes.fill s.buf 0 s.dirty_low '\000';
+      Bytes.fill s.buf s.dirty_high (s.dirty_top - s.dirty_high) '\000'
     end
-    else begin
-      let b = Bytes.make len '\000' in
-      cell := b;
-      b
-    end
+    else s.buf <- Bytes.make len '\000';
+    s.dirty_low <- Bytes.length s.buf;
+    s.dirty_high <- 0;
+    s.dirty_top <- 0;
+    s.buf
+  end
+
+(* The end of a run that used the scratch image: hand its written extent
+   back to the cell. *)
+let release_image st =
+  let s = Domain.DLS.get scratch_mem in
+  if s.buf == st.mem then begin
+    s.dirty_low <- st.low_end;
+    s.dirty_high <- st.high_start;
+    s.dirty_top <- st.mem_len
   end
 
 let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
@@ -416,6 +459,10 @@ let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
       stack_base;
       stack_top;
       min_sp = stack_top;
+      (* the global images and interned strings below fill at most
+         [globals_base, heap_start) *)
+      low_end = heap_start;
+      high_start = stack_top;
       fuel;
       deadline_at =
         (if budget.timeout_s > 0. then Unix.gettimeofday () +. budget.timeout_s
@@ -484,6 +531,7 @@ let eval_unop op a =
    execution plus accumulating machine.* counters, so profiling cost is
    itself a measured quantity. *)
 let finish st ~obs ~exit_code =
+  release_image st;
   let max_stack = st.stack_top - st.min_sp in
   let output = Buffer.contents st.out in
   if Impact_obs.Obs.enabled obs then begin

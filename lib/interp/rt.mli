@@ -78,6 +78,10 @@ type state = {
   stack_base : int;
   stack_top : int;
   mutable min_sp : int;
+  mutable low_end : int;
+      (** end of the run's highest write below [stack_base] *)
+  mutable high_start : int;
+      (** start of the run's lowest write at or above [stack_base] *)
   mutable fuel : int;
   deadline_at : float;
   max_output : int;
@@ -93,8 +97,9 @@ type state = {
     output watermark.
 
     [?reuse_mem] (default [false]) draws the memory image from a
-    per-domain scratch buffer instead of a fresh allocation, re-zeroed
-    up to this run's logical size.  Only sound while the calling domain
+    per-domain scratch buffer instead of a fresh allocation, re-zeroing
+    only what the domain's last completed run wrote (all of it after a
+    run that raised).  Only sound while the calling domain
     runs at most one state at a time; the engine entry points
     ({!Machine.run_reference}, [Threaded.run]) enable it, and bounds
     checks use [mem_len] so a larger recycled buffer never loosens the
@@ -179,5 +184,7 @@ val eval_binop : Impact_il.Il.binop -> int -> int -> int
 val eval_unop : Impact_il.Il.unop -> int -> int
 
 (** [finish st ~obs ~exit_code] computes the peak stack, emits the
-    run-level observability event, and packages the outcome. *)
+    run-level observability event, and packages the outcome.  For a
+    state drawn from the scratch image it also records the run's
+    written extent, so the next run on the domain re-zeroes only that. *)
 val finish : state -> obs:Impact_obs.Obs.t -> exit_code:int -> outcome

@@ -28,15 +28,19 @@
    instruction reproduces the reference engine's "fell off the end" trap
    without a bounds check anywhere on the hot path.
 
+   Six hot adjacent pairs (see {!fuse}) get one fused closure that does
+   both instructions' work in the first one's slot; the second keeps its
+   own slot and closure, so a branch landing there still works.
+
    Counting and fuel semantics are pinned to the reference engine
-   instruction for instruction: every closure decrements fuel and raises
-   {!Rt.Out_of_fuel} before doing its work (the reference engine counts
-   an instruction and spends its fuel before executing it), and because
-   exactly one closure runs per counted IL, [ils] is derived at the end
-   as [initial fuel - remaining fuel] instead of being bumped per
-   instruction.  The differential property tests in the test suite hold
-   the two engines to identical outputs, exit codes, traps, peak stack
-   and every counter.
+   instruction for instruction: every IL, fused or not, decrements fuel
+   and raises {!Rt.Out_of_fuel} before doing its own work (the reference
+   engine counts an instruction and spends its fuel before executing
+   it), so exactly one fuel unit is spent per counted IL and [ils] is
+   derived at the end as [initial fuel - remaining fuel] instead of
+   being bumped per instruction.  The differential property tests in the
+   test suite hold the two engines to identical outputs, exit codes,
+   traps, peak stack and every counter.
 
    Unchecked array accesses: the register file, code array, and
    site-count accesses in the closures use [Array.unsafe_get]/[set].
@@ -285,9 +289,23 @@ let leave c =
 (* Counter helpers                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* One IL's fuel, spent before its work; used by the fused closures. *)
+let[@inline] spend c =
+  c.fuel <- c.fuel - 1;
+  if c.fuel <= 0 then raise Rt.Out_of_fuel
+
 let[@inline] count_ct c =
   let cnt = c.cnt in
   cnt.Counters.cts <- cnt.Counters.cts + 1
+
+(* The rest of a fused compare-and-branch once the compare's own fuel is
+   spent: its result lands in [r], then the [Bnz] spends its fuel,
+   counts its control transfer and branches on that result. *)
+let[@inline] set_and_branch c (code : op array) r t taken after =
+  Array.unsafe_set c.regs r (if t then 1 else 0);
+  spend c;
+  count_ct c;
+  if t then (Array.unsafe_get code taken) c else (Array.unsafe_get code after) c
 
 let[@inline] count_call c site =
   let cnt = c.cnt in
@@ -537,6 +555,138 @@ let decode_ext_scalar (code : op array) next name args retc : op =
       ext_return c retc (Rt.call_external c.st name vs);
       (Array.unsafe_get code next) c
 
+(* ------------------------------------------------------------------ *)
+(* Fused pairs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [fuse st0 ltab code a b after] is one closure doing the work of [a]
+   and of the next non-label instruction [b], or [None] when the pair
+   has no fused form; [after] is the decoded pc past [b].  The six forms
+   are the adjacent pairs that start the most dynamic ILs across the
+   benchmark suite (about a third, before and after inlining), chosen
+   by IL shape alone.  Each spends and checks its two ILs' fuel in
+   program order, each before its own IL's work, so [Out_of_fuel] fires
+   on the same IL as in the reference engine; [Bnz] and [Jump] count
+   their control transfers, and a fused compare still writes its
+   register.  No call, external, return or switch takes part, so the
+   fused closures are the same under every instrumentation plan. *)
+let fuse st0 ltab (code : op array) (a : Il.instr) (b : Il.instr) after :
+    op option =
+  match (a, b) with
+  (* A compare into [r], then a branch on [r]. *)
+  | Il.Bin (op, r, x, y), Il.Bnz (Il.Reg r', l) when r' = r -> (
+    let ex = enc x and ey = enc y and taken = ltab.(l) in
+    match op with
+    | Il.Lt ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          set_and_branch c code r (get regs ex < get regs ey) taken after)
+    | Il.Le ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          set_and_branch c code r (get regs ex <= get regs ey) taken after)
+    | Il.Gt ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          set_and_branch c code r (get regs ex > get regs ey) taken after)
+    | Il.Ge ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          set_and_branch c code r (get regs ex >= get regs ey) taken after)
+    | Il.Eq ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          set_and_branch c code r (get regs ex = get regs ey) taken after)
+    | Il.Ne ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          set_and_branch c code r (get regs ex <> get regs ey) taken after)
+    | _ -> None)
+  (* A register move, then a jump: the paper's section 4.4 artefact, an
+     inlined return's value move and the jump out of the body. *)
+  | Il.Mov (r, Il.Reg s), Il.Jump l ->
+    let target = ltab.(l) in
+    Some
+      (fun c ->
+        spend c;
+        let regs = c.regs in
+        Array.unsafe_set regs r (Array.unsafe_get regs s);
+        spend c;
+        count_ct c;
+        (Array.unsafe_get code target) c)
+  (* An address sum into [r], then a load through [r]. *)
+  | Il.Bin (Il.Add, r, x, y), Il.Load (width, d, Il.Reg r') when r' = r -> (
+    let ex = enc x and ey = enc y in
+    match width with
+    | Il.Word ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          let addr = get regs ex + get regs ey in
+          Array.unsafe_set regs r addr;
+          spend c;
+          Array.unsafe_set regs d (Rt.load_word c.st addr);
+          (Array.unsafe_get code after) c)
+    | Il.Byte ->
+      Some
+        (fun c ->
+          spend c;
+          let regs = c.regs in
+          let addr = get regs ex + get regs ey in
+          Array.unsafe_set regs r addr;
+          spend c;
+          Array.unsafe_set regs d (Rt.load_byte c.st addr);
+          (Array.unsafe_get code after) c))
+  (* A branch whose fall-through is a jump. *)
+  | Il.Bnz (o, l), Il.Jump l' ->
+    let eo = enc o and taken = ltab.(l) and target = ltab.(l') in
+    Some
+      (fun c ->
+        spend c;
+        count_ct c;
+        if get c.regs eo <> 0 then (Array.unsafe_get code taken) c
+        else begin
+          spend c;
+          count_ct c;
+          (Array.unsafe_get code target) c
+        end)
+  (* A scaled index, then its sum. *)
+  | Il.Bin (Il.Mul, r, x, y), Il.Bin (Il.Add, r2, x2, y2) ->
+    let ex = enc x and ey = enc y and ex2 = enc x2 and ey2 = enc y2 in
+    Some
+      (fun c ->
+        spend c;
+        let regs = c.regs in
+        Array.unsafe_set regs r (get regs ex * get regs ey);
+        spend c;
+        Array.unsafe_set regs r2 (get regs ex2 + get regs ey2);
+        (Array.unsafe_get code after) c)
+  (* A global's address into [r], then a word load through [r]. *)
+  | Il.Lea_global (r, g), Il.Load (Il.Word, d, Il.Reg r') when r' = r ->
+    let addr = st0.Rt.global_addr.(g) in
+    Some
+      (fun c ->
+        spend c;
+        let regs = c.regs in
+        Array.unsafe_set regs r addr;
+        spend c;
+        Array.unsafe_set regs d (Rt.load_word c.st addr);
+        (Array.unsafe_get code after) c)
+  | _ -> None
+
 let rec get_dfunc c fid =
   match c.dfuncs.(fid) with
   | Some df -> df
@@ -614,6 +764,19 @@ and decode c (f : Il.func) : op array =
       match decode_instr c ltab code (dpc.(i) + 1) instr with
       | Some op -> code.(dpc.(i)) <- op
       | None -> ())
+    body;
+  (* Fuse each instruction with the next non-label one where the pair
+     has a fused form; the second keeps the closure decoded above. *)
+  let prev = ref (-1) in
+  Array.iteri
+    (fun j instr ->
+      if not (Il.instr_is_label instr) then begin
+        (if !prev >= 0 then
+           match fuse c.st ltab code body.(!prev) instr (dpc.(j) + 1) with
+           | Some op -> code.(dpc.(!prev)) <- op
+           | None -> ());
+        prev := j
+      end)
     body;
   code
 
@@ -875,11 +1038,14 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     let ddefault = ltab.(default) in
     let ncases = Array.length cases in
     let lo = if ncases > 0 then cases.(0) else 0 in
-    let range = if ncases > 0 then cases.(ncases - 1) - lo + 1 else 0 in
+    (* [cases] is sorted, so the span is >= 0 unless the subtraction
+       wrapped (cases more than [max_int] apart): that set is sparse. *)
+    let span = if ncases > 0 then cases.(ncases - 1) - lo else -1 in
     (* Compact case sets (e.g. character dispatch in scanners) get a
        direct-indexed jump table instead of the binary search; sparse
        ones keep the shared sorted-table search. *)
-    if ncases > 0 && range <= (8 * ncases) + 16 && range <= 4096 then begin
+    if span >= 0 && span < (8 * ncases) + 16 && span < 4096 then begin
+      let range = span + 1 in
       let jt = Array.make range ddefault in
       Array.iteri (fun i k -> jt.(k - lo) <- dtargets.(i)) cases;
       Some

@@ -3,7 +3,9 @@
     Compiles each live function body once per run into an array of
     closures with operands, labels, switch tables, call targets and hot
     externals resolved at decode time, then dispatches [code.(pc) ctx]
-    in a tight loop.  Observationally identical to the reference engine
+    in a tight loop; six hot adjacent instruction pairs each get one
+    fused closure that still spends fuel and counts per instruction.
+    Observationally identical to the reference engine
     ({!Machine.run_reference}): same outputs, exit codes, trap messages,
     peak stack, and dynamic counters, at the same fuel boundaries.
 

@@ -190,33 +190,30 @@ let gen_source =
        (fun seed -> generate (Rng.create seed))
        (QCheck.Gen.int_bound 1_000_000))
 
-let run_with engine prog =
-  let o = Machine.run ~engine prog ~input:"" in
-  (o.Machine.output, o.Machine.exit_code)
+let run_with engine prog = Machine.run ~engine prog ~input:""
 
 (* The locked-down property, all in one pass per program: both engines
-   agree on the baseline, inlining under [config] preserves behaviour,
-   and both engines agree on the expanded program too. *)
+   agree on the whole outcome (output, exit code, peak stack and every
+   counter) on the baseline, inlining under [config] preserves output
+   and exit code, and both engines agree on the expanded program too. *)
 let semantics_preserved config src =
   let prog = Testutil.compile src in
   Impact_il.Il_check.check_exn prog;
-  let base_t = run_with Machine.Threaded prog in
-  let base_r = run_with Machine.Reference prog in
-  if base_t <> base_r then
-    QCheck.Test.fail_reportf "engines disagree before inlining: %S/%d vs %S/%d"
-      (fst base_t) (snd base_t) (fst base_r) (snd base_r);
+  let engines_agree ctxt prog =
+    let t = run_with Machine.Threaded prog in
+    Testutil.check_outcomes_equal ~fail:QCheck.Test.fail_report ctxt t
+      (run_with Machine.Reference prog);
+    (t.Machine.output, t.Machine.exit_code)
+  in
+  let base = engines_agree "engines disagree before inlining" prog in
   let { Profiler.profile; _ } = Profiler.profile prog ~inputs:[ "" ] in
   let report = Inliner.run ~config prog profile in
   Impact_il.Il_check.check_exn report.Inliner.program;
-  let post_t = run_with Machine.Threaded report.Inliner.program in
-  let post_r = run_with Machine.Reference report.Inliner.program in
-  if post_t <> post_r then
-    QCheck.Test.fail_reportf "engines disagree after inlining: %S/%d vs %S/%d"
-      (fst post_t) (snd post_t) (fst post_r) (snd post_r);
-  if post_t <> base_t then
+  let post = engines_agree "engines disagree after inlining" report.Inliner.program in
+  if post <> base then
     QCheck.Test.fail_reportf
-      "inlining changed behaviour: %S/%d (off) vs %S/%d (on)" (fst base_t)
-      (snd base_t) (fst post_t) (snd post_t);
+      "inlining changed behaviour: %S/%d (off) vs %S/%d (on)" (fst base)
+      (snd base) (fst post) (snd post);
   true
 
 let aggressive =

@@ -1,8 +1,9 @@
 (* Differential tests pinning the pre-decoded threaded engine to the
    reference step interpreter: identical outcomes and counters on random
-   programs and on the whole benchmark suite, identical trap messages,
-   the same out-of-fuel boundary to the instruction, and deterministic
-   domain-parallel profiling for any job count. *)
+   programs and on the whole benchmark suite before and after inlining,
+   identical trap messages, the same out-of-fuel boundary to the
+   instruction, a reused memory image that reads like a fresh one, and
+   deterministic domain-parallel profiling for any job count. *)
 
 module Il = Impact_il.Il
 module Machine = Impact_interp.Machine
@@ -12,34 +13,8 @@ module Profiler = Impact_profile.Profiler
 module Profile = Impact_profile.Profile
 module Rng = Impact_support.Rng
 module B = Impact_bench_progs.Benchmark
-
-(* ------------------------------------------------------------------ *)
-(* Outcome comparison                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let check_outcomes_equal ctxt (a : Machine.outcome) (b : Machine.outcome) =
-  let fail fmt =
-    Printf.ksprintf (fun msg -> Alcotest.failf "%s: %s" ctxt msg) fmt
-  in
-  if a.Machine.output <> b.Machine.output then
-    fail "outputs differ: %S vs %S" a.Machine.output b.Machine.output;
-  if a.Machine.output_digest <> b.Machine.output_digest then
-    fail "output digests differ";
-  if a.Machine.exit_code <> b.Machine.exit_code then
-    fail "exit codes differ: %d vs %d" a.Machine.exit_code b.Machine.exit_code;
-  if a.Machine.max_stack <> b.Machine.max_stack then
-    fail "max_stack differs: %d vs %d" a.Machine.max_stack b.Machine.max_stack;
-  let ca = a.Machine.counters and cb = b.Machine.counters in
-  let field name f = if f ca <> f cb then fail "counter %s: %d vs %d" name (f ca) (f cb) in
-  field "ils" (fun c -> c.Counters.ils);
-  field "cts" (fun c -> c.Counters.cts);
-  field "calls" (fun c -> c.Counters.calls);
-  field "returns" (fun c -> c.Counters.returns);
-  field "ext_calls" (fun c -> c.Counters.ext_calls);
-  if ca.Counters.func_counts <> cb.Counters.func_counts then
-    fail "per-function counts differ";
-  if ca.Counters.site_counts <> cb.Counters.site_counts then
-    fail "per-site counts differ"
+module Config = Impact_core.Config
+module Inliner = Impact_core.Inliner
 
 let both_engines ?fuel prog ~input =
   let t = Machine.run ?fuel ~engine:Machine.Threaded prog ~input in
@@ -62,7 +37,7 @@ let engines_agree src =
   if not (Threaded.supported prog) then
     QCheck.Test.fail_reportf "generated program rejected by Threaded.supported";
   let t, r = both_engines prog ~input:"" in
-  check_outcomes_equal "random program" t r;
+  Testutil.check_outcomes_equal "random program" t r;
   true
 
 (* ------------------------------------------------------------------ *)
@@ -76,21 +51,31 @@ let suite_prog (b : B.t) =
   ignore (Impact_opt.Driver.pre_inline prog);
   prog
 
+(* Every benchmark, before and after inlining (the default config over
+   its own profile, as the pipeline re-profiles it): both engines must
+   agree on every run's outcome and on the profile. *)
 let test_suite_differential () =
   List.iter
     (fun (b : B.t) ->
-      let prog = suite_prog b in
-      Alcotest.(check bool)
-        (b.B.name ^ " supported by threaded engine") true
-        (Threaded.supported prog);
       let inputs = b.B.inputs () in
-      let t = Profiler.profile ~engine:Machine.Threaded prog ~inputs in
-      let r = Profiler.profile ~engine:Machine.Reference prog ~inputs in
-      List.iter2
-        (fun to_ ro -> check_outcomes_equal b.B.name to_ ro)
-        t.Profiler.runs r.Profiler.runs;
-      if not (profiles_equal t.Profiler.profile r.Profiler.profile) then
-        Alcotest.failf "%s: profiles differ between engines" b.B.name)
+      let differential stage prog =
+        let name = Printf.sprintf "%s (%s)" b.B.name stage in
+        Alcotest.(check bool)
+          (name ^ " supported by threaded engine") true
+          (Threaded.supported prog);
+        let t = Profiler.profile ~engine:Machine.Threaded prog ~inputs in
+        let r = Profiler.profile ~engine:Machine.Reference prog ~inputs in
+        List.iter2
+          (fun to_ ro -> Testutil.check_outcomes_equal name to_ ro)
+          t.Profiler.runs r.Profiler.runs;
+        if not (profiles_equal t.Profiler.profile r.Profiler.profile) then
+          Alcotest.failf "%s: profiles differ between engines" name;
+        t.Profiler.profile
+      in
+      let prog = suite_prog b in
+      let profile = differential "pre-inline" prog in
+      let inlined = Inliner.run ~config:Config.default prog profile in
+      ignore (differential "post-inline" inlined.Inliner.program))
     Impact_bench_progs.Suite.all
 
 (* ------------------------------------------------------------------ *)
@@ -108,40 +93,223 @@ let test_jobs_deterministic () =
       if not (profiles_equal base.Profiler.profile p.Profiler.profile) then
         Alcotest.failf "profile with %d jobs differs from 1 job" jobs;
       List.iter2
-        (fun a bo -> check_outcomes_equal (Printf.sprintf "jobs=%d" jobs) a bo)
+        (fun a bo -> Testutil.check_outcomes_equal (Printf.sprintf "jobs=%d" jobs) a bo)
         base.Profiler.runs p.Profiler.runs)
     [ 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* IL builders                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let func ?(nparams = 0) ?(nregs = 1) ?(nlabels = 0) fid name body =
+  {
+    Il.fid;
+    name;
+    nparams;
+    nregs;
+    nlabels;
+    frame_size = 0;
+    body;
+    alive = true;
+  }
+
+let one_func_program ?(nlabels = 0) ?(globals = [||]) body ~nregs =
+  {
+    Il.funcs = [| func ~nregs ~nlabels 0 "main" body |];
+    globals;
+    strings = [||];
+    externs = [];
+    main = 0;
+    next_site = 0;
+    address_taken = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Fuel-boundary parity                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Both engines spend one fuel unit per executed IL and raise
-   {!Machine.Out_of_fuel} on the instruction that exhausts it, so for a
-   program that executes [ils] instructions: fuel = ils + 1 completes
-   (with identical counters) and fuel = ils raises in both engines. *)
-let test_fuel_boundary () =
-  let src =
-    "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }\n\
-     int main() { return fib(10); }"
+(* Programs for the fuel sweep, each with how it ends given enough
+   fuel.  After fib come a switch whose case span exceeds [max_int] (the
+   threaded decoder's jump-table size wrapped negative and passed its
+   compactness test, so [Array.make] raised where the reference engine
+   prints 210; the argument is computed, [big + big], so every immediate
+   stays inside what the threaded engine accepts), and one small program
+   per pair the threaded engine fuses (see [Threaded.fuse]), built in IL
+   so the pair is exactly there. *)
+let fuel_programs =
+  let fib =
+    Testutil.compile
+      "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }\n\
+       int main() { return fib(10); }"
   in
-  let prog = Testutil.compile src in
-  let full = Machine.run prog ~input:"" in
-  let ils = full.Machine.counters.Counters.ils in
-  let t, r = both_engines ~fuel:(ils + 1) prog ~input:"" in
-  check_outcomes_equal "fuel = ils + 1" t r;
-  Alcotest.(check int) "exact-fuel run completes" full.Machine.exit_code
-    t.Machine.exit_code;
+  let wide_switch =
+    Testutil.compile
+      {|
+extern int print_int(int n);
+int pick(int x) {
+  switch (x) {
+  case -3000000000000000000: return 1;
+  case 3000000000000000000: return 210;
+  default: return 0;
+  }
+}
+int main() { int big; big = 1500000000000000000; print_int(pick(big + big)); return 0; }
+|}
+  in
+  let open Il in
+  let g16 =
+    [|
+      { g_id = 0; g_name = "g"; g_size = 16; g_init = [ (0, Gword 7); (8, Gword 35) ] };
+    |]
+  in
+  [
+    ("fib", fib, "exit 55");
+    ("wide switch span", wide_switch, "exit 0, output 210");
+    (* Each compare into a branch, taken and not taken: 10 + 1000 +
+       100000 from the fall-throughs, plus each compare's register (3
+       true). *)
+    ( "compare and branch",
+      one_func_program ~nregs:3 ~nlabels:6
+        (Array.concat
+           [
+             [| Mov (0, Imm 2); Mov (2, Imm 0) |];
+             Array.concat
+               (List.mapi
+                  (fun l (op, k, add) ->
+                    [|
+                      Bin (op, 1, Reg 0, Imm k);
+                      Bnz (Reg 1, l);
+                      Bin (Add, 2, Reg 2, Imm add);
+                      Label l;
+                      Bin (Add, 2, Reg 2, Reg 1);
+                    |])
+                  [
+                    (Lt, 3, 1); (Le, 1, 10); (Gt, 1, 100); (Ge, 3, 1000);
+                    (Eq, 2, 10000); (Ne, 2, 100000);
+                  ]);
+             [| Ret (Some (Reg 2)) |];
+           ]),
+      "exit 101013" );
+    (* A loop whose compare-and-branch is taken twice, then falls out. *)
+    ( "compare and branch, looping",
+      one_func_program ~nregs:2 ~nlabels:1
+        [|
+          Mov (0, Imm 0);
+          Label 0;
+          Bin (Add, 0, Reg 0, Imm 1);
+          Bin (Lt, 1, Reg 0, Imm 3);
+          Bnz (Reg 1, 0);
+          Ret (Some (Reg 0));
+        |],
+      "exit 3" );
+    ( "move then jump",
+      one_func_program ~nregs:2 ~nlabels:1
+        [|
+          Mov (0, Imm 5); Mov (1, Reg 0); Jump 0; Mov (1, Imm 9); Label 0;
+          Ret (Some (Reg 1));
+        |],
+      "exit 5" );
+    (* Odd rounds take the branch; even ones fall into the jump. *)
+    ( "branch falling into a jump",
+      one_func_program ~nregs:4 ~nlabels:3
+        [|
+          Mov (0, Imm 0);
+          Label 0;
+          Bin (Add, 0, Reg 0, Imm 1);
+          Bin (And, 1, Reg 0, Imm 1);
+          Bnz (Reg 1, 1);
+          Jump 2;
+          Label 1;
+          Bin (Add, 2, Reg 2, Imm 1);
+          Label 2;
+          Bin (Lt, 3, Reg 0, Imm 4);
+          Bnz (Reg 3, 0);
+          Ret (Some (Reg 2));
+        |],
+      "exit 2" );
+    ( "multiply then add",
+      one_func_program ~nregs:3
+        [|
+          Mov (0, Imm 3); Bin (Mul, 1, Reg 0, Imm 4); Bin (Add, 2, Reg 1, Reg 0);
+          Ret (Some (Reg 2));
+        |],
+      "exit 15" );
+    (* Global then load, and add then load of a word and of a byte. *)
+    ( "global or sum then load",
+      one_func_program ~nregs:7 ~globals:g16
+        [|
+          Lea_global (0, 0);
+          Load (Word, 1, Reg 0);
+          Bin (Add, 2, Reg 0, Imm 8);
+          Load (Word, 3, Reg 2);
+          Bin (Add, 4, Reg 0, Imm 8);
+          Load (Byte, 5, Reg 4);
+          Bin (Add, 6, Reg 1, Reg 3);
+          Bin (Add, 6, Reg 6, Reg 5);
+          Ret (Some (Reg 6));
+        |],
+      "exit 77" );
+    ( "add then load, word load traps",
+      one_func_program ~nregs:3
+        [|
+          Mov (0, Imm 0); Bin (Add, 1, Reg 0, Imm 8); Load (Word, 2, Reg 1);
+          Ret (Some (Reg 2));
+        |],
+      "trap: memory access at 8 (size 8) out of range" );
+    ( "add then load, byte load traps",
+      one_func_program ~nregs:3
+        [|
+          Mov (0, Imm 0); Bin (Add, 1, Reg 0, Imm 16); Load (Byte, 2, Reg 1);
+          Ret (Some (Reg 2));
+        |],
+      "trap: memory access at 16 (size 1) out of range" );
+  ]
+
+let ending ?(input = "") ?fuel engine prog =
+  match Machine.run ?fuel ~engine prog ~input with
+  | o -> `Done o
+  | exception Machine.Trap msg -> `Trap msg
+  | exception Machine.Out_of_fuel -> `Out_of_fuel
+
+let ending_name = function
+  | `Done (o : Machine.outcome) ->
+    Printf.sprintf "exit %d%s" o.Machine.exit_code
+      (if o.Machine.output = "" then "" else ", output " ^ o.Machine.output)
+  | `Trap msg -> "trap: " ^ msg
+  | `Out_of_fuel -> "out of fuel"
+
+(* Both engines spend one fuel unit per executed IL and raise
+   {!Machine.Out_of_fuel} on the instruction that exhausts it, so at
+   every fuel value from 1 up to the one that lets the program finish
+   (ils + 1) or trap, they must end the same way: equal outcomes, the
+   same trap message, or both out of fuel.  The sweep stops every pair
+   of fused ILs at each of its two instructions. *)
+let test_fuel_boundary () =
   List.iter
-    (fun fuel ->
-      let run engine () = ignore (Machine.run ~fuel ~engine prog ~input:"") in
-      Alcotest.check_raises
-        (Printf.sprintf "threaded out of fuel at %d" fuel)
-        Machine.Out_of_fuel (run Machine.Threaded);
-      Alcotest.check_raises
-        (Printf.sprintf "reference out of fuel at %d" fuel)
-        Machine.Out_of_fuel (run Machine.Reference))
-    [ ils; ils / 2; 1 ]
+    (fun (name, prog, expect) ->
+      Alcotest.(check bool) (name ^ ": supported") true (Threaded.supported prog);
+      Alcotest.(check string) (name ^ ": ends") expect
+        (ending_name (ending Machine.Threaded prog));
+      let rec sweep fuel =
+        let t = ending ~fuel Machine.Threaded prog
+        and r = ending ~fuel Machine.Reference prog in
+        let ctxt = Printf.sprintf "%s, fuel %d" name fuel in
+        (match (t, r) with
+        | `Done a, `Done b -> Testutil.check_outcomes_equal ctxt a b
+        | `Trap a, `Trap b -> Alcotest.(check string) (ctxt ^ ": same trap") b a
+        | `Out_of_fuel, `Out_of_fuel -> ()
+        | _ ->
+          Alcotest.failf "%s: threaded ends with %s, reference with %s" ctxt
+            (ending_name t) (ending_name r));
+        match r with
+        | `Out_of_fuel -> sweep (fuel + 1)
+        | `Done o ->
+          Alcotest.(check int) (name ^ ": finishes at fuel = ils + 1")
+            (o.Machine.counters.Counters.ils + 1) fuel
+        | `Trap _ -> ()
+      in
+      sweep 1)
+    fuel_programs
 
 (* ------------------------------------------------------------------ *)
 (* Trap parity                                                         *)
@@ -159,29 +327,6 @@ let check_same_trap name prog =
   | None -> Alcotest.failf "%s: threaded engine did not trap" name
   | Some _ -> ());
   Alcotest.(check (option string)) (name ^ ": same trap message") r t
-
-let func ?(nparams = 0) ?(nregs = 1) ?(nlabels = 0) fid name body =
-  {
-    Il.fid;
-    name;
-    nparams;
-    nregs;
-    nlabels;
-    frame_size = 0;
-    body;
-    alive = true;
-  }
-
-let one_func_program body ~nregs =
-  {
-    Il.funcs = [| func ~nregs 0 "main" body |];
-    globals = [||];
-    strings = [||];
-    externs = [];
-    main = 0;
-    next_site = 0;
-    address_taken = [];
-  }
 
 let test_trap_parity () =
   (* Division by zero, via source so both operands live in registers. *)
@@ -225,6 +370,73 @@ let test_memory_trap_parity () =
     [ 0; -8; 1_000_000_000; max_int / 2 ]
 
 (* ------------------------------------------------------------------ *)
+(* A reused memory image reads like a fresh one                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Input "r" prints five cells; any other input first writes them —
+   words into the never-allocated heap and below main's (deepest) frame,
+   a byte, and two bytes through [read] — then, on "t", traps and, on
+   "f", spins until out of fuel.  Both modes share one layout, so the
+   reader looks at exactly the cells the writer wrote. *)
+let image_src =
+  {|
+extern int getchar();
+extern int print_int(int n);
+extern int putchar(int c);
+extern int read(char *p, int n);
+int g[2];
+char s[2];
+int main() {
+  int mode; int local; int *heap; int *below; char *bytes;
+  heap = g + 6000;
+  below = &local - 4000;
+  bytes = s + 70000;
+  mode = getchar();
+  if (mode != 'r') {
+    heap[0] = 11; below[0] = 22; bytes[0] = 33; read(bytes + 8, 2);
+    if (mode == 't') return 1 / (mode - mode);
+    if (mode == 'f') while (1) local = local + 1;
+  }
+  print_int(heap[0]); putchar(' '); print_int(below[0]); putchar(' ');
+  print_int(bytes[0]); putchar(' '); print_int(bytes[8]); putchar(' ');
+  print_int(bytes[9]);
+  return 0;
+}
+|}
+
+(* After a writer that finished, trapped or ran out of fuel, the next
+   run on the same domain — each engine after each — must read zeros,
+   exactly as the reader does when it runs first. *)
+let test_reused_image_reads_fresh () =
+  let prog = Testutil.compile image_src in
+  Alcotest.(check bool) "supported" true (Threaded.supported prog);
+  let engines = [ ("threaded", Machine.Threaded); ("reference", Machine.Reference) ] in
+  let read engine = (Machine.run ~engine prog ~input:"r").Machine.output in
+  let fresh = read Machine.Reference in
+  Alcotest.(check string) "reader alone reads zeros" "0 0 0 0 0" fresh;
+  let writers =
+    [
+      ("finishes", "wxy", "exit 0, output 11 22 33 120 121");
+      ("traps", "txy", "trap: division by zero");
+      ("runs out of fuel", "fxy", "out of fuel");
+    ]
+  in
+  List.iter
+    (fun (wname, weng) ->
+      List.iter
+        (fun (rname, reng) ->
+          List.iter
+            (fun (what, input, expect) ->
+              Alcotest.(check string) (wname ^ " writer " ^ what) expect
+                (ending_name (ending ~input ~fuel:100_000 weng prog));
+              Alcotest.(check string)
+                (Printf.sprintf "%s reader after a %s writer that %s" rname wname what)
+                fresh (read reng))
+            writers)
+        engines)
+    engines
+
+(* ------------------------------------------------------------------ *)
 (* Fallback for unsupported programs                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -237,7 +449,7 @@ let test_unsupported_fallback () =
   in
   Alcotest.(check bool) "rejected by supported" false (Threaded.supported prog);
   let t, r = both_engines prog ~input:"" in
-  check_outcomes_equal "unsupported fallback" t r
+  Testutil.check_outcomes_equal "unsupported fallback" t r
 
 (* ------------------------------------------------------------------ *)
 (* keep_outputs                                                        *)
@@ -288,8 +500,8 @@ int main() { int i; for (i = 0; i < 100; i++) putchar(65); return 0; }
   let roomy = Impact_interp.Rt.budget ~max_output:1000 () in
   let t = Machine.run ~budget:roomy ~engine:Machine.Threaded prog ~input:"" in
   let r = Machine.run ~budget:roomy ~engine:Machine.Reference prog ~input:"" in
-  check_outcomes_equal "under the output budget" t r;
-  check_outcomes_equal "budget invisible when not hit" t
+  Testutil.check_outcomes_equal "under the output budget" t r;
+  Testutil.check_outcomes_equal "budget invisible when not hit" t
     (Machine.run ~engine:Machine.Reference prog ~input:"")
 
 let test_deadline_parity () =
@@ -311,7 +523,7 @@ int main() { int i, s = 0; for (i = 0; i < 200000; i++) s += one(); return s & 0
   let roomy = Impact_interp.Rt.budget ~timeout_s:3600. () in
   let t = Machine.run ~budget:roomy ~engine:Machine.Threaded prog ~input:"" in
   let r = Machine.run ~budget:roomy ~engine:Machine.Reference prog ~input:"" in
-  check_outcomes_equal "under the deadline" t r
+  Testutil.check_outcomes_equal "under the deadline" t r
 
 (* ------------------------------------------------------------------ *)
 
@@ -331,6 +543,8 @@ let tests =
       Alcotest.test_case "out-of-fuel boundary parity" `Quick test_fuel_boundary;
       Alcotest.test_case "trap parity" `Quick test_trap_parity;
       Alcotest.test_case "memory trap parity" `Quick test_memory_trap_parity;
+      Alcotest.test_case "a reused image reads like a fresh one" `Quick
+        test_reused_image_reads_fresh;
       Alcotest.test_case "unsupported programs fall back to reference" `Quick
         test_unsupported_fallback;
       Alcotest.test_case "keep_outputs drops text, keeps digest" `Quick

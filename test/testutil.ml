@@ -4,6 +4,7 @@
 
 module Il = Impact_il.Il
 module Machine = Impact_interp.Machine
+module Counters = Impact_interp.Counters
 module Rng = Impact_support.Rng
 
 let compile src = Impact_il.Lower.lower_source src
@@ -19,6 +20,35 @@ let run_output ?input src = (run ?input src).Machine.output
 let run_prog ?(input = "") prog =
   let o = Machine.run prog ~input in
   (o.Machine.output, o.Machine.exit_code)
+
+(* Two runs must agree on everything an outcome carries: output and its
+   digest, exit code, peak stack, every scalar counter, and the
+   per-function and per-site counts.  [fail] reports the first
+   difference (Alcotest's by default; a QCheck property passes its own). *)
+let check_outcomes_equal ?(fail = fun msg -> Alcotest.fail msg) ctxt
+    (a : Machine.outcome) (b : Machine.outcome) =
+  let fail fmt = Printf.ksprintf (fun msg -> fail (ctxt ^ ": " ^ msg)) fmt in
+  if a.Machine.output <> b.Machine.output then
+    fail "outputs differ: %S vs %S" a.Machine.output b.Machine.output;
+  if a.Machine.output_digest <> b.Machine.output_digest then
+    fail "output digests differ";
+  if a.Machine.exit_code <> b.Machine.exit_code then
+    fail "exit codes differ: %d vs %d" a.Machine.exit_code b.Machine.exit_code;
+  if a.Machine.max_stack <> b.Machine.max_stack then
+    fail "max_stack differs: %d vs %d" a.Machine.max_stack b.Machine.max_stack;
+  let ca = a.Machine.counters and cb = b.Machine.counters in
+  let field name f =
+    if f ca <> f cb then fail "counter %s: %d vs %d" name (f ca) (f cb)
+  in
+  field "ils" (fun c -> c.Counters.ils);
+  field "cts" (fun c -> c.Counters.cts);
+  field "calls" (fun c -> c.Counters.calls);
+  field "returns" (fun c -> c.Counters.returns);
+  field "ext_calls" (fun c -> c.Counters.ext_calls);
+  if ca.Counters.func_counts <> cb.Counters.func_counts then
+    fail "per-function counts differ";
+  if ca.Counters.site_counts <> cb.Counters.site_counts then
+    fail "per-site counts differ"
 
 (* Wrap an expression statement list into a main that prints an int. *)
 let main_printing body =
