@@ -170,18 +170,7 @@ let inputs_arg =
 let optimize_arg =
   Arg.(value & flag & info [ "O" ] ~doc:"Apply pre-inline optimisations first")
 
-(* Interpreter core and profiling parallelism. *)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("threaded", Machine.Threaded); ("reference", Machine.Reference) ])
-        Machine.Threaded
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Interpreter core: $(b,threaded) (pre-decoded, the default) or \
-           $(b,reference) (the small-step oracle)")
+(* Profiling parallelism. *)
 
 let jobs_arg =
   Arg.(
@@ -325,7 +314,7 @@ let il_cmd =
 (* run *)
 
 let run_cmd =
-  let run src input optimize engine timeout trace trace_format metrics_out =
+  let run src input optimize timeout trace trace_format metrics_out =
     (* Execution failures (traps, exhausted budgets) are profile-stage
        errors: the program ran, the run failed — exit 4, not 5. *)
     guarded Ierr.Profile_run (fun () ->
@@ -338,7 +327,7 @@ let run_cmd =
                 (Obs.span obs "pre_opt" (fun () -> Impact_opt.Driver.pre_inline prog));
             let stdin_data = match input with Some f -> read_file f | None -> "" in
             let outcome =
-              Machine.run ~obs ~engine ?budget:(budget_of_timeout timeout) prog
+              Machine.run ~obs ?budget:(budget_of_timeout timeout) prog
                 ~input:stdin_data
             in
             print_string outcome.Machine.output;
@@ -349,8 +338,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile and execute a C file")
     Term.(
-      const run $ source_arg $ input_arg $ optimize_arg $ engine_arg
-      $ timeout_arg $ trace_arg $ trace_format_arg $ metrics_out_arg)
+      const run $ source_arg $ input_arg $ optimize_arg $ timeout_arg
+      $ trace_arg $ trace_format_arg $ metrics_out_arg)
 
 (* profile *)
 
@@ -385,7 +374,7 @@ let report_coverage (c : Profiler.coverage) =
       /. float_of_int (max c.Profiler.total_sites 1))
 
 let profile_cmd =
-  let run src inputs output engine jobs timeout mode =
+  let run src inputs output jobs timeout mode =
     guarded Ierr.Profile_run (fun () ->
         let prog = Lower.lower_source (read_file src) in
         ignore (Impact_opt.Driver.pre_inline prog);
@@ -393,7 +382,7 @@ let profile_cmd =
           match inputs with [] -> [ "" ] | files -> List.map read_file files
         in
         let { Profiler.profile; coverage; _ } =
-          Profiler.profile ~engine ~jobs ?budget:(budget_of_timeout timeout)
+          Profiler.profile ~jobs ?budget:(budget_of_timeout timeout)
             ~mode prog ~inputs
         in
         report_coverage coverage;
@@ -414,14 +403,14 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc:"Profile a C program over input files")
     Term.(
-      const run $ source_arg $ inputs_arg $ output_arg $ engine_arg $ jobs_arg
-      $ timeout_arg $ profile_mode_arg)
+      const run $ source_arg $ inputs_arg $ output_arg $ jobs_arg $ timeout_arg
+      $ profile_mode_arg)
 
 (* inline *)
 
 let inline_cmd =
-  let run src inputs profile_file engine jobs policy mode config trace
-      trace_format metrics_out =
+  let run src inputs profile_file jobs policy mode config trace trace_format
+      metrics_out =
     guarded Ierr.Driver (fun () ->
         with_obs ~policy ~trace_format ~trace ~metrics_out (fun obs ->
         let prog =
@@ -434,7 +423,7 @@ let inline_cmd =
             match inputs with [] -> [ "" ] | files -> List.map read_file files
           in
           Obs.span obs "profile" (fun () ->
-              let r = Profiler.profile ~obs ~engine ~jobs ~mode prog ~inputs in
+              let r = Profiler.profile ~obs ~jobs ~mode prog ~inputs in
               report_coverage r.Profiler.coverage;
               r.Profiler.profile)
         in
@@ -502,8 +491,8 @@ let inline_cmd =
   in
   Cmd.v
     (Cmd.info "inline" ~doc:"Profile-guided inline expansion of a C program")
-    Term.(const run $ source_arg $ inputs_arg $ profile_file_arg $ engine_arg
-          $ jobs_arg $ policy_arg $ profile_mode_arg $ config_term $ trace_arg
+    Term.(const run $ source_arg $ inputs_arg $ profile_file_arg $ jobs_arg
+          $ policy_arg $ profile_mode_arg $ config_term $ trace_arg
           $ trace_format_arg $ metrics_out_arg)
 
 (* bench *)
@@ -533,8 +522,8 @@ let bench_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the benchmark's table rows (Report.to_json) to $(docv)")
   in
-  let run name engine jobs policy timeout cache_dir mode config trace
-      trace_format metrics_out json =
+  let run name jobs policy timeout cache_dir mode config trace trace_format
+      metrics_out json =
     match Impact_bench_progs.Suite.find name with
     | exception Not_found ->
       Printf.eprintf "unknown benchmark '%s'\n" name;
@@ -544,7 +533,7 @@ let bench_cmd =
           let cache = cache_of cache_dir in
           let r =
             with_obs ~policy ~trace_format ~trace ~metrics_out (fun obs ->
-                Pipeline.run ~obs ~policy ~config ?cache ~engine ~jobs
+                Pipeline.run ~obs ~policy ~config ?cache ~jobs
                   ?budget:(budget_of_timeout timeout) ~profile_mode:mode bench)
           in
           report_degradations r;
@@ -564,7 +553,7 @@ let bench_cmd =
   in
   Cmd.v (Cmd.info "bench" ~doc:"Run one built-in benchmark end to end")
     Term.(
-      const run $ name_arg $ engine_arg $ jobs_arg $ policy_arg $ timeout_arg
+      const run $ name_arg $ jobs_arg $ policy_arg $ timeout_arg
       $ cache_arg $ profile_mode_arg $ config_term $ trace_arg
       $ trace_format_arg $ metrics_out_arg $ json_arg)
 
@@ -574,8 +563,8 @@ let bench_cmd =
    span. *)
 
 let default_term =
-  let run src inputs optimize engine jobs policy timeout cache_dir mode config
-      trace trace_format metrics_out =
+  let run src inputs optimize jobs policy timeout cache_dir mode config trace
+      trace_format metrics_out =
     match src with
     | None -> `Help (`Pager, None)
     | Some src ->
@@ -597,7 +586,7 @@ let default_term =
           let r =
             with_obs ~policy ~trace_format ~trace ~metrics_out (fun obs ->
                 Pipeline.run ~obs ~policy ~config ~pre_opt:optimize ?cache
-                  ~engine ~jobs ?budget:(budget_of_timeout timeout)
+                  ~jobs ?budget:(budget_of_timeout timeout)
                   ~profile_mode:mode bench)
           in
           report_degradations r;
@@ -622,9 +611,9 @@ let default_term =
   in
   Term.(
     ret
-      (const run $ opt_source_arg $ inputs_arg $ optimize_arg $ engine_arg
-     $ jobs_arg $ policy_arg $ timeout_arg $ cache_arg $ profile_mode_arg
-     $ config_term $ trace_arg $ trace_format_arg $ metrics_out_arg))
+      (const run $ opt_source_arg $ inputs_arg $ optimize_arg $ jobs_arg
+     $ policy_arg $ timeout_arg $ cache_arg $ profile_mode_arg $ config_term
+     $ trace_arg $ trace_format_arg $ metrics_out_arg))
 
 let () =
   Printexc.record_backtrace true;

@@ -28,7 +28,7 @@ let () =
     (fun (size, assoc) ->
       let measure p =
         let cache = Icache.create ~size ~assoc ~line_size:16 () in
-        ignore (Machine.run ~icache:cache p ~input);
+        ignore (Machine.run_reference ~icache:cache p ~input);
         100. *. Icache.miss_rate cache
       in
       let cache = Icache.create ~size ~assoc ~line_size:16 () in

@@ -52,6 +52,7 @@ let classify stage exn : Ierr.t =
   | Rt.Trap msg -> make (Printf.sprintf "runtime trap: %s" msg)
   | Rt.Out_of_fuel -> make "run exceeded its instruction budget (fuel)"
   | Rt.Deadline_exceeded -> make "run exceeded its wall-clock budget"
+  | Rt.Invalid_il msg -> make msg
   | Fault.Injected p ->
     make (Printf.sprintf "injected fault at %s" (Fault.point_name p))
   | Sys_error msg -> make (Printf.sprintf "i/o error: %s" msg)

@@ -21,7 +21,7 @@ let configurations =
 
 let miss_percent prog input make_cache =
   let cache = make_cache () in
-  let (_ : Machine.outcome) = Machine.run ~icache:cache prog ~input in
+  let (_ : Machine.outcome) = Machine.run_reference ~icache:cache prog ~input in
   100. *. Icache.miss_rate cache
 
 let measure ?(config = Impact_core.Config.default) (bench : Benchmark.t) =

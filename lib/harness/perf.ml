@@ -236,7 +236,7 @@ let scaling_tasks () =
       (prog, b.Benchmark_def.inputs ()))
     Impact_bench_progs.Suite.all
 
-let sweep_level ?engine ~clamp ~jobs tasks =
+let sweep_level ~clamp ~jobs tasks =
   let flight = Flight.create () in
   let t0 = Unix.gettimeofday () in
   let totals =
@@ -245,7 +245,7 @@ let sweep_level ?engine ~clamp ~jobs tasks =
         let cache = Impact_interp.Threaded.cache () in
         List.fold_left
           (fun acc input ->
-            let o = Machine.run ?engine ~cache prog ~input in
+            let o = Machine.run ~cache prog ~input in
             acc + o.Machine.counters.Impact_interp.Counters.ils)
           0 inputs)
       tasks
@@ -288,7 +288,7 @@ let recommended_of_levels ?(epsilon = 0.05) levels =
          (fun (_, w) -> w <= best *. (1. +. epsilon))
          (List.sort compare groups))
 
-let scaling_sweep ?engine ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
+let scaling_sweep ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
   let tasks = scaling_tasks () in
   let job_counts = match job_counts with [] -> [ 1 ] | js -> js in
   let lo = List.fold_left min max_int job_counts in
@@ -300,7 +300,7 @@ let scaling_sweep ?engine ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
   (* One discarded warm-up pass, so the cold-start penalty (first
      decode, first page faults) does not land on whichever level runs
      first and skew the curve. *)
-  ignore (sweep_level ?engine ~clamp:true ~jobs:1 tasks);
+  ignore (sweep_level ~clamp:true ~jobs:1 tasks);
   (* Each attempt re-measures every level; a level's published wall
      clock is its minimum across attempts (the least-noisy estimator —
      noise only ever adds time).  Attempts alternate sweep direction so
@@ -319,7 +319,7 @@ let scaling_sweep ?engine ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
   let rec attempt n acc =
     let order = if n mod 2 = 1 then job_counts else List.rev job_counts in
     let pass =
-      List.map (fun jobs -> sweep_level ?engine ~clamp:true ~jobs tasks) order
+      List.map (fun jobs -> sweep_level ~clamp:true ~jobs tasks) order
     in
     let acc =
       keep_min acc
@@ -334,7 +334,7 @@ let scaling_sweep ?engine ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
      this machine, with the flight recorder watching.  Its verdict
      against the clamped jobs=lo baseline is the recorded explanation of
      why the pool clamps. *)
-  let unclamped = sweep_level ?engine ~clamp:false ~jobs:hi tasks in
+  let unclamped = sweep_level ~clamp:false ~jobs:hi tasks in
   let baseline = (List.find (fun l -> l.sl_jobs = lo) levels).sl_flight in
   {
     sc_levels = levels;

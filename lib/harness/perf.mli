@@ -109,7 +109,7 @@ type scaling = {
   sc_recommended_runtime : int;
 }
 
-(** [scaling_sweep ?engine ?job_counts ?max_attempts ()] sweeps the
+(** [scaling_sweep ?job_counts ?max_attempts ()] sweeps the
     suite once per job count (default [[1; 2; 4]]) with the flight
     recorder attached.  One pool task is one benchmark program with all
     its inputs — coarse sharding, the same unit {!Pipeline.run_suite}
@@ -118,7 +118,6 @@ type scaling = {
     curve (highest jobs slower than lowest) is re-measured up to
     [max_attempts] times (default 3) before being published. *)
 val scaling_sweep :
-  ?engine:Impact_interp.Machine.engine ->
   ?job_counts:int list ->
   ?max_attempts:int ->
   unit ->

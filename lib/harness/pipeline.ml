@@ -48,8 +48,8 @@ let exn_detail stage = function
   | e -> Ierr.to_string (Errors.classify stage e)
 
 (* Runs are compared (and cached) as (output digest, exit code) pairs:
-   everything behavioural the pipeline verifies, and nothing engine- or
-   timing-dependent, so a cached profile's runs unify with fresh ones. *)
+   everything behavioural the pipeline verifies, and nothing that
+   depends on timing, so a cached profile's runs unify with fresh ones. *)
 let outcome_pair (o : Machine.outcome) =
   (o.Machine.output_digest, o.Machine.exit_code)
 
@@ -75,8 +75,8 @@ let scatter_runs n runs (failures : (int * exn) list) =
   arr
 
 let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
-    ?(pre_opt = true) ?(post_cleanup = false) ?cache ?engine ?jobs ?budget
-    ?fuel ?(profile_mode = Impact_profile.Coverage.Full) (bench : Benchmark.t) =
+    ?(pre_opt = true) ?(post_cleanup = false) ?cache ?jobs ?budget ?fuel
+    ?(profile_mode = Impact_profile.Coverage.Full) (bench : Benchmark.t) =
   let degradations = ref [] in
   let note d_stage d_detail d_action =
     degradations := { d_stage; d_detail; d_action } :: !degradations;
@@ -178,11 +178,13 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       let input_digests = lazy (List.map digest inputs) in
       let config_fp = lazy (Config.fingerprint config) in
       (* One profiling pass, for the pre-inline profile and the re-profile
-         alike.  A profile entry is keyed by the engine, the
-         instrumentation mode, the program's checksum and the raw input
-         bytes; the payload carries the averaged profile and its checksum
-         plus each run's (digest, exit code) pair, so a warm rerun can
-         still verify outputs without executing anything.  The mode stays
+         alike.  A profile entry is keyed by the constant part
+         "profile-threaded" (kept byte for byte, so existing keys and
+         keys that tools rebuild still match), the instrumentation mode,
+         the program's checksum and the raw input bytes; the payload
+         carries the averaged profile and its checksum plus each run's
+         (digest, exit code) pair, so a warm rerun can still verify
+         outputs without executing anything.  The mode stays
          in the key although [Min] and [Full] profiles are bit-identical:
          the key parts are documented, and tools rebuild keys from them.
          Wall-clock budgets and fuel can truncate runs
@@ -204,9 +206,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
             ~key:(fun () ->
               List.map digest
                 [
-                  "profile-"
-                  ^ Machine.engine_to_string
-                      (Option.value engine ~default:Machine.Threaded);
+                  "profile-threaded";
                   "mode-" ^ Impact_profile.Coverage.mode_name profile_mode;
                   sum;
                 ]
@@ -215,7 +215,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               let r =
                 Errors.guard Ierr.Profile_run (fun () ->
                     Obs.span obs span (fun () ->
-                        Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
+                        Profiler.profile ?budget ?fuel ~obs ?jobs
                           ~keep_outputs:false ~tolerant:(policy = Degrade)
                           ~mode:profile_mode
                           ~on_retry:(fun i e ->
@@ -446,8 +446,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
    internally synchronized, and the interpreter's per-domain scratch
    reuse is domain-local — so concurrent [run_source] calls from
    different worker domains sharing one cache are safe. *)
-let run_source ?obs ?policy ?config ?pre_opt ?post_cleanup ?cache ?engine ?jobs
-    ?budget ?fuel ?profile_mode ?(name = "request") ~source ~inputs () =
+let run_source ?obs ?policy ?config ?pre_opt ?post_cleanup ?cache ?jobs ?budget
+    ?fuel ?profile_mode ?(name = "request") ~source ~inputs () =
   let bench =
     {
       Benchmark.name;
@@ -456,11 +456,11 @@ let run_source ?obs ?policy ?config ?pre_opt ?post_cleanup ?cache ?engine ?jobs
       inputs = (fun () -> inputs);
     }
   in
-  run ?obs ?policy ?config ?pre_opt ?post_cleanup ?cache ?engine ?jobs ?budget
-    ?fuel ?profile_mode bench
+  run ?obs ?policy ?config ?pre_opt ?post_cleanup ?cache ?jobs ?budget ?fuel
+    ?profile_mode bench
 
-let run_suite ?obs ?policy ?config ?post_cleanup ?cache ?engine ?jobs ?clamp
-    ?probe ?profile_mode () =
+let run_suite ?obs ?policy ?config ?post_cleanup ?cache ?jobs ?clamp ?probe
+    ?profile_mode () =
   (* Parallelism fans out across benchmarks — coarse sharding: one
      domain owns a benchmark pipeline end-to-end, and each benchmark's
      own profiling stays sequential (inner ?jobs unset) so domains are
@@ -468,7 +468,7 @@ let run_suite ?obs ?policy ?config ?post_cleanup ?cache ?engine ?jobs ?clamp
      shared by all workers (the store is mutex-protected); [?probe]
      observes one task sample per completed benchmark. *)
   Impact_support.Pool.map_list ?jobs ?clamp ?probe
-    (fun b -> run ?obs ?policy ?config ?post_cleanup ?cache ?engine ?profile_mode b)
+    (fun b -> run ?obs ?policy ?config ?post_cleanup ?cache ?profile_mode b)
     Impact_bench_progs.Suite.all
 
 type suite_report = {
@@ -476,13 +476,12 @@ type suite_report = {
   failed : (Benchmark.t * Ierr.t) list;
 }
 
-let run_suite_report ?obs ?(policy = Degrade) ?config ?post_cleanup ?cache
-    ?engine ?jobs ?clamp ?probe ?profile_mode
-    ?(benches = Impact_bench_progs.Suite.all) () =
+let run_suite_report ?obs ?(policy = Degrade) ?config ?post_cleanup ?cache ?jobs
+    ?clamp ?probe ?profile_mode ?(benches = Impact_bench_progs.Suite.all) () =
   let outcomes =
     Impact_support.Pool.map_list_results ?jobs ?clamp ?probe
       (fun b ->
-        run ?obs ~policy ?config ?post_cleanup ?cache ?engine ?profile_mode b)
+        run ?obs ~policy ?config ?post_cleanup ?cache ?profile_mode b)
       benches
   in
   let completed, failed =

@@ -55,8 +55,8 @@ type result = {
           [Strict] and on a clean degraded run *)
 }
 
-(** [run ?obs ?policy ?config ?post_cleanup ?engine ?jobs ?budget ?fuel
-    bench] executes the full pipeline.  [post_cleanup] additionally runs
+(** [run ?obs ?policy ?config ?post_cleanup ?jobs ?budget ?fuel bench]
+    executes the full pipeline.  [post_cleanup] additionally runs
     the comprehensive post-inline optimisations the paper skipped
     (default false — the paper's setup).  With an enabled [obs] context
     every stage (parse, sema, lower, pre_opt, profile, callgraph,
@@ -67,18 +67,18 @@ type result = {
     [Degrade] additionally appear as ["pipeline.degraded"] instant
     events.  [pre_opt] (default true) may be disabled to skip the
     pre-inline optimisation pass when measuring a raw lowering.
-    [engine] selects the interpreter core and [jobs] the number of
-    domains for the two profiling passes; both leave the result
-    unchanged.  [budget] and [fuel] bound every profiling run
-    ({!Impact_interp.Rt.budget}).  [profile_mode] (default
+    [jobs] sets the number of domains for the two profiling passes; it
+    leaves the result unchanged.  [budget] and [fuel] bound every
+    profiling run ({!Impact_interp.Rt.budget}).  [profile_mode] (default
     {!Impact_profile.Coverage.Full}) selects the instrumentation mode
     for both profiling passes: [Min] counts only the co-forest call
     sites and reconstructs the rest exactly (bit-identical result,
     fewer instrumentation stores).
 
     [cache] makes the run incremental: each expensive stage — front end
-    (keyed by source text), the two profiling passes (keyed by program
-    checksum, input bytes, engine, and profile mode), classification and
+    (keyed by source text), the two profiling passes (keyed by the
+    constant part ["profile-threaded"], program checksum, input bytes,
+    and profile mode), classification and
     selection+expansion (keyed by program/profile checksums and the
     {!Impact_core.Config.fingerprint}) — first consults the stage cache
     and, on a verified hit, is skipped entirely with a byte-identical
@@ -106,7 +106,6 @@ val run :
   ?pre_opt:bool ->
   ?post_cleanup:bool ->
   ?cache:Cache.t ->
-  ?engine:Impact_interp.Machine.engine ->
   ?jobs:int ->
   ?budget:Impact_interp.Rt.budget ->
   ?fuel:int ->
@@ -129,7 +128,6 @@ val run_source :
   ?pre_opt:bool ->
   ?post_cleanup:bool ->
   ?cache:Cache.t ->
-  ?engine:Impact_interp.Machine.engine ->
   ?jobs:int ->
   ?budget:Impact_interp.Rt.budget ->
   ?fuel:int ->
@@ -140,7 +138,7 @@ val run_source :
   unit ->
   result
 
-(** [run_suite ?obs ?policy ?config ?post_cleanup ?engine ?jobs ()] runs
+(** [run_suite ?obs ?policy ?config ?post_cleanup ?jobs ()] runs
     all twelve benchmarks, in suite order; [jobs > 1] fans the
     benchmarks across domains (each benchmark's own profiling stays
     sequential).  The first benchmark failure aborts the suite — use
@@ -151,7 +149,6 @@ val run_suite :
   ?config:Impact_core.Config.t ->
   ?post_cleanup:bool ->
   ?cache:Cache.t ->
-  ?engine:Impact_interp.Machine.engine ->
   ?jobs:int ->
   ?clamp:bool ->
   ?probe:Impact_support.Pool.probe ->
@@ -178,7 +175,6 @@ val run_suite_report :
   ?config:Impact_core.Config.t ->
   ?post_cleanup:bool ->
   ?cache:Cache.t ->
-  ?engine:Impact_interp.Machine.engine ->
   ?jobs:int ->
   ?clamp:bool ->
   ?probe:Impact_support.Pool.probe ->

@@ -1,15 +1,14 @@
-(* Public interpreter entry point: engine selection over the shared
-   {!Rt} runtime.
+(* Public interpreter entry point over the shared {!Rt} runtime.
 
    Two engines produce observationally identical runs:
 
-   - {!Threaded} (default): each live function body is pre-decoded once
-     per run into an array of closures — see threaded.ml;
+   - {!Threaded}, the one production engine: each live function body is
+     pre-decoded into an array of closures — see threaded.ml;
    - the reference step interpreter below: a direct small-step loop over
-     the IL, kept as the oracle the differential tests pin the decoded
-     engine against, and the only engine that can drive the i-cache
-     model (it walks real body indices, which is what the code-address
-     tables are keyed by). *)
+     the IL, an oracle only.  The differential tests pin the decoded
+     engine against it, bench-perf times it, and the i-cache experiment
+     calls it directly: it walks real body indices, which is what the
+     code-address tables are keyed by. *)
 
 module Il = Impact_il.Il
 
@@ -21,6 +20,8 @@ exception Deadline_exceeded = Rt.Deadline_exceeded
 
 exception Program_exit = Rt.Program_exit
 
+exception Invalid_il = Rt.Invalid_il
+
 type outcome = Rt.outcome = {
   exit_code : int;
   output : string;
@@ -30,11 +31,6 @@ type outcome = Rt.outcome = {
 }
 
 type engine = Threaded | Reference
-
-let engine_of_string = function
-  | "threaded" -> Some Threaded
-  | "reference" -> Some Reference
-  | _ -> None
 
 let engine_to_string = function
   | Threaded -> "threaded"
@@ -56,6 +52,37 @@ type activation = {
   ret_reg : Il.reg option;  (* where the caller wants the result *)
 }
 
+(* [body_tables prog f] is [f]'s label table (label -> body index) and
+   code table (body index -> code address), built on [f]'s first entry.
+   Live functions are laid out back-to-back in fid order, 4 bytes per
+   instruction; a label takes no space and gets the address of the
+   instruction that follows it. *)
+let body_tables (prog : Il.program) =
+  let nfuncs = Array.length prog.Il.funcs in
+  let base = Array.make nfuncs 0 and memo = Array.make nfuncs None in
+  let cursor = ref 0 in
+  Array.iteri
+    (fun fid (f : Il.func) ->
+      base.(fid) <- !cursor;
+      if f.Il.alive then cursor := !cursor + (4 * Il.code_size f))
+    prog.Il.funcs;
+  fun (f : Il.func) ->
+    match memo.(f.Il.fid) with
+    | Some tables -> tables
+    | None ->
+      let labels = Array.make (max f.Il.nlabels 1) (-1) in
+      let code = Array.make (max (Array.length f.Il.body) 1) 0 in
+      let addr = ref base.(f.Il.fid) in
+      Array.iteri
+        (fun idx instr ->
+          code.(idx) <- !addr;
+          match instr with
+          | Il.Label l -> labels.(l) <- idx
+          | _ -> addr := !addr + 4)
+        f.Il.body;
+      memo.(f.Il.fid) <- Some (labels, code);
+      (labels, code)
+
 let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
     ?(stack_size = 1024 * 1024) ?icache ?plan ?(obs = Impact_obs.Obs.null)
     (prog : Il.program) ~input =
@@ -67,6 +94,9 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
       ~input
   in
   let nfuncs = Array.length prog.Il.funcs in
+  let tables = body_tables prog in
+  (* Compiled switch tables, keyed by (fid, body index). *)
+  let switches = Hashtbl.create 16 in
   (* Instrumentation-plan-aware call counting.  Without a plan this is
      exactly the historical full counting; with one, elided sites skip
      the scalar and/or per-site bumps. *)
@@ -95,28 +125,20 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
       if not pl.Iplan.ind_ok.(fid) then Atomic.set pl.Iplan.poisoned true
   in
   let enter_activation ~sp (f : Il.func) args ret_reg =
-    (* Deadline first: before the stack check and before any counter
-       moves, matching {!Threaded.activate} exactly. *)
-    Rt.check_deadline st;
     (* One activation consumes the full paper-style stack usage: frame
        slots plus the virtual-register save area plus call overhead.
        Frame slots live at the bottom, [fp, fp + frame_size). *)
-    let fp = sp - Il.stack_usage f in
-    if fp < st.Rt.stack_base then Rt.trap "control stack overflow in %s" f.Il.name;
-    if fp < st.Rt.min_sp then st.Rt.min_sp <- fp;
-    let regs = Array.make (max f.Il.nregs 1) 0 in
+    let nregs = max f.Il.nregs 1 in
+    let fp =
+      Rt.enter st ~sp ~stack_use:(Il.stack_usage f) ~name:f.Il.name
+        ~nargs:(List.length args) ~nregs
+    in
+    let regs = Array.make nregs 0 in
     List.iteri (fun i v -> regs.(i) <- v) args;
     st.Rt.counters.Counters.func_counts.(f.Il.fid) <-
       st.Rt.counters.Counters.func_counts.(f.Il.fid) + 1;
-    {
-      func = f;
-      regs;
-      fp;
-      labels = Rt.label_table st f;
-      code = Rt.code_table st f;
-      pc = 0;
-      ret_reg;
-    }
+    let labels, code = tables f in
+    { func = f; regs; fp; labels; code; pc = 0; ret_reg }
   in
   let stack : activation list ref = ref [] in
   let exit_code = ref 0 in
@@ -137,10 +159,6 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
        (match instr with
        | Il.Label _ -> ()
        | _ ->
-         (* Injection point for the chaos suite; a single atomic-flag
-            read when nothing is armed.  Only the reference engine pays
-            it — [run] routes here whenever faults are enabled. *)
-         Impact_support.Fault.hit Impact_support.Fault.Interp_step;
          st.Rt.counters.Counters.ils <- st.Rt.counters.Counters.ils + 1;
          (match icache with
          | Some cache -> Impact_icache.Icache.access cache a.code.(a.pc - 1)
@@ -170,8 +188,14 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
        | Il.Switch (op, table, default) ->
          st.Rt.counters.Counters.cts <- st.Rt.counters.Counters.cts + 1;
          let v = value op in
+         let key = (a.func.Il.fid, a.pc - 1) in
          let cases, targets =
-           Rt.switch_table st ~fid:a.func.Il.fid ~index:(a.pc - 1) table
+           match Hashtbl.find_opt switches key with
+           | Some compiled -> compiled
+           | None ->
+             let compiled = Rt.compile_switch table in
+             Hashtbl.add switches key compiled;
+             compiled
          in
          let i = Rt.switch_find cases v in
          let target = if i >= 0 then targets.(i) else default in
@@ -226,24 +250,14 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
   Rt.finish st ~obs ~exit_code:!exit_code
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
+(* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?budget ?fuel ?heap_size ?stack_size ?icache ?obs ?(engine = Threaded)
-    ?cache ?plan (prog : Il.program) ~input =
-  match (engine, icache) with
-  | Threaded, None
-    when Threaded.supported prog && not (Impact_support.Fault.enabled ()) ->
+let run ?budget ?fuel ?heap_size ?stack_size ?obs ?(engine = Threaded) ?cache
+    ?plan (prog : Il.program) ~input =
+  match engine with
+  | Threaded ->
     Threaded.run ?budget ?fuel ?heap_size ?stack_size ?obs ?cache ?plan prog
       ~input
-  | _ ->
-    (* The i-cache model needs real instruction addresses, so it always
-       drives the reference engine; so do the rare programs the decoder
-       rejects (immediates beyond 62 bits, out-of-range static refs).
-       Armed fault injection also routes here: the reference engine
-       carries the per-instruction [Interp_step] point, so the threaded
-       hot path stays hook-free and pays nothing when chaos is off.
-       Both routes honor the instrumentation [plan], so a chaos run
-       under minimum-coverage profiling still degrades correctly. *)
-    run_reference ?budget ?fuel ?heap_size ?stack_size ?icache ?plan ?obs prog
-      ~input
+  | Reference ->
+    run_reference ?budget ?fuel ?heap_size ?stack_size ?plan ?obs prog ~input

@@ -28,13 +28,14 @@
     - [exit (code)] — terminate the program;
     - [abort ()] — trap.
 
-    Two engines implement these semantics: the default pre-decoded
-    threaded engine ({!Threaded}), which compiles each live function
-    body once per run into an array of closures, and the small-step
-    reference interpreter ({!run_reference}), the oracle the
-    differential tests pin the decoded engine against.  Both produce
-    identical outputs, exit codes, traps, peak stack, and dynamic
-    counters on every program. *)
+    Two engines implement these semantics.  The pre-decoded threaded
+    engine ({!Threaded}), which compiles each live function body into
+    an array of closures, is the only one production code runs.  The
+    small-step reference interpreter ({!run_reference}) is an oracle:
+    the differential tests pin the decoded engine against it, and the
+    bench harnesses and the i-cache experiment call it directly.  Both
+    produce identical outputs, exit codes, traps, peak stack, and
+    dynamic counters on every program the threaded engine accepts. *)
 
 (** Raised on a runtime error: null/out-of-range access, division by
     zero, bad indirect call target, stack overflow, unknown external. *)
@@ -46,6 +47,10 @@ exception Out_of_fuel
 (** Raised when execution exceeds the run's wall-clock budget
     ({!Rt.budget}).  Both engines check at every activation entry. *)
 exception Deadline_exceeded
+
+(** Raised by the threaded engine, before it runs anything, on a program
+    with an out-of-range reference ({!Rt.Invalid_il}). *)
+exception Invalid_il of string
 
 (** The result of one run. *)
 type outcome = Rt.outcome = {
@@ -62,18 +67,16 @@ type outcome = Rt.outcome = {
           call overhead, as {!Impact_il.Il.stack_usage} estimates) *)
 }
 
-(** Which interpreter core executes the program. *)
+(** Which interpreter core executes the program.  Production code never
+    chooses: it calls {!run}, which defaults to [Threaded]. *)
 type engine =
-  | Threaded  (** pre-decoded closure arrays; the default *)
-  | Reference  (** small-step oracle; required for [?icache] *)
-
-(** [engine_of_string s] parses ["threaded"] / ["reference"]. *)
-val engine_of_string : string -> engine option
+  | Threaded  (** pre-decoded closure arrays; the production engine *)
+  | Reference  (** small-step oracle, for tests and bench *)
 
 val engine_to_string : engine -> string
 
-(** [run ?budget ?fuel ?heap_size ?stack_size ?icache ?obs ?engine prog
-    ~input] executes [prog] from [main] with [input] as its stdin.
+(** [run ?budget ?fuel ?heap_size ?stack_size ?obs ?engine ?cache ?plan
+    prog ~input] executes [prog] from [main] with [input] as its stdin.
 
     @param budget wall-clock deadline and output watermark (default
       {!Rt.no_budget} — both off; see {!Rt.budget}).  The deadline
@@ -81,33 +84,27 @@ val engine_to_string : engine -> string
     @param fuel instruction budget (default 1_000_000_000)
     @param heap_size bytes of heap (default 4 MiB)
     @param stack_size bytes of control stack (default 1 MiB)
-    @param icache when given, every executed instruction's code address
-      (functions laid out back-to-back in fid order, 4 bytes per
-      instruction) is driven through the cache model; this forces the
-      reference engine regardless of [engine]
     @param obs when enabled, one ["run"] event with the run-level
       counters (ILs, CTs, calls, returns, externals, peak stack) is
       emitted after the run, and [machine.*] counters accumulate
-    @param engine interpreter core (default {!Threaded}).  While fault
-      injection is armed ({!Impact_support.Fault.enabled}) the reference
-      engine is used regardless, because it carries the per-instruction
-      [Interp_step] injection point; the threaded hot path has no hooks
-      and pays nothing when chaos is off.
+    @param engine the oracle selector for tests and bench (default
+      {!Threaded}).  Production callers never pass it, so armed faults
+      and wide immediates run on the threaded engine too.
     @param cache a {!Threaded.cache} reusing decoded code across runs of
       the same physical program (profiling drivers create one per
-      program); ignored when the run routes to the reference engine
+      program); ignored by the reference engine
     @param plan an instrumentation plan ({!Iplan.t}): sites the plan
       elides skip their counter bumps (minimum-coverage profiling
       reconstructs them by flow inference afterwards).  Both engines
       honor it; without one, every call site is counted as always.
     @raise Trap on runtime errors
-    @raise Out_of_fuel if the budget is exhausted *)
+    @raise Out_of_fuel if the budget is exhausted
+    @raise Invalid_il if the threaded engine refuses [prog] *)
 val run :
   ?budget:Rt.budget ->
   ?fuel:int ->
   ?heap_size:int ->
   ?stack_size:int ->
-  ?icache:Impact_icache.Icache.t ->
   ?obs:Impact_obs.Obs.t ->
   ?engine:engine ->
   ?cache:Threaded.cache ->
@@ -116,8 +113,10 @@ val run :
   input:string ->
   outcome
 
-(** The reference oracle: a direct small-step interpreter over the IL.
-    Same signature and semantics as {!run} minus engine selection. *)
+(** The reference oracle: a direct small-step interpreter over the IL,
+    with {!run}'s semantics and no validation ahead of time.  [?icache]
+    receives every executed instruction's code address (functions laid
+    out back-to-back in fid order, 4 bytes per instruction). *)
 val run_reference :
   ?budget:Rt.budget ->
   ?fuel:int ->

@@ -1,12 +1,12 @@
 (* Shared execution runtime for the two interpreter engines.
 
    Everything that is engine-independent lives here: the flat memory
-   image and its layout, the simulated externals, the code-address
-   layout for the i-cache model, the per-run state record, compiled
-   switch dispatch tables, and the construction of the final outcome
-   (including the run-level observability event).  The reference step
-   interpreter ({!Machine.run_reference}) and the pre-decoded threaded
-   engine ({!Threaded}) are both thin control loops over this module,
+   image and its layout, the simulated externals, the per-run state
+   record, the activation-entry check, compiled switch dispatch tables,
+   and the construction of the final outcome (including the run-level
+   observability event).  The reference step interpreter
+   ({!Machine.run_reference}) and the pre-decoded threaded engine
+   ({!Threaded}) are both thin control loops over this module,
    which is what lets the differential tests pin them to identical
    counters, traps and fuel accounting. *)
 
@@ -19,6 +19,8 @@ exception Out_of_fuel
 exception Deadline_exceeded
 
 exception Program_exit of int
+
+exception Invalid_il of string
 
 let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt
 
@@ -66,13 +68,6 @@ type state = {
   counters : Counters.t;
   global_addr : int array;
   string_addr : int array;
-  (* label index tables, per function, built lazily for the current body *)
-  label_tables : int array option array;
-  (* instruction addresses per body index, for i-cache simulation *)
-  code_tables : int array option array;
-  (* compiled switch dispatch tables, keyed by (fid, body index) *)
-  switch_tables : (int * int, int array * int array) Hashtbl.t;
-  code_base : int array;
   mutable heap_ptr : int;
   heap_end : int;
   stack_base : int;  (* lowest legal stack address *)
@@ -87,18 +82,35 @@ type state = {
   (* absolute wall-clock deadline ([infinity] = none) and output
      watermark in bytes ([max_int] = none), from the run's [budget] *)
   deadline_at : float;
+  (* a deadline is set or a fault was armed when the run started *)
+  watched : bool;
   max_output : int;
   input : string;
   mutable in_pos : int;
   out : Buffer.t;
 }
 
-(* Both engines call this at every activation entry, before any counter
-   moves, so deadline trap points are engine-independent.  The disabled
-   path is one float compare. *)
-let[@inline] check_deadline st =
-  if st.deadline_at <> infinity && Unix.gettimeofday () > st.deadline_at then
-    raise Deadline_exceeded
+(* Both engines run this at every activation entry, before any counter
+   moves or argument is written, so its trap points agree by
+   construction: the [Interp_step] fault point, the deadline, the
+   control stack (the activation of [name] takes [stack_use] bytes below
+   [sp]) and the arity ([nargs] arguments for [nregs] IL registers).
+   Returns the new frame pointer.  With nothing armed and no deadline,
+   fault and deadline cost one test of [watched] per activation; the
+   per-IL paths carry neither. *)
+let enter st ~sp ~stack_use ~name ~nargs ~nregs =
+  if st.watched then begin
+    Impact_support.Fault.hit Impact_support.Fault.Interp_step;
+    if st.deadline_at <> infinity && Unix.gettimeofday () > st.deadline_at
+    then raise Deadline_exceeded
+  end;
+  let fp = sp - stack_use in
+  if fp < st.stack_base then trap "control stack overflow in %s" name;
+  if nargs > nregs then
+    trap "call to %s with %d arguments, more than its %d-register file" name
+      nargs nregs;
+  if fp < st.min_sp then st.min_sp <- fp;
+  fp
 
 let[@inline never] output_trap st =
   trap "output budget exceeded (%d bytes, limit %d)" (Buffer.length st.out)
@@ -256,53 +268,6 @@ let call_external st name args =
     else trap "unknown external function '%s'" name
 
 (* ------------------------------------------------------------------ *)
-(* Code layout (for the i-cache model)                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Live functions are placed back-to-back in fid order, [instr_bytes]
-   bytes per (non-label) instruction; a label occupies no space and gets
-   the address of the instruction that follows it. *)
-let instr_bytes = 4
-
-let layout_code_base (prog : Il.program) =
-  let base = Array.make (Array.length prog.Il.funcs) 0 in
-  let cursor = ref 0 in
-  Array.iteri
-    (fun fid (f : Il.func) ->
-      base.(fid) <- !cursor;
-      if f.Il.alive then cursor := !cursor + (instr_bytes * Il.code_size f))
-    prog.Il.funcs;
-  base
-
-let code_table st (f : Il.func) =
-  match st.code_tables.(f.Il.fid) with
-  | Some t -> t
-  | None ->
-    let t = Array.make (max (Array.length f.Il.body) 1) 0 in
-    let addr = ref st.code_base.(f.Il.fid) in
-    Array.iteri
-      (fun idx instr ->
-        t.(idx) <- !addr;
-        if not (Il.instr_is_label instr) then addr := !addr + instr_bytes)
-      f.Il.body;
-    st.code_tables.(f.Il.fid) <- Some t;
-    t
-
-let label_table st (f : Il.func) =
-  match st.label_tables.(f.Il.fid) with
-  | Some t -> t
-  | None ->
-    let t = Array.make (max f.Il.nlabels 1) (-1) in
-    Array.iteri
-      (fun idx instr ->
-        match instr with
-        | Il.Label l -> t.(l) <- idx
-        | _ -> ())
-      f.Il.body;
-    st.label_tables.(f.Il.fid) <- Some t;
-    t
-
-(* ------------------------------------------------------------------ *)
 (* Switch dispatch tables                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -347,18 +312,6 @@ let switch_find (cases : int array) v =
     else hi := mid - 1
   done;
   !found
-
-(* [switch_table st ~fid ~index table] is the compiled table for the
-   switch at body position [index] of function [fid], compiled on first
-   use and cached for the rest of the run. *)
-let switch_table st ~fid ~index table =
-  let key = (fid, index) in
-  match Hashtbl.find_opt st.switch_tables key with
-  | Some compiled -> compiled
-  | None ->
-    let compiled = compile_switch table in
-    Hashtbl.add st.switch_tables key compiled;
-    compiled
 
 (* ------------------------------------------------------------------ *)
 (* Per-run state                                                       *)
@@ -450,10 +403,6 @@ let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
         Counters.create ~nfuncs:(Array.length prog.Il.funcs) ~nsites:prog.Il.next_site;
       global_addr;
       string_addr;
-      label_tables = Array.make (Array.length prog.Il.funcs) None;
-      code_tables = Array.make (Array.length prog.Il.funcs) None;
-      switch_tables = Hashtbl.create 16;
-      code_base = layout_code_base prog;
       heap_ptr = heap_start;
       heap_end;
       stack_base;
@@ -467,6 +416,7 @@ let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
       deadline_at =
         (if budget.timeout_s > 0. then Unix.gettimeofday () +. budget.timeout_s
          else infinity);
+      watched = budget.timeout_s > 0. || Impact_support.Fault.enabled ();
       max_output = (if budget.max_output > 0 then budget.max_output else max_int);
       input;
       in_pos = 0;

@@ -20,6 +20,10 @@ exception Deadline_exceeded
 (** Raised by the [exit] external; caught by both engines. *)
 exception Program_exit of int
 
+(** Raised by the threaded engine, before it runs anything, on a program
+    with an out-of-range reference: ["invalid IL in f: ..."]. *)
+exception Invalid_il of string
+
 (** [trap fmt ...] raises {!Trap} with a formatted message. *)
 val trap : ('a, unit, string, 'b) format4 -> 'a
 
@@ -57,8 +61,8 @@ val func_addr : int -> int
 val fid_of_addr : int -> int -> int option
 
 (** Mutable per-run state: the memory image, dynamic counters, layout
-    tables and I/O cursors.  One value per execution; never shared
-    between runs or domains. *)
+    and I/O cursors.  One value per execution; never shared between
+    runs or domains. *)
 type state = {
   prog : Impact_il.Il.program;
   mem : Bytes.t;
@@ -69,10 +73,6 @@ type state = {
   counters : Counters.t;
   global_addr : int array;
   string_addr : int array;
-  label_tables : int array option array;
-  code_tables : int array option array;
-  switch_tables : (int * int, int array * int array) Hashtbl.t;
-  code_base : int array;
   mutable heap_ptr : int;
   heap_end : int;
   stack_base : int;
@@ -84,6 +84,9 @@ type state = {
       (** start of the run's lowest write at or above [stack_base] *)
   mutable fuel : int;
   deadline_at : float;
+  watched : bool;
+      (** a deadline is set, or some fault was armed when the run
+          started ({!Impact_support.Fault.enabled}, read once per run) *)
   max_output : int;
   input : string;
   mutable in_pos : int;
@@ -114,11 +117,18 @@ val create_state :
   input:string ->
   state
 
-(** [check_deadline st] raises {!Deadline_exceeded} when the run's
-    deadline has passed.  Both engines call it at every activation
-    entry, before any counter moves, so deadline trap points are
-    engine-independent. *)
-val check_deadline : state -> unit
+(** [enter st ~sp ~stack_use ~name ~nargs ~nregs] is the activation-entry
+    check both engines run before any counter moves, so its trap points
+    are engine-independent.  In order: when [watched], the
+    {!Impact_support.Fault.Interp_step} fault point and
+    {!Deadline_exceeded}; a stack-overflow {!Trap} when the activation
+    of [name] would take its [stack_use] bytes below the stack base; and
+    an arity {!Trap} when [nargs] exceeds its [nregs] IL registers.
+    Returns the new frame pointer [sp - stack_use] and records the
+    peak stack. *)
+val enter :
+  state -> sp:int -> stack_use:int -> name:string -> nargs:int -> nregs:int ->
+  int
 
 (** Memory access (all bounds-checked; out-of-range traps). *)
 
@@ -152,16 +162,6 @@ val ext_read : state -> int -> int -> int
 
 val ext_write : state -> int -> int -> int
 
-(** Code layout for the i-cache model. *)
-
-val instr_bytes : int
-
-val layout_code_base : Impact_il.Il.program -> int array
-
-val code_table : state -> Impact_il.Il.func -> int array
-
-val label_table : state -> Impact_il.Il.func -> int array
-
 (** Switch dispatch tables: parallel (cases, targets) arrays sorted by
     case value, duplicates resolved to their first occurrence — the
     same answer as a first-hit linear scan, in O(log cases). *)
@@ -170,12 +170,6 @@ val compile_switch : (int * Impact_il.Il.label) array -> int array * int array
 
 (** [switch_find cases v] is the index of [v] in sorted [cases], or -1. *)
 val switch_find : int array -> int -> int
-
-(** [switch_table st ~fid ~index table] compiles on first use and caches
-    per (function, body position) for the rest of the run. *)
-val switch_table :
-  state -> fid:int -> index:int -> (int * Impact_il.Il.label) array ->
-  int array * int array
 
 (** Operator evaluation (division/modulo by zero trap). *)
 

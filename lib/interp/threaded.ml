@@ -4,7 +4,8 @@
    closures, one per non-label instruction, with everything resolvable at
    decode time already resolved:
 
-   - operands are encoded as tagged ints (no [Reg]/[Imm] re-matching),
+   - operands are encoded as tagged ints (no [Reg]/[Imm] re-matching);
+     an immediate beyond 62 bits reads from a constant slot ({!widen}),
    - binary/unary operators are specialised per opcode,
    - labels are resolved to decoded pc indices (labels occupy no slot),
    - switch tables compile to a direct-indexed jump table when the case
@@ -16,10 +17,9 @@
    - hot externals (getchar/putchar/print_int/...) are specialised to
      direct calls on the shared {!Rt} helpers.
 
-   Decoded code is cached per fid for the duration of one run, exactly
-   like the reference engine's label/code tables.  Dispatch is direct
-   threading: every closure ends by tail-calling its successor —
-   [(Array.unsafe_get code next) c] with [next] baked in at decode time
+   Decoded code is cached per fid, across runs under a {!cache}.
+   Dispatch is direct threading: every closure ends by tail-calling its
+   successor — [(Array.unsafe_get code next) c] with [next] baked in at decode time
    for straight-line ops, the resolved target for branches — so there is
    no fetch loop and no mutable pc field at all; OCaml's guaranteed tail
    calls on unary application keep the native stack flat.  Calls and
@@ -44,12 +44,13 @@
 
    Unchecked array accesses: the register file, code array, and
    site-count accesses in the closures use [Array.unsafe_get]/[set].
-   This is sound because {!supported} admits a program only after
+   This is sound because {!validate} admits a program only after
    verifying, per function, that every mentioned register index is
-   within that function's register file, every jump target label is
+   within that function's IL registers, every jump target label is
    defined in the body (so no decoded pc is ever -1 or past the
    sentinel), and every call-site id is within the program's site-count
-   array; anything else runs on the (fully checked) reference engine. *)
+   array; anything else is refused with {!Rt.Invalid_il} before it
+   runs. *)
 
 module Il = Impact_il.Il
 
@@ -59,7 +60,9 @@ exception Halt
 type dfunc = {
   ffid : int;
   fname : string;
-  rlen : int;             (* register file length: max nregs 1 *)
+  nil : int;              (* IL registers: max nregs 1 *)
+  regs0 : int array;      (* a fresh register file: nil zeros, then the
+                             constant slots' values *)
   stack_use : int;
   mutable dcode : op array;
   (* pooled register files, reused across activations of this function *)
@@ -109,8 +112,8 @@ and ctx = {
 (* ------------------------------------------------------------------ *)
 
 (* A register [r] is encoded as [r lsl 1], an immediate [n] as
-   [(n lsl 1) lor 1]; {!supported} rejects programs whose immediates do
-   not survive the shift (they run on the reference engine instead). *)
+   [(n lsl 1) lor 1]; an immediate that does not survive the shift is
+   first moved to a constant slot by {!widen}. *)
 
 let imm_ok n = (n lsl 1) asr 1 = n
 
@@ -122,35 +125,38 @@ let[@inline] get (regs : int array) o =
   if o land 1 = 0 then Array.unsafe_get regs (o lsr 1) else o asr 1
 
 (* ------------------------------------------------------------------ *)
-(* Eligibility                                                         *)
+(* Validation and constant slots                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The decoder resolves global/string/function references and call
    targets eagerly and elides the bounds checks justified above, so it
-   only accepts programs where every static reference is in range — in
-   practice, everything the IL validator accepts.  Anything else runs on
-   the reference engine, which checks lazily at execution time. *)
-let supported (prog : Il.program) =
+   refuses a program unless every static reference is in range — in
+   practice, everything the IL validator accepts.  Each check below
+   holds or raises {!Rt.Invalid_il} naming the function and the bad
+   reference. *)
+let validate (prog : Il.program) =
   let nfuncs = Array.length prog.Il.funcs in
   let nglobals = Array.length prog.Il.globals in
   let nstrings = Array.length prog.Il.strings in
   let nsites = max prog.Il.next_site 1 in
   let func_ok (f : Il.func) =
-    let rlen = max f.Il.nregs 1 in
-    let reg_ok r = r >= 0 && r < rlen in
+    let at = "invalid IL in " ^ f.Il.name ^ ": " in
+    let bad k = Printf.ksprintf (fun m -> raise (Rt.Invalid_il (at ^ m))) k in
+    let has what n i = (i >= 0 && i < n) || bad "no %s %d" what i in
+    let reg_ok = has "register" (max f.Il.nregs 1) in
     let operand_ok = function
       | Il.Reg r -> reg_ok r
-      | Il.Imm n -> imm_ok n
+      | Il.Imm _ -> true
     in
     let ret_ok = function None -> true | Some r -> reg_ok r in
-    let site_ok s = s >= 0 && s < nsites in
+    let site_ok = has "call site" nsites in
     let defined = Hashtbl.create 16 in
     Array.iter
       (function
         | Il.Label l -> Hashtbl.replace defined l ()
         | _ -> ())
       f.Il.body;
-    let label_ok l = Hashtbl.mem defined l in
+    let label_ok l = l >= 0 && Hashtbl.mem defined l || bad "no label L%d" l in
     let instr_ok = function
       | Il.Label _ -> true
       | Il.Mov (r, o) | Il.Un (_, r, o) | Il.Load (_, r, o) ->
@@ -158,16 +164,16 @@ let supported (prog : Il.program) =
       | Il.Bin (_, r, x, y) -> reg_ok r && operand_ok x && operand_ok y
       | Il.Store (_, x, y) -> operand_ok x && operand_ok y
       | Il.Lea_frame (r, _) -> reg_ok r
-      | Il.Lea_global (r, g) -> reg_ok r && g >= 0 && g < nglobals
-      | Il.Lea_string (r, s) -> reg_ok r && s >= 0 && s < nstrings
-      | Il.Lea_func (r, fid) -> reg_ok r && fid >= 0 && fid < nfuncs
+      | Il.Lea_global (r, g) -> reg_ok r && has "global" nglobals g
+      | Il.Lea_string (r, s) -> reg_ok r && has "string" nstrings s
+      | Il.Lea_func (r, fid) -> reg_ok r && has "function" nfuncs fid
       | Il.Jump l -> label_ok l
       | Il.Bnz (o, l) -> operand_ok o && label_ok l
       | Il.Switch (o, table, default) ->
         operand_ok o && label_ok default
         && Array.for_all (fun (_, l) -> label_ok l) table
       | Il.Call (site, callee, args, ret) ->
-        site_ok site && callee >= 0 && callee < nfuncs
+        site_ok site && has "function" nfuncs callee
         && List.for_all operand_ok args
         && ret_ok ret
       | Il.Call_ext (site, _, args, ret) ->
@@ -181,8 +187,44 @@ let supported (prog : Il.program) =
     in
     Array.for_all instr_ok f.Il.body
   in
-  prog.Il.main >= 0 && prog.Il.main < nfuncs
-  && Array.for_all func_ok prog.Il.funcs
+  if prog.Il.main < 0 || prog.Il.main >= nfuncs then
+    raise (Rt.Invalid_il "invalid IL: main out of range");
+  ignore (Array.for_all func_ok prog.Il.funcs)
+
+(* [map_operands g i] applies [g] to every operand [i] reads through
+   {!enc}; a [Mov]'s immediate is stored as it is. *)
+let map_operands g = function
+  | Il.Un (op, r, x) -> Il.Un (op, r, g x)
+  | Il.Bin (op, r, x, y) -> Il.Bin (op, r, g x, g y)
+  | Il.Load (w, r, a) -> Il.Load (w, r, g a)
+  | Il.Store (w, a, v) -> Il.Store (w, g a, g v)
+  | Il.Bnz (o, l) -> Il.Bnz (g o, l)
+  | Il.Switch (o, table, l) -> Il.Switch (g o, table, l)
+  | Il.Call (s, fid, args, r) -> Il.Call (s, fid, List.map g args, r)
+  | Il.Call_ext (s, name, args, r) -> Il.Call_ext (s, name, List.map g args, r)
+  | Il.Call_ind (s, t, args, r) -> Il.Call_ind (s, g t, List.map g args, r)
+  | Il.Ret (Some o) -> Il.Ret (Some (g o))
+  | i -> i
+
+(* [widen nil body] gives each distinct immediate in [body] that fails
+   {!imm_ok} a constant slot, numbered from [nil] (the IL register
+   count), and returns the body reading the slots as registers plus
+   their values; a body without one comes back as it is.  No
+   instruction writes a slot: validated destinations are IL registers,
+   and the arity check keeps arguments below [nil]. *)
+let widen nil body =
+  let slots = Hashtbl.create 4 in
+  let slot = function
+    | Il.Imm n when not (imm_ok n) ->
+      if not (Hashtbl.mem slots n) then
+        Hashtbl.add slots n (nil + Hashtbl.length slots);
+      Il.Reg (Hashtbl.find slots n)
+    | o -> o
+  in
+  let widened = Array.map (map_operands slot) body in
+  let consts = Array.make (Hashtbl.length slots) 0 in
+  Hashtbl.iter (fun n r -> consts.(r - nil) <- n) slots;
+  ((if consts = [||] then body else widened), consts)
 
 (* ------------------------------------------------------------------ *)
 (* Register-file pool and activation stack                             *)
@@ -195,11 +237,12 @@ let alloc_regs df =
     df.pool_n <- n;
     let a = df.pool.(n) in
     df.pool.(n) <- [||];
-    (* A fresh activation's registers read as zero. *)
-    Array.fill a 0 (Array.length a) 0;
+    (* A fresh activation's registers read as zero; the constant slots
+       after them keep their values. *)
+    Array.fill a 0 df.nil 0;
     a
   end
-  else Array.make df.rlen 0
+  else Array.copy df.regs0
 
 let release_regs df a =
   let n = df.pool_n in
@@ -234,17 +277,14 @@ let install c df regs fp =
   c.code <- df.dcode;
   c.dfun <- df
 
-(* Activation entry shared by main, direct and indirect calls: the
-   stack-extent check, peak tracking and node-weight count mirror the
-   reference engine's [enter_activation]. *)
-let activate c df =
-  let st = c.st in
-  (* Deadline first: before the stack check and before any counter
-     moves, matching the reference engine's [enter_activation]. *)
-  Rt.check_deadline st;
-  let nfp = c.fp - df.stack_use in
-  if nfp < st.Rt.stack_base then Rt.trap "control stack overflow in %s" df.fname;
-  if nfp < st.Rt.min_sp then st.Rt.min_sp <- nfp;
+(* Activation entry shared by main, direct and indirect calls, for a
+   call passing [nargs] arguments: {!Rt.enter}'s checks, then the
+   node-weight count. *)
+let activate c df nargs =
+  let nfp =
+    Rt.enter c.st ~sp:c.fp ~stack_use:df.stack_use ~name:df.fname ~nargs
+      ~nregs:df.nil
+  in
   let regs = alloc_regs df in
   let fc = c.cnt.Counters.func_counts in
   fc.(df.ffid) <- fc.(df.ffid) + 1;
@@ -252,12 +292,12 @@ let activate c df =
 
 (* Enter [df]; the caller resumes at [retpc] when the callee returns. *)
 let enter c df (argsenc : int array) retc retpc =
-  let regs, nfp = activate c df in
+  let nargs = Array.length argsenc in
+  let regs, nfp = activate c df nargs in
   let caller = c.regs in
-  (* Safe writes: an indirect call can reach any function, so the
-     argument count is not statically bounded by the callee's file. *)
-  for i = 0 to Array.length argsenc - 1 do
-    regs.(i) <- get caller (Array.unsafe_get argsenc i)
+  (* [activate] checked [nargs] against the callee's IL registers. *)
+  for i = 0 to nargs - 1 do
+    Array.unsafe_set regs i (get caller (Array.unsafe_get argsenc i))
   done;
   (* save the caller *)
   let d = c.depth in
@@ -692,11 +732,14 @@ let rec get_dfunc c fid =
   | Some df -> df
   | None ->
     let f = c.prog.Il.funcs.(fid) in
+    let nil = max f.Il.nregs 1 in
+    let body, consts = widen nil f.Il.body in
     let df =
       {
         ffid = fid;
         fname = f.Il.name;
-        rlen = max f.Il.nregs 1;
+        nil;
+        regs0 = Array.append (Array.make nil 0) consts;
         stack_use = Il.stack_usage f;
         dcode = [||];
         pool = [||];
@@ -706,7 +749,7 @@ let rec get_dfunc c fid =
     (* Publish the record before decoding so recursive and mutually
        recursive call targets resolve to it. *)
     c.dfuncs.(fid) <- Some df;
-    df.dcode <- decode c f;
+    df.dcode <- decode c f body;
     df
 
 and get_dfunc_ind c pl fid =
@@ -723,8 +766,7 @@ and get_dfunc_ind c pl fid =
     c.ind_dfuncs.(fid) <- Some df;
     df
 
-and decode c (f : Il.func) : op array =
-  let body = f.Il.body in
+and decode c (f : Il.func) (body : Il.instr array) : op array =
   let n = Array.length body in
   (* body index -> decoded pc (labels occupy no decoded slot) *)
   let dpc = Array.make (n + 1) 0 in
@@ -736,7 +778,7 @@ and decode c (f : Il.func) : op array =
   dpc.(n) <- !count;
   let nreal = !count in
   (* Label -> decoded pc, sized to cover every label mentioned in the
-     body; {!supported} guarantees every referenced label is defined. *)
+     body; {!validate} guarantees every referenced label is defined. *)
   let max_label =
     Array.fold_left
       (fun m instr ->
@@ -1245,7 +1287,9 @@ and ignore_op (_ : ctx) = ()
    different counting variants — silently decodes fresh rather than
    running stale code.  Callers must not mutate a program in place
    between runs under one cache — the profiling driver, which owns the
-   only caches, runs a frozen program by construction. *)
+   only caches, runs a frozen program by construction.  The same
+   contract lets a program be validated once per fresh table rather
+   than once per run. *)
 type cache = {
   cmu : Mutex.t;
   per_domain :
@@ -1265,24 +1309,27 @@ let same_plan a b =
   | None, Some _ | Some _, None -> false
 
 let cached_dfuncs cache prog plan =
-  match cache with
-  | None ->
+  let fresh () =
+    validate prog;
     let n = Array.length prog.Il.funcs in
     (Array.make n None, Array.make n None)
+  in
+  match cache with
+  | None -> fresh ()
   | Some cch ->
     let dom = (Domain.self () :> int) in
     Mutex.protect cch.cmu (fun () ->
         match Hashtbl.find_opt cch.per_domain dom with
         | Some (p, pl, d, di) when p == prog && same_plan pl plan -> (d, di)
         | _ ->
-          let n = Array.length prog.Il.funcs in
-          let d = Array.make n None and di = Array.make n None in
+          let d, di = fresh () in
           Hashtbl.replace cch.per_domain dom (prog, plan, d, di);
           (d, di))
 
 let run ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
     ?(stack_size = 1024 * 1024) ?(obs = Impact_obs.Obs.null) ?cache ?plan
     (prog : Il.program) ~input =
+  let dfuncs, ind_dfuncs = cached_dfuncs cache prog plan in
   let st =
     Rt.create_state ?budget ~reuse_mem:true ~fuel ~heap_size ~stack_size prog
       ~input
@@ -1291,14 +1338,14 @@ let run ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
     {
       ffid = -1;
       fname = "<none>";
-      rlen = 1;
+      nil = 1;
+      regs0 = [| 0 |];
       stack_use = 0;
       dcode = [||];
       pool = [||];
       pool_n = 0;
     }
   in
-  let dfuncs, ind_dfuncs = cached_dfuncs cache prog plan in
   let c =
     {
       st;
@@ -1325,7 +1372,7 @@ let run ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
   in
   (try
      let df_main = get_dfunc c prog.Il.main in
-     let regs, nfp = activate c df_main in
+     let regs, nfp = activate c df_main 0 in
      install c df_main regs nfp;
      try (Array.unsafe_get c.code 0) c with Halt -> ()
    with Rt.Program_exit code -> c.exit_code <- code);

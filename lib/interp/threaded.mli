@@ -1,24 +1,20 @@
-(** The pre-decoded ("threaded code") interpreter engine.
+(** The pre-decoded ("threaded code") interpreter engine, the only one
+    production code runs.
 
     Compiles each live function body once per run into an array of
     closures with operands, labels, switch tables, call targets and hot
     externals resolved at decode time, then dispatches [code.(pc) ctx]
     in a tight loop; six hot adjacent instruction pairs each get one
     fused closure that still spends fuel and counts per instruction.
-    Observationally identical to the reference engine
-    ({!Machine.run_reference}): same outputs, exit codes, trap messages,
-    peak stack, and dynamic counters, at the same fuel boundaries.
+    An immediate beyond the 62-bit tagged operand is read from a
+    constant slot after the function's IL registers.  Observationally
+    identical to the reference engine ({!Machine.run_reference}): same
+    outputs, exit codes, trap messages, peak stack, and dynamic
+    counters, at the same fuel boundaries.  Fault points and deadlines
+    are checked at activation entry ({!Rt.enter}); the per-instruction
+    path has no hooks.
 
-    Use {!Machine.run} rather than calling this module directly — it
-    falls back to the reference engine for the programs {!supported}
-    rejects and when an i-cache model is attached. *)
-
-(** [supported prog] is true when every immediate fits the decoder's
-    62-bit tagged-operand encoding and every static reference (call
-    target, global/string/function index) is in range — in practice,
-    everything the IL validator accepts.  Unsupported programs must run
-    on the reference engine. *)
-val supported : Impact_il.Il.program -> bool
+    Call it through {!Machine.run}. *)
 
 (** A decode cache: reuses each function's decoded closure array across
     runs of the {e same physical program under the same physical
@@ -36,14 +32,18 @@ type cache
 val cache : unit -> cache
 
 (** [run ?budget ?fuel ?heap_size ?stack_size ?obs ?cache ?plan prog
-    ~input] — semantics and defaults of {!Machine.run} (no i-cache
-    support).  The memory image is drawn from per-domain scratch
-    ({!Rt.create_state}'s [reuse_mem]); [?cache] additionally reuses
-    decoded code.  [?plan] selects per-site counting variants at decode
-    time ({!Iplan.t}): an elided site's closure contains no counting
-    code at all, so minimum-coverage profiling pays nothing per
-    execution.
+    ~input] — semantics and defaults of {!Machine.run}.  The memory
+    image is drawn from per-domain scratch ({!Rt.create_state}'s
+    [reuse_mem]); [?cache] additionally reuses decoded code, and the
+    program is validated once per fresh decode table.  [?plan] selects
+    per-site counting variants at decode time ({!Iplan.t}): an elided
+    site's closure contains no counting code at all, so
+    minimum-coverage profiling pays nothing per execution.
 
+    @raise Rt.Invalid_il before running anything, if a register, label,
+      call site, function, global or string reference is out of range
+      (these checks are what make the decoder's unchecked accesses
+      sound)
     @raise Rt.Trap on runtime errors
     @raise Rt.Out_of_fuel if the budget is exhausted
     @raise Rt.Deadline_exceeded if the wall-clock budget is exhausted *)

@@ -39,7 +39,9 @@ type result = {
     @param budget per-run wall-clock deadline / output watermark,
       forwarded to every run ({!Impact_interp.Rt.budget}); with fuel it
       makes every run finite, so a hung run cannot wedge a worker
-    @param engine interpreter core, forwarded to every run
+    @param engine the oracle selector, forwarded to every run: tests
+      and bench pass [Reference] to profile on the reference engine;
+      production callers leave the default, the threaded engine
     @param jobs when > 1, runs execute on that many OCaml domains
       ({!Impact_support.Pool}); results keep input order, so the profile
       is identical for any job count (default 1)

@@ -27,7 +27,6 @@
 module Sink = Impact_obs.Sink
 module Ierr = Impact_support.Ierr
 module Fault = Impact_support.Fault
-module Machine = Impact_interp.Machine
 module Pipeline = Impact_harness.Pipeline
 module Config = Impact_core.Config
 
@@ -164,7 +163,6 @@ type job = {
   j_source : string;
   j_inputs : string list;
   j_policy : Pipeline.policy;
-  j_engine : Machine.engine;
   j_profile_mode : Impact_profile.Coverage.mode;
   j_devirt : bool;
   j_devirt_threshold : float;
@@ -196,7 +194,6 @@ let default_job =
     j_source = "";
     j_inputs = [ "" ];
     j_policy = Pipeline.Strict;
-    j_engine = Machine.Threaded;
     (* Full is the historical behaviour, so requests from clients that
        predate the field keep their exact semantics. *)
     j_profile_mode = Impact_profile.Coverage.Full;
@@ -248,14 +245,13 @@ let parse_job j =
     | Sink.String s -> Error (serve_error "unknown policy %S" s)
     | _ -> Error (serve_error "policy must be \"strict\" or \"degrade\"")
   in
-  let* engine =
+  (* The retired engine field: clients no longer send it, and frames
+     from earlier clients carry "threaded", the only engine there is. *)
+  let* () =
     match Sink.mem "engine" j with
-    | Sink.Null -> Ok Machine.Threaded
-    | Sink.String s -> (
-      match Machine.engine_of_string s with
-      | Some e -> Ok e
-      | None -> Error (serve_error "unknown engine %S" s))
-    | _ -> Error (serve_error "engine must be a string")
+    | Sink.Null | Sink.String "threaded" -> Ok ()
+    | _ ->
+      Error (serve_error "engine is retired; only \"threaded\" is accepted")
   in
   let* profile_mode =
     match Sink.mem "profile_mode" j with
@@ -298,7 +294,6 @@ let parse_job j =
       j_source = source;
       j_inputs = inputs;
       j_policy = policy;
-      j_engine = engine;
       j_profile_mode = profile_mode;
       j_devirt = devirt;
       j_devirt_threshold = devirt_threshold;
@@ -355,7 +350,6 @@ let job_fields job =
           (match job.j_policy with
           | Pipeline.Strict -> "strict"
           | Pipeline.Degrade -> "degrade") );
-      ("engine", Sink.String (Machine.engine_to_string job.j_engine));
       ( "profile_mode",
         Sink.String (Impact_profile.Coverage.mode_name job.j_profile_mode) );
     ]

@@ -62,7 +62,6 @@ type job = {
   j_source : string;
   j_inputs : string list;  (** default [[""]] *)
   j_policy : Impact_harness.Pipeline.policy;  (** default [Strict] *)
-  j_engine : Impact_interp.Machine.engine;  (** default [Threaded] *)
   j_profile_mode : Impact_profile.Coverage.mode;
       (** wire field [profile_mode], ["full"] or ["min"]
           ({!Impact_profile.Coverage.mode_name}); absent (requests from

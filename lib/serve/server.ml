@@ -1,4 +1,4 @@
-(* impactd's engine room: a Unix-domain-socket daemon serving
+(* impactd: a Unix-domain-socket daemon serving
    compile/profile/report requests over the length-prefixed frame
    protocol ({!Protocol}).
 
@@ -233,7 +233,6 @@ let execute_work t ~req_label (kind : Protocol.kind) :
             let r =
               Pipeline.run_source ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
                 ~config:(config_of_job job) ?cache:t.cfg.cache
-                ~engine:job.Protocol.j_engine
                 ?budget:(budget_of_job job)
                 ~profile_mode:job.Protocol.j_profile_mode ~name:req_label
                 ~source:job.Protocol.j_source ~inputs:job.Protocol.j_inputs ()
@@ -250,7 +249,6 @@ let execute_work t ~req_label (kind : Protocol.kind) :
             let { Profiler.profile; coverage; _ } =
               Errors.guard Ierr.Profile_run (fun () ->
                   Profiler.profile ~obs:t.cfg.obs
-                    ~engine:job.Protocol.j_engine
                     ?budget:(budget_of_job job) ~keep_outputs:false
                     ~mode:job.Protocol.j_profile_mode prog
                     ~inputs:job.Protocol.j_inputs)
@@ -273,7 +271,6 @@ let execute_work t ~req_label (kind : Protocol.kind) :
             let r =
               Pipeline.run ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
                 ~config:(config_of_job job) ?cache:t.cfg.cache
-                ~engine:job.Protocol.j_engine
                 ?budget:(budget_of_job job)
                 ~profile_mode:job.Protocol.j_profile_mode bench
             in

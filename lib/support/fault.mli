@@ -12,7 +12,7 @@ type point =
   | Profile_write      (** {!Impact_profile.Profile_io} save *)
   | Pool_worker_start  (** {!Pool} worker submission/startup *)
   | Pool_worker_finish (** {!Pool} worker shutdown *)
-  | Interp_step        (** reference interpreter, once per instruction *)
+  | Interp_step        (** interpreter, once per activation entry *)
   | Expand_splice      (** {!Impact_core.Expand.splice_call} entry *)
   | Sink_write         (** {!Impact_obs.Sink} event emission *)
   | Cache_read         (** {!Cstore.find} entry read/verify *)
@@ -26,9 +26,11 @@ val point_name : point -> string
 val point_of_name : string -> point option
 
 val enabled : unit -> bool
-(** True iff at least one point is armed.  Hot paths may check this once
-    and skip per-event hits entirely (the threaded interpreter routes to
-    the reference engine instead, so [Interp_step] still fires). *)
+(** True iff at least one point is armed.  Every {!hit} checks it
+    first, so with nothing armed a hit is one atomic read.  The
+    interpreter reads it once per run: a run that starts with a point
+    armed passes [Interp_step] once per activation, on whichever engine
+    runs, and its per-instruction path carries no hook. *)
 
 val arm : ?once:bool -> point -> after:int -> unit
 (** [arm p ~after:n] makes the [(n+1)]-th {!hit} of [p] (counting from

@@ -34,7 +34,7 @@ let gen_expr rng ~arrays ~vars depth =
   let rec go depth =
     if depth = 0 || Rng.chance rng 2 5 then
       match Rng.int rng 4 with
-      | 0 -> Buffer.add_string buf (string_of_int (Rng.range rng (-20) 99))
+      | 0 -> Buffer.add_string buf (Testutil.gen_literal rng)
       | 1 | 2 -> Buffer.add_string buf (Rng.choose rng vars)
       | _ ->
         let name, mask = Rng.choose rng arrays in

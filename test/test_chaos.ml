@@ -120,6 +120,29 @@ let test_degraded_equals_no_inline_baseline () =
   Alcotest.(check bool) "vacuous output verification" true
     r.Pipeline.outputs_match
 
+(* The interpreter's fault point sits at each activation entry of the
+   engine production runs.  With a point armed that profiling never
+   reaches (so hit counters advance), profiling cmp passes
+   [Interp_step] exactly once per activation. *)
+let test_interp_fault_per_activation () =
+  let b = bench () in
+  let prog = Impact_il.Lower.lower_source b.Benchmark.source in
+  ignore (Impact_opt.Driver.pre_inline prog);
+  let inputs = b.Benchmark.inputs () in
+  Fault.reset ();
+  Fault.with_point Fault.Devirt ~after:0 (fun () ->
+      let r = Profiler.profile ~jobs:1 prog ~inputs in
+      let activations =
+        List.fold_left
+          (fun n (o : Impact_interp.Machine.outcome) ->
+            Array.fold_left ( + ) n
+              o.Impact_interp.Machine.counters.Impact_interp.Counters.func_counts)
+          0 r.Profiler.runs
+      in
+      Alcotest.(check bool) "cmp makes calls" true (activations > List.length inputs);
+      Alcotest.(check int) "one Interp_step hit per activation" activations
+        (Fault.hits Fault.Interp_step))
+
 (* The devirt injection point sits at the head of the speculation pass,
    so it only fires when the config asks for devirtualization. *)
 let config_devirt =
@@ -452,6 +475,8 @@ let tests =
       test_matrix_degrade;
     Alcotest.test_case "degraded run equals no-inline baseline" `Quick
       test_degraded_equals_no_inline_baseline;
+    Alcotest.test_case "interp fault point fires once per activation" `Quick
+      test_interp_fault_per_activation;
     Alcotest.test_case "devirt fault: strict yields one typed error" `Quick
       test_devirt_fault_strict;
     Alcotest.test_case "devirt fault: degrade retreats to plain inlining"

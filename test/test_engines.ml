@@ -2,12 +2,12 @@
    reference step interpreter: identical outcomes and counters on random
    programs and on the whole benchmark suite before and after inlining,
    identical trap messages, the same out-of-fuel boundary to the
-   instruction, a reused memory image that reads like a fresh one, and
-   deterministic domain-parallel profiling for any job count. *)
+   instruction (wide immediates included; malformed IL is refused), a
+   reused memory image that reads like a fresh one, and deterministic
+   domain-parallel profiling for any job count. *)
 
 module Il = Impact_il.Il
 module Machine = Impact_interp.Machine
-module Threaded = Impact_interp.Threaded
 module Counters = Impact_interp.Counters
 module Profiler = Impact_profile.Profiler
 module Profile = Impact_profile.Profile
@@ -34,8 +34,6 @@ let gen_source =
 
 let engines_agree src =
   let prog = Testutil.compile src in
-  if not (Threaded.supported prog) then
-    QCheck.Test.fail_reportf "generated program rejected by Threaded.supported";
   let t, r = both_engines prog ~input:"" in
   Testutil.check_outcomes_equal "random program" t r;
   true
@@ -60,9 +58,6 @@ let test_suite_differential () =
       let inputs = b.B.inputs () in
       let differential stage prog =
         let name = Printf.sprintf "%s (%s)" b.B.name stage in
-        Alcotest.(check bool)
-          (name ^ " supported by threaded engine") true
-          (Threaded.supported prog);
         let t = Profiler.profile ~engine:Machine.Threaded prog ~inputs in
         let r = Profiler.profile ~engine:Machine.Reference prog ~inputs in
         List.iter2
@@ -113,16 +108,19 @@ let func ?(nparams = 0) ?(nregs = 1) ?(nlabels = 0) fid name body =
     alive = true;
   }
 
-let one_func_program ?(nlabels = 0) ?(globals = [||]) body ~nregs =
+let program ?(globals = [||]) ?(next_site = 0) funcs =
   {
-    Il.funcs = [| func ~nregs ~nlabels 0 "main" body |];
+    Il.funcs;
     globals;
     strings = [||];
     externs = [];
     main = 0;
-    next_site = 0;
+    next_site;
     address_taken = [];
   }
+
+let one_func_program ?(nlabels = 0) ?globals body ~nregs =
+  program ?globals [| func ~nregs ~nlabels 0 "main" body |]
 
 (* ------------------------------------------------------------------ *)
 (* Fuel-boundary parity                                                *)
@@ -132,10 +130,12 @@ let one_func_program ?(nlabels = 0) ?(globals = [||]) body ~nregs =
    fuel.  After fib come a switch whose case span exceeds [max_int] (the
    threaded decoder's jump-table size wrapped negative and passed its
    compactness test, so [Array.make] raised where the reference engine
-   prints 210; the argument is computed, [big + big], so every immediate
-   stays inside what the threaded engine accepts), and one small program
-   per pair the threaded engine fuses (see [Threaded.fuse]), built in IL
-   so the pair is exactly there. *)
+   prints 210), one small program per pair the threaded engine fuses
+   (see [Threaded.fuse]), built in IL so the pair is exactly there, then
+   immediates beyond the threaded decoder's 62-bit tagged operand in
+   every operand position (each reads from a constant slot after the IL
+   registers), the C program whose pre-inline folding makes one, and a
+   malformed program the threaded engine refuses. *)
 let fuel_programs =
   let fib =
     Testutil.compile
@@ -156,6 +156,22 @@ int pick(int x) {
 int main() { int big; big = 1500000000000000000; print_int(pick(big + big)); return 0; }
 |}
   in
+  let folded =
+    Testutil.compile
+      {|
+extern int getchar();
+extern int print_int(int n);
+int main() {
+  int a; int b;
+  a = 1500000000000000000 + 1500000000000000000;
+  b = getchar();
+  print_int(a + b);
+  return a > b;
+}
+|}
+  in
+  ignore (Impact_opt.Driver.pre_inline folded);
+  let big = 1 lsl 61 in
   let open Il in
   let g16 =
     [|
@@ -263,6 +279,98 @@ int main() { int big; big = 1500000000000000000; print_int(pick(big + big)); ret
           Ret (Some (Reg 2));
         |],
       "trap: memory access at 16 (size 1) out of range" );
+    ( "wide immediates in Mov, Un and Bin",
+      one_func_program ~nregs:4
+        [|
+          Mov (0, Imm max_int);
+          Bin (Sub, 1, Reg 0, Imm max_int);
+          Bin (Sub, 2, Imm min_int, Reg 1);
+          Bin (Add, 2, Reg 2, Imm big);
+          Bin (Add, 2, Reg 2, Imm big);
+          Bin (Add, 3, Imm max_int, Imm min_int);
+          Un (Not, 1, Imm min_int);
+          Bin (Xor, 1, Reg 1, Reg 0);
+          Bin (Sub, 3, Reg 2, Reg 3);
+          Bin (Add, 3, Reg 3, Reg 1);
+          Ret (Some (Reg 3));
+        |],
+      "exit 1" );
+    (* A wide compare fused into its branch, then a wide branch
+       operand. *)
+    ( "wide compare and branch operands",
+      one_func_program ~nregs:2 ~nlabels:2
+        [|
+          Mov (0, Imm 5);
+          Bin (Lt, 1, Reg 0, Imm big);
+          Bnz (Reg 1, 0);
+          Ret (Some (Imm 1));
+          Label 0;
+          Bnz (Imm min_int, 1);
+          Ret (Some (Imm 2));
+          Label 1;
+          Ret (Some (Imm 3));
+        |],
+      "exit 3" );
+    ( "wide store value",
+      one_func_program ~nregs:3 ~globals:g16
+        [|
+          Lea_global (0, 0);
+          Store (Word, Reg 0, Imm min_int);
+          Load (Word, 1, Reg 0);
+          Bin (Eq, 2, Reg 1, Imm min_int);
+          Ret (Some (Reg 2));
+        |],
+      "exit 1" );
+    (* Two calls passing wide arguments to a callee with its own
+       constant slot; the second activation reuses the first's pooled
+       register file, whose slot must survive. *)
+    ( "wide call arguments",
+      program ~next_site:2
+        [|
+          func ~nregs:2 0 "main"
+            [|
+              Call (0, 1, [ Imm big; Imm 3 ], Some 0);
+              Call (1, 1, [ Imm big; Reg 0 ], Some 1);
+              Ret (Some (Reg 1));
+            |];
+          func ~nparams:2 ~nregs:3 1 "f"
+            [|
+              Bin (Add, 2, Reg 0, Imm max_int);
+              Bin (Sub, 2, Reg 2, Imm max_int);
+              Bin (Shr, 2, Reg 2, Imm 59);
+              Bin (Add, 2, Reg 2, Reg 1);
+              Ret (Some (Reg 2));
+            |];
+        |],
+      "exit 11" );
+    ("wide return", one_func_program ~nregs:1 [| Ret (Some (Imm min_int)) |],
+      "exit " ^ string_of_int min_int);
+    (* A sparse switch (binary search) and a compact one (jump table),
+       each on a wide scrutinee. *)
+    ( "wide switch scrutinees",
+      one_func_program ~nregs:1 ~nlabels:4
+        [|
+          Switch (Imm max_int, [| (1, 0); (max_int, 1) |], 0);
+          Label 0;
+          Ret (Some (Imm 0));
+          Label 1;
+          Switch (Imm min_int, [| (0, 2); (1, 2) |], 3);
+          Label 2;
+          Ret (Some (Imm 1));
+          Label 3;
+          Ret (Some (Imm 2));
+        |],
+      "exit 2" );
+    ( "wide indirect call target",
+      one_func_program ~nregs:1
+        [| Call_ind (0, Imm max_int, [], Some 0); Ret (Some (Reg 0)) |],
+      "trap: indirect call through bad pointer " ^ string_of_int max_int );
+    ("wide constant folded from C", folded, "exit 1, output 2999999999999999999");
+    (* At no fuel is a malformed program run: the threaded engine refuses
+       it whole, even where the bad reference is unreachable. *)
+    ( "undefined label in dead code",
+      one_func_program ~nregs:1 [| Mov (0, Imm 4); Ret (Some (Reg 0)); Jump 7 |],
+      "profile-run error: invalid IL in main: no label L7" );
   ]
 
 let ending ?(input = "") ?fuel engine prog =
@@ -270,6 +378,11 @@ let ending ?(input = "") ?fuel engine prog =
   | o -> `Done o
   | exception Machine.Trap msg -> `Trap msg
   | exception Machine.Out_of_fuel -> `Out_of_fuel
+  | exception (Machine.Invalid_il _ as e) ->
+    (* as the pipeline reports a refusal: a typed profile-run error *)
+    `Refused
+      Impact_support.Ierr.(
+        to_string (Impact_harness.Errors.classify Profile_run e))
 
 let ending_name = function
   | `Done (o : Machine.outcome) ->
@@ -277,36 +390,37 @@ let ending_name = function
       (if o.Machine.output = "" then "" else ", output " ^ o.Machine.output)
   | `Trap msg -> "trap: " ^ msg
   | `Out_of_fuel -> "out of fuel"
+  | `Refused msg -> msg
 
 (* Both engines spend one fuel unit per executed IL and raise
    {!Machine.Out_of_fuel} on the instruction that exhausts it, so at
    every fuel value from 1 up to the one that lets the program finish
    (ils + 1) or trap, they must end the same way: equal outcomes, the
    same trap message, or both out of fuel.  The sweep stops every pair
-   of fused ILs at each of its two instructions. *)
+   of fused ILs at each of its two instructions.  A program the threaded
+   engine refuses is refused at fuel 1 already; the oracle, which
+   validates nothing, is not compared there. *)
 let test_fuel_boundary () =
   List.iter
     (fun (name, prog, expect) ->
-      Alcotest.(check bool) (name ^ ": supported") true (Threaded.supported prog);
       Alcotest.(check string) (name ^ ": ends") expect
         (ending_name (ending Machine.Threaded prog));
       let rec sweep fuel =
         let t = ending ~fuel Machine.Threaded prog
         and r = ending ~fuel Machine.Reference prog in
         let ctxt = Printf.sprintf "%s, fuel %d" name fuel in
-        (match (t, r) with
-        | `Done a, `Done b -> Testutil.check_outcomes_equal ctxt a b
+        match (t, r) with
+        | `Refused _, _ ->
+          Alcotest.(check string) (ctxt ^ ": refused") expect (ending_name t)
+        | `Done a, `Done b ->
+          Testutil.check_outcomes_equal ctxt a b;
+          Alcotest.(check int) (name ^ ": finishes at fuel = ils + 1")
+            (b.Machine.counters.Counters.ils + 1) fuel
         | `Trap a, `Trap b -> Alcotest.(check string) (ctxt ^ ": same trap") b a
-        | `Out_of_fuel, `Out_of_fuel -> ()
+        | `Out_of_fuel, `Out_of_fuel -> sweep (fuel + 1)
         | _ ->
           Alcotest.failf "%s: threaded ends with %s, reference with %s" ctxt
-            (ending_name t) (ending_name r));
-        match r with
-        | `Out_of_fuel -> sweep (fuel + 1)
-        | `Done o ->
-          Alcotest.(check int) (name ^ ": finishes at fuel = ils + 1")
-            (o.Machine.counters.Counters.ils + 1) fuel
-        | `Trap _ -> ()
+            (ending_name t) (ending_name r)
       in
       sweep 1)
     fuel_programs
@@ -320,12 +434,13 @@ let trap_of engine prog ~input =
   | _ -> None
   | exception Machine.Trap msg -> Some msg
 
-let check_same_trap name prog =
+let check_same_trap ?expect name prog =
   let t = trap_of Machine.Threaded prog ~input:"" in
   let r = trap_of Machine.Reference prog ~input:"" in
-  (match t with
-  | None -> Alcotest.failf "%s: threaded engine did not trap" name
-  | Some _ -> ());
+  (match (t, expect) with
+  | None, _ -> Alcotest.failf "%s: threaded engine did not trap" name
+  | Some msg, Some e -> Alcotest.(check string) (name ^ ": trap message") e msg
+  | Some _, None -> ());
   Alcotest.(check (option string)) (name ^ ": same trap message") r t
 
 let test_trap_parity () =
@@ -350,7 +465,14 @@ let test_trap_parity () =
          Il.Call_ind (0, Il.Reg 0, [], Some 0);
          Il.Ret (Some (Il.Reg 0));
        |]
-       ~nregs:1)
+       ~nregs:1);
+  (* An indirect call through a mistyped pointer, passing more arguments
+     than the callee has registers. *)
+  check_same_trap "over-arity indirect call"
+    ~expect:"call to f with 3 arguments, more than its 1-register file"
+    (Testutil.compile
+       "int f(int a) { return a; }\n\
+        int main() { int (*p)(int, int, int); p = f; return p(1, 2, 3); }")
 
 (* Out-of-range memory traps must agree too, including addresses near
    max_int whose bounds check must not overflow. *)
@@ -409,7 +531,6 @@ int main() {
    exactly as the reader does when it runs first. *)
 let test_reused_image_reads_fresh () =
   let prog = Testutil.compile image_src in
-  Alcotest.(check bool) "supported" true (Threaded.supported prog);
   let engines = [ ("threaded", Machine.Threaded); ("reference", Machine.Reference) ] in
   let read engine = (Machine.run ~engine prog ~input:"r").Machine.output in
   let fresh = read Machine.Reference in
@@ -435,21 +556,6 @@ let test_reused_image_reads_fresh () =
             writers)
         engines)
     engines
-
-(* ------------------------------------------------------------------ *)
-(* Fallback for unsupported programs                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* An immediate that does not survive the tagged-operand shift forces
-   the threaded engine's [supported] gate off; Machine.run must fall
-   back to the reference engine transparently. *)
-let test_unsupported_fallback () =
-  let prog =
-    one_func_program [| Il.Ret (Some (Il.Imm max_int)) |] ~nregs:1
-  in
-  Alcotest.(check bool) "rejected by supported" false (Threaded.supported prog);
-  let t, r = both_engines prog ~input:"" in
-  Testutil.check_outcomes_equal "unsupported fallback" t r
 
 (* ------------------------------------------------------------------ *)
 (* keep_outputs                                                        *)
@@ -545,8 +651,6 @@ let tests =
       Alcotest.test_case "memory trap parity" `Quick test_memory_trap_parity;
       Alcotest.test_case "a reused image reads like a fresh one" `Quick
         test_reused_image_reads_fresh;
-      Alcotest.test_case "unsupported programs fall back to reference" `Quick
-        test_unsupported_fallback;
       Alcotest.test_case "keep_outputs drops text, keeps digest" `Quick
         test_keep_outputs;
       Alcotest.test_case "output-budget trap parity" `Quick

@@ -73,7 +73,7 @@ int main() { int i, s = 0; for (i = 0; i < 200; i++) s = step(s) & 1023; return 
   in
   let prog = Testutil.compile src in
   let cache = Icache.create ~size:2048 ~assoc:1 ~line_size:16 () in
-  let o = Machine.run ~icache:cache prog ~input:"" in
+  let o = Machine.run_reference ~icache:cache prog ~input:"" in
   Alcotest.(check int) "one access per executed instruction"
     o.Machine.counters.Impact_interp.Counters.ils (Icache.accesses cache);
   (* The whole loop fits in 2KB: after warm-up everything hits. *)

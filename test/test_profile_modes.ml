@@ -168,21 +168,23 @@ let test_sampled_header_refused () =
         [ None; Some Coverage.Full ])
     [ "v3"; "v4" ]
 
-(* On the command line the retired mode is a usage error (exit 2), and
-   both remaining modes are accepted. *)
+(* On the command line the retired mode and the retired engine flag are
+   usage errors (exit 2), and both remaining modes are accepted. *)
 let test_cli_refuses_sampled () =
   let impactc =
     Filename.concat
       (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
       "impactc.exe"
   in
-  let run mode =
+  let command args =
     Sys.command
       (Filename.quote_command impactc ~stdout:Filename.null
-         ~stderr:Filename.null
-         [ "bench"; "--profile-mode"; mode; "tee" ])
+         ~stderr:Filename.null ("bench" :: args @ [ "tee" ]))
   in
+  let run mode = command [ "--profile-mode"; mode ] in
   Alcotest.(check int) "sampled is a usage error" 2 (run "sampled");
+  Alcotest.(check int) "--engine is a usage error" 2
+    (command [ "--engine"; "reference" ]);
   List.iter
     (fun m ->
       Alcotest.(check int) (Coverage.mode_name m ^ " is accepted") 0

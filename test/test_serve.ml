@@ -144,6 +144,28 @@ let test_request_validation () =
   | Ok { Protocol.rq_kind = Protocol.Report ("cmp", job); _ } ->
     Alcotest.(check bool) "policy parsed" true (job.Protocol.j_policy = Pipeline.Degrade)
   | _ -> Alcotest.fail "valid report request rejected");
+  (* The retired engine field: absent or "threaded" (what earlier
+     clients send) parses; anything else is a typed serve error. *)
+  let with_engine engine =
+    parse
+      ([ ("v", Sink.Int 1); ("kind", Sink.String "compile");
+         ("source", Sink.String "int main(){return 0;}") ]
+      @ match engine with None -> [] | Some e -> [ ("engine", e) ])
+  in
+  List.iter
+    (fun (what, engine) ->
+      match with_engine engine with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s rejected: %s" what (Ierr.to_string e))
+    [ ("absent engine", None); ("threaded engine", Some (Sink.String "threaded")) ];
+  List.iter
+    (fun engine ->
+      match with_engine (Some engine) with
+      | Error e ->
+        Alcotest.(check string) "retired engine is a serve error" "serve"
+          (Ierr.stage_name e.Ierr.stage)
+      | Ok _ -> Alcotest.fail "engine other than threaded accepted")
+    [ Sink.String "reference"; Sink.Int 1 ];
   (* Client-side encoding parses back to the same request. *)
   let rq =
     { Protocol.rq_id = 7;
@@ -155,7 +177,10 @@ let test_request_validation () =
             j_timeout_s = Some 2.5;
             j_fault = Some { Protocol.f_point = Fault.Cache_read; f_after = 1; f_sticky = true } } }
   in
-  match Protocol.parse_request (Protocol.request_to_json rq) with
+  let j = Protocol.request_to_json rq in
+  Alcotest.(check bool) "clients no longer send engine" true
+    (Sink.mem "engine" j = Sink.Null);
+  match Protocol.parse_request j with
   | Ok rq' ->
     Alcotest.(check bool) "encode/parse roundtrip" true (rq = rq')
   | Error e -> Alcotest.failf "own encoding rejected: %s" (Ierr.to_string e)

@@ -65,12 +65,21 @@ let main_printing body =
    drives each function in a small loop and prints an accumulator, so
    any semantic difference shows up in the output. *)
 
+(* A literal: small, or in about 1 of 16 positions wide — beyond the
+   threaded engine's 62-bit tagged operand, so it lands in a constant
+   slot before inlining and after. *)
+let gen_literal rng =
+  if Rng.int rng 16 = 0 then
+    Rng.choose rng
+      [| "4611686018427387903"; "2305843009213693952"; "3000000000000000000" |]
+  else string_of_int (Rng.range rng (-20) 99)
+
 let gen_expr rng depth params locals =
   let buf = Buffer.create 64 in
   let rec go depth =
     if depth = 0 || Rng.chance rng 2 5 then
       match Rng.int rng 3 with
-      | 0 -> Buffer.add_string buf (string_of_int (Rng.range rng (-20) 99))
+      | 0 -> Buffer.add_string buf (gen_literal rng)
       | 1 -> Buffer.add_string buf (Rng.choose rng params)
       | _ -> Buffer.add_string buf (Rng.choose rng locals)
     else begin
