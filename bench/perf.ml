@@ -1,9 +1,10 @@
 (* bench/perf — compile-time benchmarks of the tool chain itself.
 
-   Times the whole suite end to end (wall clock), each pipeline stage
-   per benchmark with Bechamel — including profiling under both
-   interpreter cores (threaded vs. reference) — and a domain scaling
-   sweep of parallel profiling, then writes a BENCH_perf.json summary.
+   Times the whole suite end to end (wall clock), then runs it cold and
+   warm through a fresh stage cache with an in-memory trace: the self
+   time of every span Pipeline.run emits, per benchmark, becomes the
+   BENCH_perf.json "stages" section.  Writes that summary along with the
+   profiling-mode costs and the devirt ablation.
 
    The profiling modes are compared by their exact instrumentation
    store counts: the run fails if min-coverage profiling executes more
@@ -17,12 +18,9 @@
    A warm stage-cache rerun of the suite must compute no content
    checksum (each hit carries its own): the run fails if it counts any.
 
-   The scaling sweep runs with the flight recorder attached and is
-   guarded too: the run fails when the jobs=4 vs jobs=1 speedup falls
-   below IMPACT_SCALING_FLOOR (default 1.0 — more parallelism must
-   never cost wall time).
+   The domain-scaling sweep and its guard live in bench/scaling.ml.
 
-   Usage: perf.exe [--out FILE] [--quota SECONDS] [--baseline FILE]
+   Usage: perf.exe [--out FILE] [--baseline FILE]
    Built by `dune build @bench-perf`. *)
 
 module Perf = Impact_harness.Perf
@@ -47,17 +45,6 @@ let tolerance_pct () =
     match float_of_string_opt v with
     | Some t when t >= 0. -> t
     | Some _ | None -> fail "bad IMPACT_PERF_TOLERANCE '%s'" v)
-
-(* Minimum acceptable jobs=hi vs jobs=lo speedup of the clamped scaling
-   sweep.  The default 1.0 encodes the PR-level guarantee: asking for
-   more parallelism must never cost wall time. *)
-let scaling_floor () =
-  match Sys.getenv_opt "IMPACT_SCALING_FLOOR" with
-  | None | Some "" -> 1.0
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some f when f >= 0. -> f
-    | Some _ | None -> fail "bad IMPACT_SCALING_FLOOR '%s'" v)
 
 (* Min-coverage profiling counts a subset of full's sites on the same
    runs, so it can never execute more instrumentation stores: an exact
@@ -90,45 +77,13 @@ let guard_profiling (costs : Perf.profiling_cost list) =
   Printf.printf
     "  profiling guard ok: min stores <= full stores on every benchmark\n"
 
-let level_wall (sc : Perf.scaling) jobs =
-  match List.find_opt (fun l -> l.Perf.sl_jobs = jobs) sc.Perf.sc_levels with
-  | Some l -> l.Perf.sl_wall_ms
-  | None -> 0.
-
-let guard_scaling (sc : Perf.scaling) =
-  let level jobs =
-    List.find_opt (fun l -> l.Perf.sl_jobs = jobs) sc.Perf.sc_levels
-  in
-  let jobs = List.map (fun l -> l.Perf.sl_jobs) sc.Perf.sc_levels in
-  let lo = List.fold_left min max_int jobs in
-  let hi = List.fold_left max 1 jobs in
-  let w_lo = level_wall sc lo and w_hi = level_wall sc hi in
-  let speedup = if w_hi > 0. then w_lo /. w_hi else 0. in
-  let same_config =
-    match (level lo, level hi) with
-    | Some a, Some b -> a.Perf.sl_effective_jobs = b.Perf.sl_effective_jobs
-    | _ -> false
-  in
-  let floor = scaling_floor () in
-  if same_config && speedup < floor then
-    (* Both levels clamped to the same domain count, so they ran the
-       identical configuration: the wall-clock delta is measurement
-       noise, not a scaling cost.  Report it, don't fail on it. *)
-    Printf.printf
-      "  scaling guard ok: jobs=%d clamps to the jobs=%d configuration (%d \
-       domain(s)); wall delta %.2fx is noise (floor %.2f)\n"
-      hi lo
-      (match level lo with Some l -> l.Perf.sl_effective_jobs | None -> 1)
-      speedup floor
-  else if speedup < floor then
-    fail
-      "scaling floor violated: jobs=%d sweep %.0f ms vs jobs=%d %.0f ms \
-       (%.2fx < %.2f floor after %d attempt(s); set IMPACT_SCALING_FLOOR to \
-       override)"
-      hi w_hi lo w_lo speedup floor sc.Perf.sc_attempts
-  else
-    Printf.printf "  scaling guard ok: jobs=%d %.2fx vs jobs=%d (floor %.2f)\n"
-      hi speedup lo floor
+(* The root "pipeline" spans' self time against their summed duration:
+   what no step's span covers. *)
+let root_share (stages : Perf.stage_ms) =
+  let sum f = List.fold_left (fun acc (_, row) -> acc +. f row) 0. stages in
+  let root = sum (fun row -> Option.value ~default:0. (List.assoc_opt "pipeline" row)) in
+  let total = sum (List.fold_left (fun acc (_, ms) -> acc +. ms) 0.) in
+  (root, total)
 
 let baseline_wall_ms path =
   match Sink.json_of_string (read_file path) with
@@ -142,16 +97,11 @@ let baseline_wall_ms path =
 
 let () =
   let out_file = ref "BENCH_perf.json" in
-  let quota = ref 0.1 in
   let baseline = ref None in
   let rec parse_args = function
     | [] -> ()
     | "--out" :: v :: rest -> out_file := v; parse_args rest
     | "--baseline" :: v :: rest -> baseline := Some v; parse_args rest
-    | "--quota" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some q when q > 0. -> quota := q; parse_args rest
-      | Some _ | None -> fail "bad quota '%s'" v)
     | arg :: _ -> fail "unknown argument '%s'" arg
   in
   parse_args (List.tl (Array.to_list Sys.argv));
@@ -165,36 +115,22 @@ let () =
   let suite_wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   if not (List.for_all (fun r -> r.Pipeline.outputs_match) results) then
     fail "inlined outputs diverge from the un-inlined run";
-  let perfs = Perf.measure_suite ~quota:!quota () in
   let profiling = Perf.profiling_costs () in
-  let scaling = Perf.scaling_sweep () in
   let cache = Perf.cache_cold_warm ~jobs:suite_jobs () in
   let devirt = Perf.devirt_ablation () in
   let json =
-    Perf.to_json ~suite_wall_ms ~suite_jobs ~scaling ~cache ~profiling ~devirt
-      perfs
+    Perf.to_json ~suite_wall_ms ~suite_jobs ~cache ~profiling ~devirt
   in
   Impact_support.Atomic_io.write_string !out_file (Sink.json_to_string json ^ "\n");
-  let threaded = Perf.stage_total "profile" perfs in
-  let reference = Perf.stage_total "profile_reference" perfs in
-  let engine_speedup = if threaded > 0. then reference /. threaded else 0. in
-  Printf.printf
-    "bench-perf ok: suite %.0f ms, profile %.0f us threaded vs %.0f us reference \
-     (%.2fx), expand %.0f us -> %s\n"
-    suite_wall_ms (threaded /. 1e3) (reference /. 1e3) engine_speedup
-    (Perf.stage_total "expand" perfs /. 1e3)
-    !out_file;
+  Printf.printf "bench-perf ok: suite %.0f ms -> %s\n" suite_wall_ms !out_file;
   List.iter
-    (fun (l : Perf.scaling_level) ->
-      Printf.printf "  profile sweep, %d job(s) -> %d domain(s): %.0f ms\n"
-        l.Perf.sl_jobs l.Perf.sl_effective_jobs l.Perf.sl_wall_ms)
-    scaling.Perf.sc_levels;
-  Printf.printf "  unclamped diagnostic, %d domain(s): %.0f ms\n"
-    scaling.Perf.sc_unclamped.Perf.sl_jobs
-    scaling.Perf.sc_unclamped.Perf.sl_wall_ms;
-  Printf.printf "  scaling verdict: %s\n" scaling.Perf.sc_verdict;
-  Printf.printf "  recommended domains: %d measured, %d runtime\n"
-    scaling.Perf.sc_recommended scaling.Perf.sc_recommended_runtime;
+    (fun (pass, stages) ->
+      let root, total = root_share stages in
+      Printf.printf
+        "  %s stages: %d benchmark(s), root self time %.1f of %.1f ms (%.1f%%)\n"
+        pass (List.length stages) root total
+        (100. *. root /. Float.max total 1e-9))
+    [ ("cold", cache.Perf.cold_stages); ("warm", cache.Perf.warm_stages) ];
   Printf.printf
     "  stage cache: cold %.0f ms, warm %.0f ms (%.1fx; warm %d hit(s), %d miss(es), \
      %d checksum(s), %d key byte(s))\n"
@@ -223,10 +159,6 @@ let () =
         fail "devirted outputs diverge on %s" row.Perf.da_bench)
     devirt;
   guard_profiling profiling;
-  guard_scaling scaling;
-  if engine_speedup < 2. && engine_speedup > 0. then
-    warn "threaded engine only %.2fx faster than reference (target: 2x)"
-      engine_speedup;
   match !baseline with
   | None -> ()
   | Some path ->

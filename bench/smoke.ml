@@ -4,7 +4,8 @@
    enabled, re-parses the emitted JSONL (so an encoder regression fails
    the build), checks structural invariants (balanced spans, one
    decision per call-graph arc), and writes a BENCH_obs.json summary:
-   per-stage wall-clock timings plus the benchmark's headline numbers.
+   per-stage self times (each span name's summed duration minus what
+   its child spans cover) plus the benchmark's headline numbers.
 
    Usage: smoke.exe [--bench NAME] [--trace FILE] [--out FILE]
    Built by `dune build @bench-smoke`. *)
@@ -77,24 +78,11 @@ let () =
   let arcs = Callgraph.arc_count r.Pipeline.inliner.Inliner.graph in
   if decisions <> arcs then
     fail "decision log covers %d arcs, call graph has %d" decisions arcs;
-  (* 4. Per-stage timings from span_end durations. *)
-  let stages = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Sink.event) ->
-      if e.Sink.ev_kind = "span_end" then begin
-        let dur =
-          match Sink.mem "dur_ms" (Sink.Obj e.Sink.ev_attrs) with
-          | Sink.Float x -> x
-          | Sink.Int n -> float_of_int n
-          | _ -> 0.
-        in
-        let prev = try Hashtbl.find stages e.Sink.ev_name with Not_found -> 0. in
-        Hashtbl.replace stages e.Sink.ev_name (prev +. dur)
-      end)
-    events;
+  (* 4. Per-stage self times. *)
   let stages_json =
-    Hashtbl.fold (fun k v acc -> (k, Sink.Float v) :: acc) stages []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    match Impact_harness.Perf.stage_self_ms events with
+    | [ (_, row) ] -> List.map (fun (name, ms) -> (name, Sink.Float ms)) row
+    | _ -> fail "trace holds no single pipeline run of %s" !bench_name
   in
   let verdicts verdict =
     count (fun e ->

@@ -37,7 +37,11 @@ let count obs outcome stage =
 let find t obs ~stage ~key =
   match Cstore.find t.store ~stage ~key with
   | Cstore.Hit payload -> (
-    match Marshal.from_string payload 0 with
+    match
+      Obs.span obs "cache.decode"
+        ~attrs:[ ("stage", Impact_obs.Sink.String stage) ]
+        (fun () -> Marshal.from_string payload 0)
+    with
     | v ->
       count obs "hit" stage;
       Obs.instant obs ~kind:"cache"

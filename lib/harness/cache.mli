@@ -36,7 +36,9 @@ val key_of_digests : Digest.t list -> string
 
 (** [find t obs ~stage ~key] — [Some v] on a verified hit; [None] on a
     miss or a corrupt entry (the store drops corrupt entries and keeps
-    the typed reason in {!Impact_support.Cstore.last_error}). *)
+    the typed reason in {!Impact_support.Cstore.last_error}).  Decoding
+    a verified payload runs in a ["cache.decode"] span tagged with
+    [stage]. *)
 val find : t -> Impact_obs.Obs.t -> stage:string -> key:string -> 'a option
 
 val put : t -> Impact_obs.Obs.t -> stage:string -> key:string -> 'a -> unit

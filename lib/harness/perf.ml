@@ -1,12 +1,6 @@
-open Bechamel
-module Il = Impact_il.Il
 module Lower = Impact_il.Lower
 module Profiler = Impact_profile.Profiler
-module Callgraph = Impact_callgraph.Callgraph
 module Config = Impact_core.Config
-module Linearize = Impact_core.Linearize
-module Select = Impact_core.Select
-module Expand = Impact_core.Expand
 module Benchmark_def = Impact_bench_progs.Benchmark
 module Sink = Impact_obs.Sink
 module Machine = Impact_interp.Machine
@@ -14,78 +8,7 @@ module Pool = Impact_support.Pool
 module Cstore = Impact_support.Cstore
 module Obs = Impact_obs.Obs
 module Metrics = Impact_obs.Metrics
-
-type timing = {
-  stage : string;
-  time_ns : float;
-  samples : int;
-}
-
-type bench_perf = {
-  bench : string;
-  timings : timing list;
-}
-
-(* One Bechamel measurement: OLS estimate of time per run against the
-   monotonic clock, same extraction as bench/main.ml's speed mode. *)
-let time_staged ~quota ~name f =
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  match Test.elements (Test.make ~name (Staged.stage f)) with
-  | [ elt ] ->
-    let raw = Benchmark.run cfg [ instance ] elt in
-    let est = Analyze.one ols instance raw in
-    let time_ns =
-      match Analyze.OLS.estimates est with
-      | Some (t :: _) when Float.is_finite t -> t
-      | Some _ | None -> 0.
-    in
-    { stage = name; time_ns; samples = raw.Benchmark.stats.Benchmark.samples }
-  | _ -> { stage = name; time_ns = 0.; samples = 0 }
-
-let measure ?(config = Config.default) ?(quota = 0.1) (b : Benchmark_def.t) =
-  let source = b.Benchmark_def.source in
-  (* Fixed-point setup mirroring Pipeline.run up to the expansion step;
-     the timed thunks then re-run one stage each against it. *)
-  let prog = Lower.lower_source source in
-  ignore (Impact_opt.Driver.pre_inline prog);
-  let inputs = b.Benchmark_def.inputs () in
-  let { Profiler.profile; _ } = Profiler.profile prog ~inputs in
-  let graph =
-    Callgraph.build ~refine_pointer_targets:config.Config.refine_pointer_targets
-      prog profile
-  in
-  let linear = Linearize.linearize graph ~seed:config.Config.linearize_seed in
-  let selection = Select.select graph config linear in
-  let timings =
-    [
-      time_staged ~quota ~name:"parse" (fun () ->
-          Impact_cfront.Parser.parse_program source);
-      (* The two interpreter engines, same inputs: "profile" is the
-         pre-decoded threaded core (the default), "profile_reference"
-         the small-step oracle. *)
-      time_staged ~quota ~name:"profile" (fun () ->
-          Profiler.profile ~engine:Machine.Threaded ~keep_outputs:false prog
-            ~inputs);
-      time_staged ~quota ~name:"profile_reference" (fun () ->
-          Profiler.profile ~engine:Machine.Reference ~keep_outputs:false prog
-            ~inputs);
-      time_staged ~quota ~name:"select" (fun () ->
-          Select.select graph config linear);
-      time_staged ~quota ~name:"expand" (fun () ->
-          let p = Il.copy_program prog in
-          Expand.expand_all p linear selection);
-    ]
-  in
-  { bench = b.Benchmark_def.name; timings }
-
-let measure_suite ?config ?quota () =
-  List.map (fun b -> measure ?config ?quota b) Impact_bench_progs.Suite.all
+module Trace = Impact_obs.Trace
 
 (* Profiling-mode cost: what each instrumentation mode costs on each
    benchmark, end to end through Profiler.profile (plan construction
@@ -345,10 +268,14 @@ let scaling_sweep ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
     sc_recommended_runtime = Pool.default_jobs ();
   }
 
-(* Cold-vs-warm stage-cache timing: one suite run populating a fresh
-   content-addressed cache, then a second run over the same directory
-   through a fresh handle, so the warm stats count only warm-run
-   traffic. *)
+(* Cold-vs-warm stage-cache timing: one traced suite run populating a
+   fresh content-addressed cache, then a second traced run over the same
+   directory through a fresh handle, so the warm stats count only
+   warm-run traffic.  The traces give the per-stage figures: each span's
+   self time, charged to the benchmark its root ["pipeline"] span
+   names. *)
+
+type stage_ms = (string * (string * float) list) list
 
 type cache_timing = {
   cache_cold_ms : float;
@@ -357,7 +284,37 @@ type cache_timing = {
   warm_misses : int;
   warm_checksums : int;
   warm_key_bytes : int;
+  cold_stages : stage_ms;
+  warm_stages : stage_ms;
 }
+
+let stage_self_ms events =
+  let spans = Trace.self_times events in
+  let by_id = Hashtbl.create 256 in
+  List.iter (fun (s : Trace.span) -> Hashtbl.replace by_id s.Trace.id s) spans;
+  let rec bench (s : Trace.span) =
+    match Hashtbl.find_opt by_id s.Trace.parent with
+    | Some p -> bench p
+    | None -> Sink.mem "benchmark" (Sink.Obj s.Trace.attrs)
+  in
+  let sums = Hashtbl.create 256 in
+  List.iter
+    (fun (s : Trace.span) ->
+      let k = (bench s, s.Trace.name) in
+      let prev = Option.value ~default:0. (Hashtbl.find_opt sums k) in
+      Hashtbl.replace sums k (prev +. s.Trace.self_ms))
+    spans;
+  List.filter_map
+    (fun (b : Benchmark_def.t) ->
+      let name = b.Benchmark_def.name in
+      let row =
+        Hashtbl.fold
+          (fun (owner, span) ms row ->
+            if owner = Sink.String name then (span, ms) :: row else row)
+          sums []
+      in
+      if row = [] then None else Some (name, List.sort compare row))
+    Impact_bench_progs.Suite.all
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -380,21 +337,22 @@ let cache_cold_warm ?jobs () =
   Fun.protect
     ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
     (fun () ->
-      let timed_run () =
+      let traced_run () =
+        let sink = Sink.memory () in
+        let obs = Obs.create sink in
         let cache = Cache.create dir in
         let t0 = Unix.gettimeofday () in
-        let results = Pipeline.run_suite ?jobs ~cache () in
+        let results = Pipeline.run_suite ?jobs ~obs ~cache () in
         let ms = (Unix.gettimeofday () -. t0) *. 1000. in
         if not (List.for_all (fun r -> r.Pipeline.outputs_match) results) then
           failwith "Perf.cache_cold_warm: cached suite run diverged";
-        (ms, Cstore.stats (Cache.cstore cache))
+        ( ms,
+          Cstore.stats (Cache.cstore cache),
+          Metrics.counter_value obs.Obs.metrics,
+          stage_self_ms (Sink.events sink) )
       in
-      let cold_ms, _cold = timed_run () in
-      let warm_ms, warm = timed_run () in
-      (* One more warm rerun, counted: the timed ones stay uninstrumented. *)
-      let obs = Obs.create (Sink.custom ignore) in
-      ignore (Pipeline.run_suite ?jobs ~obs ~cache:(Cache.create dir) ());
-      let counted = Metrics.counter_value obs.Obs.metrics in
+      let cold_ms, _, _, cold_stages = traced_run () in
+      let warm_ms, warm, counted, warm_stages = traced_run () in
       {
         cache_cold_ms = cold_ms;
         cache_warm_ms = warm_ms;
@@ -402,6 +360,8 @@ let cache_cold_warm ?jobs () =
         warm_misses = warm.Cstore.misses;
         warm_checksums = counted "cache.checksum";
         warm_key_bytes = counted "cache.key_bytes";
+        cold_stages;
+        warm_stages;
       })
 
 (* Devirt ablation: the same benchmark through the full pipeline with
@@ -527,79 +487,44 @@ let scaling_to_json sc =
           ] );
     ]
 
-let stage_total stage perfs =
-  List.fold_left
-    (fun acc p ->
-      List.fold_left
-        (fun acc t -> if String.equal t.stage stage then acc +. t.time_ns else acc)
-        acc p.timings)
-    0. perfs
-
-let to_json ?suite_wall_ms ?suite_jobs ?scaling ?cache ?profiling ?devirt perfs =
-  let bench_json p =
-    ( p.bench,
-      Sink.Obj
-        (List.map
-           (fun t ->
-             ( t.stage,
-               Sink.Obj
-                 [
-                   ("time_ns", Sink.Float t.time_ns);
-                   ("samples", Sink.Int t.samples);
-                 ] ))
-           p.timings) )
-  in
-  let threaded = stage_total "profile" perfs in
-  let reference = stage_total "profile_reference" perfs in
+let stages_to_json (st : stage_ms) =
   Sink.Obj
-    ((match suite_wall_ms with
-     | Some ms -> [ ("suite_wall_ms", Sink.Float ms) ]
-     | None -> [])
-    @ (match suite_jobs with
-      | Some jobs -> [ ("suite_jobs", Sink.Int jobs) ]
-      | None -> [])
-    @ [
-        ("benchmarks", Sink.Obj (List.map bench_json perfs));
-        ("expand_total_ns", Sink.Float (stage_total "expand" perfs));
-        ("profile_threaded_total_ns", Sink.Float threaded);
-        ("profile_reference_total_ns", Sink.Float reference);
-        ( "engine_speedup",
-          Sink.Float (if threaded > 0. then reference /. threaded else 0.) );
-      ]
-    @ (match scaling with
-      | None -> []
-      | Some sc -> (
-        match scaling_to_json sc with
-        | Sink.Obj fields -> fields
-        | other -> [ ("scaling", other) ]))
-    @ (match profiling with
-      | None -> []
-      | Some costs -> [ ("profiling", profiling_to_json costs) ])
-    @ (match devirt with
-      | None -> []
-      | Some rows -> [ ("devirt_ablation", devirt_to_json rows) ])
-    @
-    match cache with
-    | None -> []
-    | Some c ->
-      [
-        ( "cache",
-          Sink.Obj
-            [
-              ("cold_ms", Sink.Float c.cache_cold_ms);
-              ("warm_ms", Sink.Float c.cache_warm_ms);
-              ( "warm_speedup",
-                Sink.Float
-                  (if c.cache_warm_ms > 0. then c.cache_cold_ms /. c.cache_warm_ms
-                   else 0.) );
-              ("warm_hits", Sink.Int c.warm_hits);
-              ("warm_misses", Sink.Int c.warm_misses);
-              ("warm_checksums", Sink.Int c.warm_checksums);
-              ("warm_key_bytes", Sink.Int c.warm_key_bytes);
-              ( "warm_hit_rate",
-                Sink.Float
-                  (let total = c.warm_hits + c.warm_misses in
-                   if total = 0 then 0.
-                   else float_of_int c.warm_hits /. float_of_int total) );
-            ] );
-      ])
+    (List.map
+       (fun (b, row) ->
+         (b, Sink.Obj (List.map (fun (n, ms) -> (n, Sink.Float ms)) row)))
+       st)
+
+let to_json ~suite_wall_ms ~suite_jobs ~cache ~profiling ~devirt =
+  Sink.Obj
+    [
+      ("suite_wall_ms", Sink.Float suite_wall_ms);
+      ("suite_jobs", Sink.Int suite_jobs);
+      ( "stages",
+        Sink.Obj
+          [
+            ("cold", stages_to_json cache.cold_stages);
+            ("warm", stages_to_json cache.warm_stages);
+          ] );
+      ("profiling", profiling_to_json profiling);
+      ("devirt_ablation", devirt_to_json devirt);
+      ( "cache",
+        Sink.Obj
+          [
+            ("cold_ms", Sink.Float cache.cache_cold_ms);
+            ("warm_ms", Sink.Float cache.cache_warm_ms);
+            ( "warm_speedup",
+              Sink.Float
+                (if cache.cache_warm_ms > 0. then
+                   cache.cache_cold_ms /. cache.cache_warm_ms
+                 else 0.) );
+            ("warm_hits", Sink.Int cache.warm_hits);
+            ("warm_misses", Sink.Int cache.warm_misses);
+            ("warm_checksums", Sink.Int cache.warm_checksums);
+            ("warm_key_bytes", Sink.Int cache.warm_key_bytes);
+            ( "warm_hit_rate",
+              Sink.Float
+                (let total = cache.warm_hits + cache.warm_misses in
+                 if total = 0 then 0.
+                 else float_of_int cache.warm_hits /. float_of_int total) );
+          ] );
+    ]

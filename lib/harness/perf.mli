@@ -1,45 +1,10 @@
-(** Per-stage compile-time benchmarks of the inlining tool chain.
+(** Compile-time measurements of the inlining tool chain, behind
+    [dune build @bench-perf] (which writes [BENCH_perf.json]) and
+    [dune build @bench-scaling].
 
-    For each benchmark program the setup runs the pipeline once up to
-    selection, then Bechamel times each stage in isolation against the
-    monotonic clock: [parse], profiling under both interpreter cores —
-    ["profile"] (the pre-decoded threaded engine) and
-    ["profile_reference"] (the small-step oracle) — [select], and the
-    physical expansion ["expand"] (on a fresh copy of the program).
-
-    [dune build @bench-perf] runs this over the full suite and writes
-    the result to [bench/BENCH_perf.json]. *)
-
-(** One timed stage: the OLS estimate of nanoseconds per run and the
-    number of Bechamel samples behind it. *)
-type timing = {
-  stage : string;
-  time_ns : float;
-  samples : int;
-}
-
-type bench_perf = {
-  bench : string;
-  timings : timing list;
-}
-
-(** [measure ?config ?quota b] times every stage on benchmark [b].
-    [quota] is the Bechamel time budget per stage in seconds (default
-    0.1). *)
-val measure :
-  ?config:Impact_core.Config.t ->
-  ?quota:float ->
-  Impact_bench_progs.Benchmark.t ->
-  bench_perf
-
-(** [measure_suite ?config ?quota ()] times every benchmark of the
-    suite. *)
-val measure_suite :
-  ?config:Impact_core.Config.t -> ?quota:float -> unit -> bench_perf list
-
-(** [stage_total stage perfs] sums [stage]'s per-run estimate across
-    benchmarks, in nanoseconds. *)
-val stage_total : string -> bench_perf list -> float
+    Per-stage figures come from the spans {!Pipeline.run} emits: a
+    traced cold and a traced warm suite run through the stage cache
+    ({!cache_cold_warm}) give every span's self time, per benchmark. *)
 
 (** Profiling-mode cost on one benchmark, per instrumentation mode: the
     instrumentation stores one full [Profiler.profile] sweep executes
@@ -123,22 +88,32 @@ val scaling_sweep :
   unit ->
   scaling
 
-(** [scaling_to_json sc] is the sweep as a standalone JSON document —
-    the same fields {!to_json} splices into BENCH_perf.json:
-    [recommended_domains] (measured), [recommended_domains_runtime],
+(** [scaling_to_json sc] is the sweep as the BENCH_scaling.json
+    document: [recommended_domains] (measured), [recommended_domains_runtime],
     [profile_sweep_jobs], [profile_jobs_wall_ms], and the ["scaling"]
     object (per-level wall clock + flight telemetry, retry count,
     hi-vs-lo speedup, unclamped diagnostic, verdict). *)
 val scaling_to_json : scaling -> Impact_obs.Sink.json
 
+(** Self milliseconds per benchmark (in suite order) and span name (in
+    name order). *)
+type stage_ms = (string * (string * float) list) list
+
+(** [stage_self_ms events] sums the span self times
+    ({!Impact_obs.Trace.self_times}) of a trace of {!Pipeline.run} calls
+    on suite benchmarks, charging each span to the benchmark its root
+    ["pipeline"] span names. *)
+val stage_self_ms : Impact_obs.Sink.event list -> stage_ms
+
 (** Cold-vs-warm timing of a whole suite run through the
-    content-addressed stage cache ({!Cache}).  [warm_hits] and
-    [warm_misses] come from the warm run only (a fresh handle over the
-    same directory), so [warm_misses = 0] means the rerun did no stage
-    work at all.  [warm_checksums] and [warm_key_bytes] are a warm
-    rerun's [cache.checksum] and [cache.key_bytes] counters: the content
-    checksums it computed (0 when every hit carries its own) and the
-    bytes it digested into keys. *)
+    content-addressed stage cache ({!Cache}), both runs traced into
+    memory.  [warm_hits] and [warm_misses] come from the warm run only
+    (a fresh handle over the same directory), so [warm_misses = 0] means
+    the rerun did no stage work at all.  [warm_checksums] and
+    [warm_key_bytes] are the warm run's [cache.checksum] and
+    [cache.key_bytes] counters: the content checksums it computed (0
+    when every hit carries its own) and the bytes it digested into keys.
+    [cold_stages] and [warm_stages] are the runs' span self times. *)
 type cache_timing = {
   cache_cold_ms : float;
   cache_warm_ms : float;
@@ -146,15 +121,17 @@ type cache_timing = {
   warm_misses : int;
   warm_checksums : int;
   warm_key_bytes : int;
+  cold_stages : stage_ms;
+  warm_stages : stage_ms;
 }
 
 (** [cache_cold_warm ?jobs ()] runs the suite twice against a fresh
     temporary cache directory — cold (populating) then warm (replaying)
-    — and reports both wall clocks plus the warm run's hit/miss
-    counters; a third, untimed warm run supplies the checksum and
-    key-byte counters.  The temporary directory is removed afterwards —
+    — each with an in-memory trace, and reports both wall clocks, the
+    warm run's hit/miss, checksum and key-byte counters, and both runs'
+    stage self times.  The temporary directory is removed afterwards —
     also when a run raises (recursive cleanup under [Fun.protect]).
-    Raises [Failure] if either timed run's inlined outputs diverge. *)
+    Raises [Failure] if either run's inlined outputs diverge. *)
 val cache_cold_warm : ?jobs:int -> unit -> cache_timing
 
 (** Devirt ablation: one benchmark through the full pipeline with
@@ -177,29 +154,17 @@ val devirt_ablation : ?threshold:float -> unit -> devirt_row list
 
 val devirt_to_json : devirt_row list -> Impact_obs.Sink.json
 
-(** [to_json ?suite_wall_ms ?suite_jobs ?scaling ?cache perfs] is the
-    BENCH_perf.json document: per-benchmark per-stage timings, the
-    suite-wide expansion total ([expand_total_ns]), the
-    threaded-vs-reference profiling totals ([engine_speedup]), and, when
-    given, the wall clock and actual job count of the end-to-end suite
-    run ([suite_wall_ms], [suite_jobs]), the scaling sweep, the
-    cold-vs-warm stage-cache section ([cache]), the per-mode
-    profiling-cost section ([profiling]), and the devirt ablation
-    ([devirt_ablation]).
-
-    The sweep emits the historical top-level keys — [recommended_domains]
-    (now the {e measured} recommendation), [profile_sweep_jobs],
-    [profile_jobs_wall_ms] — plus [recommended_domains_runtime] and a
-    ["scaling"] object: per-level wall clock, effective jobs and flight
-    telemetry (queue/run milliseconds, GC deltas), the retry count, the
-    hi-vs-lo speedup, the unclamped diagnostic level, and the verdict
-    string. *)
+(** [to_json ~suite_wall_ms ~suite_jobs ~cache ~profiling ~devirt] is
+    the BENCH_perf.json document: the wall clock and job count of the
+    end-to-end suite run ([suite_wall_ms], [suite_jobs]), the span self
+    times of the cold and warm cached runs ([stages.cold],
+    [stages.warm]), the per-mode profiling-cost section ([profiling]),
+    the devirt ablation ([devirt_ablation]) and the cold-vs-warm
+    stage-cache section ([cache]). *)
 val to_json :
-  ?suite_wall_ms:float ->
-  ?suite_jobs:int ->
-  ?scaling:scaling ->
-  ?cache:cache_timing ->
-  ?profiling:profiling_cost list ->
-  ?devirt:devirt_row list ->
-  bench_perf list ->
+  suite_wall_ms:float ->
+  suite_jobs:int ->
+  cache:cache_timing ->
+  profiling:profiling_cost list ->
+  devirt:devirt_row list ->
   Impact_obs.Sink.json

@@ -75,7 +75,7 @@ let scatter_runs n runs (failures : (int * exn) list) =
   arr
 
 let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
-    ?(pre_opt = true) ?(post_cleanup = false) ?cache ?jobs ?budget ?fuel
+    ?(pre_opt = true) ?(post_cleanup = false) ?cache ?jobs ?budget
     ?(profile_mode = Impact_profile.Coverage.Full) (bench : Benchmark.t) =
   let degradations = ref [] in
   let note d_stage d_detail d_action =
@@ -89,18 +89,34 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         ]
       "pipeline.degraded"
   in
+  (* Every step of the pipeline: [f] runs in a span called [name], and
+     an exception escaping it surfaces as a typed error of [err] (an
+     already-typed one passes through, so the innermost step wins). *)
+  let step err ?attrs name f =
+    Errors.guard err (fun () -> Obs.span obs ?attrs name f)
+  in
+  let stage_attrs name = [ ("stage", Impact_obs.Sink.String name) ] in
   (* The one place the stage cache is read or written.  Without a cache
      (or for an uncacheable stage) [compute] simply runs: no key, and so
      no checksum, is ever computed.  With one, [key] (the digests of the
      key's parts) is forced once and serves both the lookup and the
      store.  A result is stored only when computing it noted no
      degradation: a cached artifact always replays a clean computation,
-     never a recovered one whose notes would silently vanish on reuse. *)
+     never a recovered one whose notes would silently vanish on reuse.
+     Building the key, the lookup and the store are steps of their own,
+     tagged with the stage. *)
   let stage name ?(cacheable = true) ?(on_hit = ignore) ~key compute =
     match cache with
     | Some c when cacheable -> (
-      let key = Cache.key_of_digests (key ()) in
-      match Cache.find c obs ~stage:name ~key with
+      let attrs = stage_attrs name in
+      let key =
+        step Ierr.Cache ~attrs "cache.key" (fun () ->
+            Cache.key_of_digests (key ()))
+      in
+      match
+        step Ierr.Cache ~attrs "cache.find" (fun () ->
+            Cache.find c obs ~stage:name ~key)
+      with
       | Some v ->
         on_hit ();
         v
@@ -108,7 +124,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         let since = List.length !degradations in
         let v = compute () in
         if List.length !degradations = since then
-          Cache.put c obs ~stage:name ~key v;
+          step Ierr.Cache ~attrs "cache.store" (fun () ->
+              Cache.put c obs ~stage:name ~key v);
         v)
     | _ -> compute ()
   in
@@ -116,15 +133,15 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
     Obs.incr obs ~by:(String.length part) "cache.key_bytes";
     Digest.string part
   in
-  (* The content checksum of a stage's output, which keys later stages.
-     Only a cache ever builds a key, so without one no checksum is
-     computed and the result is "". *)
-  let checksum f v =
+  (* The content checksum of stage [name]'s output, which keys later
+     stages.  Only a cache ever builds a key, so without one no checksum
+     is computed and the result is "". *)
+  let checksum name f v =
     match cache with
     | None -> ""
     | Some _ ->
       Obs.incr obs "cache.checksum";
-      f v
+      step Ierr.Cache ~attrs:(stage_attrs name) "checksum" (fun () -> f v)
   in
   (* A stage whose output a later key depends on: the payload carries
      the output's checksum, so a hit reads it back instead of
@@ -132,7 +149,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
   let summed name ?cacheable ?on_hit ~sum ~key compute =
     stage name ?cacheable ?on_hit ~key (fun () ->
         let v = compute () in
-        (v, checksum sum v))
+        (v, checksum name sum v))
   in
   Obs.span obs "pipeline"
     ~attrs:[ ("benchmark", Impact_obs.Sink.String bench.Benchmark.name) ]
@@ -146,31 +163,25 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               [ "front"; bench.Benchmark.source; string_of_bool pre_opt ])
           (fun () ->
             let ast =
-              Errors.guard Ierr.Parse (fun () ->
-                  Obs.span obs "parse" (fun () ->
-                      Impact_cfront.Parser.parse_program bench.Benchmark.source))
+              step Ierr.Parse "parse" (fun () ->
+                  Impact_cfront.Parser.parse_program bench.Benchmark.source)
             in
             let tast =
-              Errors.guard Ierr.Sema (fun () ->
-                  Obs.span obs "sema" (fun () -> Impact_cfront.Sema.check ast))
+              step Ierr.Sema "sema" (fun () -> Impact_cfront.Sema.check ast)
             in
-            let prog =
-              Errors.guard Ierr.Lower (fun () ->
-                  Obs.span obs "lower" (fun () -> Lower.lower tast))
-            in
+            let prog = step Ierr.Lower "lower" (fun () -> Lower.lower tast) in
             Obs.gauge_int obs "il.size_lowered" (Il.program_code_size prog);
             (* The paper's setup: constant folding and jump optimisation
                run before inline expansion. *)
             if pre_opt then
-              Errors.guard Ierr.Lower (fun () ->
-                  ignore
-                    (Obs.span obs "pre_opt" (fun () ->
-                         Impact_opt.Driver.pre_inline prog)));
+              ignore
+                (step Ierr.Lower "pre_opt" (fun () ->
+                     Impact_opt.Driver.pre_inline prog));
             prog)
       in
       Obs.gauge_int obs "il.size_pre_inline" (Il.program_code_size prog);
       let inputs =
-        Errors.guard Ierr.Driver (fun () -> bench.Benchmark.inputs ())
+        step Ierr.Driver "inputs" (fun () -> bench.Benchmark.inputs ())
       in
       let nfuncs = Array.length prog.Il.funcs in
       (* Key parts shared by several keys, each computed at most once and
@@ -187,9 +198,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
          outputs without executing anything.  The mode stays
          in the key although [Min] and [Full] profiles are bit-identical:
          the key parts are documented, and tools rebuild keys from them.
-         Wall-clock budgets and fuel can truncate runs
-         non-deterministically, so profiles collected under either are
-         never cached.
+         A wall-clock budget can truncate runs non-deterministically, so
+         profiles collected under one are never cached.
 
          The policy only sets tolerance.  Under [Strict] the first
          failing run raises a typed error.  Under [Degrade] a failing run
@@ -201,7 +211,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         let failures = ref [] in
         match
           summed "profile"
-            ~cacheable:(budget = None && fuel = None)
+            ~cacheable:(budget = None)
             ~sum:(fun (profile, _) -> Profile_io.profile_checksum profile)
             ~key:(fun () ->
               List.map digest
@@ -213,18 +223,16 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               @ Lazy.force input_digests)
             (fun () ->
               let r =
-                Errors.guard Ierr.Profile_run (fun () ->
-                    Obs.span obs span (fun () ->
-                        Profiler.profile ?budget ?fuel ~obs ?jobs
-                          ~keep_outputs:false ~tolerant:(policy = Degrade)
-                          ~mode:profile_mode
-                          ~on_retry:(fun i e ->
-                            note Ierr.Profile_run
-                              (Printf.sprintf "%s on input %d failed (%s)"
-                                 runs_name i
-                                 (exn_detail Ierr.Profile_run e))
-                              "retried once")
-                          p ~inputs))
+                step Ierr.Profile_run span (fun () ->
+                    Profiler.profile ?budget ~obs ?jobs ~keep_outputs:false
+                      ~tolerant:(policy = Degrade) ~mode:profile_mode
+                      ~on_retry:(fun i e ->
+                        note Ierr.Profile_run
+                          (Printf.sprintf "%s on input %d failed (%s)" runs_name
+                             i
+                             (exn_detail Ierr.Profile_run e))
+                          "retried once")
+                      p ~inputs)
               in
               failures := r.Profiler.failures;
               List.iter
@@ -249,7 +257,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       (* Classification depends on the program, the profile's content,
          the config, and which pointer-target analysis actually ran (the
          post pass never refines, whatever the config says). *)
-      let classify ~tag ~span ?graph_span ~refine ~sum ~profile_sum p profile
+      let classify ~tag ~span ~graph_span ~refine ~sum ~profile_sum p profile
           =
         stage "classify"
           ~key:(fun () ->
@@ -257,19 +265,12 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               [ "classify"; tag; sum; profile_sum; Lazy.force config_fp;
                 string_of_bool refine ])
           (fun () ->
-            let build () =
-              Callgraph.build ~refine_pointer_targets:refine p profile
-            in
             let graph =
-              Errors.guard Ierr.Callgraph (fun () ->
-                  match graph_span with
-                  | Some name -> Obs.span obs name build
-                  | None -> build ())
+              step Ierr.Callgraph graph_span (fun () ->
+                  Callgraph.build ~refine_pointer_targets:refine p profile)
             in
-            Errors.guard Ierr.Select (fun () ->
-                Obs.span obs span (fun () ->
-                    Classify.classify ~obs ~stage:("classify." ^ tag) graph
-                      config)))
+            step Ierr.Select span (fun () ->
+                Classify.classify ~obs ~stage:("classify." ^ tag) graph config))
       in
       (* The static fallback for [p], with its checksum like a profiling
          pass's. *)
@@ -278,7 +279,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
           Profile.static_uniform ~nfuncs:(Array.length p.Il.funcs)
             ~nsites:p.Il.next_site
         in
-        (s, checksum Profile_io.profile_checksum s)
+        (s, checksum "profile" Profile_io.profile_checksum s)
       in
       let static_fallback, (profile, profile_sum), runs, pre_failures =
         match
@@ -341,9 +342,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               "inline.cached")
           (fun () ->
             let run_inliner config =
-              Errors.guard Ierr.Select (fun () ->
-                  Obs.span obs "inline" (fun () ->
-                      Inliner.run ~obs ~config ~on_expand_error prog profile))
+              step Ierr.Select "inline" (fun () ->
+                  Inliner.run ~obs ~config ~on_expand_error prog profile)
             in
             let r =
               match policy with
@@ -362,11 +362,9 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
                   run_inliner { config with Config.devirt = false })
             in
             if post_cleanup then
-              Errors.guard Ierr.Lower (fun () ->
-                  ignore
-                    (Obs.span obs "post_opt" (fun () ->
-                         Impact_opt.Driver.post_inline_cleanup
-                           r.Inliner.program)));
+              ignore
+                (step Ierr.Lower "post_opt" (fun () ->
+                     Impact_opt.Driver.post_inline_cleanup r.Inliner.program));
             r)
       in
       Obs.gauge_int obs "il.size_post_inline"
@@ -408,7 +406,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
           | None -> (static_profile post_prog, false)
       in
       let post_classified =
-        classify ~tag:"post" ~span:"post_classify" ~refine:false ~sum:post_sum
+        classify ~tag:"post" ~span:"post_classify" ~graph_span:"post_callgraph"
+          ~refine:false ~sum:post_sum
           ~profile_sum:post_profile_sum post_prog post_profile
       in
       let c_lines = count_c_lines bench.Benchmark.source in
@@ -440,35 +439,14 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         degradations = List.rev !degradations;
       })
 
-(* The daemon-facing entry: one request's source text and input set,
-   with no suite state and no file system reads.  [run] itself is
-   reentrant — all its state is per-call, the optional [cache] handle is
-   internally synchronized, and the interpreter's per-domain scratch
-   reuse is domain-local — so concurrent [run_source] calls from
-   different worker domains sharing one cache are safe. *)
-let run_source ?obs ?policy ?config ?pre_opt ?post_cleanup ?cache ?jobs ?budget
-    ?fuel ?profile_mode ?(name = "request") ~source ~inputs () =
-  let bench =
-    {
-      Benchmark.name;
-      description = "served source";
-      source;
-      inputs = (fun () -> inputs);
-    }
-  in
-  run ?obs ?policy ?config ?pre_opt ?post_cleanup ?cache ?jobs ?budget ?fuel
-    ?profile_mode bench
-
-let run_suite ?obs ?policy ?config ?post_cleanup ?cache ?jobs ?clamp ?probe
-    ?profile_mode () =
+let run_suite ?obs ?config ?post_cleanup ?cache ?jobs () =
   (* Parallelism fans out across benchmarks — coarse sharding: one
      domain owns a benchmark pipeline end-to-end, and each benchmark's
      own profiling stays sequential (inner ?jobs unset) so domains are
      not oversubscribed.  The pool preserves suite order.  One cache is
-     shared by all workers (the store is mutex-protected); [?probe]
-     observes one task sample per completed benchmark. *)
-  Impact_support.Pool.map_list ?jobs ?clamp ?probe
-    (fun b -> run ?obs ?policy ?config ?post_cleanup ?cache ?profile_mode b)
+     shared by all workers (the store is mutex-protected). *)
+  Impact_support.Pool.map_list ?jobs
+    (fun b -> run ?obs ?config ?post_cleanup ?cache b)
     Impact_bench_progs.Suite.all
 
 type suite_report = {
@@ -476,12 +454,10 @@ type suite_report = {
   failed : (Benchmark.t * Ierr.t) list;
 }
 
-let run_suite_report ?obs ?(policy = Degrade) ?config ?post_cleanup ?cache ?jobs
-    ?clamp ?probe ?profile_mode ?(benches = Impact_bench_progs.Suite.all) () =
+let run_suite_report ?obs ?cache ?(benches = Impact_bench_progs.Suite.all) () =
   let outcomes =
-    Impact_support.Pool.map_list_results ?jobs ?clamp ?probe
-      (fun b ->
-        run ?obs ~policy ?config ?post_cleanup ?cache ?profile_mode b)
+    Impact_support.Pool.map_list_results
+      (fun b -> run ?obs ~policy:Degrade ?cache b)
       benches
   in
   let completed, failed =

@@ -55,21 +55,21 @@ type result = {
           [Strict] and on a clean degraded run *)
 }
 
-(** [run ?obs ?policy ?config ?post_cleanup ?jobs ?budget ?fuel bench]
+(** [run ?obs ?policy ?config ?post_cleanup ?jobs ?budget bench]
     executes the full pipeline.  [post_cleanup] additionally runs
     the comprehensive post-inline optimisations the paper skipped
     (default false — the paper's setup).  With an enabled [obs] context
-    every stage (parse, sema, lower, pre_opt, profile, callgraph,
+    every step (parse, sema, lower, pre_opt, inputs, profile, callgraph,
     classify, inline — with linearize / select / expand / dce children —
-    re_profile, post_classify) runs in its own span under a root
-    ["pipeline"] span, and the decision log, IL-size gauges and
-    run-level counters flow through the sink; recoveries taken under
+    re_profile, post_callgraph, post_classify) runs in its own span
+    under a root ["pipeline"] span, and the decision log, IL-size gauges
+    and run-level counters flow through the sink; recoveries taken under
     [Degrade] additionally appear as ["pipeline.degraded"] instant
     events.  [pre_opt] (default true) may be disabled to skip the
     pre-inline optimisation pass when measuring a raw lowering.
     [jobs] sets the number of domains for the two profiling passes; it
-    leaves the result unchanged.  [budget] and [fuel] bound every
-    profiling run ({!Impact_interp.Rt.budget}).  [profile_mode] (default
+    leaves the result unchanged.  [budget] bounds every profiling run
+    ({!Impact_interp.Rt.budget}).  [profile_mode] (default
     {!Impact_profile.Coverage.Full}) selects the instrumentation mode
     for both profiling passes: [Min] counts only the co-forest call
     sites and reconstructs the rest exactly (bit-identical result,
@@ -88,13 +88,25 @@ type result = {
     payloads carry their output's checksum, so a hit recomputes none
     and a miss computes it once.  The [cache.checksum] and
     [cache.key_bytes] counters on [obs] count both.  Only clean computations
-    are stored (no degradations, no dropped runs, no budget/fuel
+    are stored (no degradations, no dropped runs, no budget
     truncation), so a cached artifact never replays a recovery; a
     corrupt cache entry is a counted miss, never a failure, even under
     [Strict].  Hits and misses appear as
     [cache.hit]/[cache.miss] counters and ["cache.reuse"] instants on
     [obs], and a reused selection additionally logs an ["inline.cached"]
-    decision event.
+    decision event.  Each key, lookup and store runs in a
+    ["cache.key"], ["cache.find"] or ["cache.store"] span, a hit's
+    decoding in a ["cache.decode"] span inside its lookup, and each
+    checksum in a ["checksum"] span, all tagged with the stage's name
+    ([front], [profile], [classify] or [inline]); a run without a cache
+    opens none of them.
+
+    [run] is reentrant: all its state is per call, the [cache] handle
+    is internally synchronized (its warm path does file I/O outside the
+    lock), and the interpreter's per-domain scratch reuse is
+    domain-local, so concurrent calls from different domains sharing one
+    cache are safe — [impactd] serves each request this way, on a
+    benchmark built from the request's source and inputs.
     @raise Impact_support.Ierr.Error on failure: always under [Strict];
       under [Degrade] only for errors with no recovery (front-end
       failures, and profile failures once the static fallback has also
@@ -108,51 +120,21 @@ val run :
   ?cache:Cache.t ->
   ?jobs:int ->
   ?budget:Impact_interp.Rt.budget ->
-  ?fuel:int ->
   ?profile_mode:Impact_profile.Coverage.mode ->
   Impact_bench_progs.Benchmark.t ->
   result
 
-(** [run_source ~source ~inputs ()] is {!run} on an ad-hoc benchmark
-    built from raw C source text and an explicit input set — the
-    reentrant, daemon-safe entry point used by [impactd]: no suite
-    state, no file reads, all per-call state.  Concurrent calls from
-    different domains are safe, including when they share one [cache]
-    handle (the store is internally synchronized and its warm path does
-    file I/O outside the lock).  [name] (default ["request"]) labels
-    observability events and error messages. *)
-val run_source :
-  ?obs:Impact_obs.Obs.t ->
-  ?policy:policy ->
-  ?config:Impact_core.Config.t ->
-  ?pre_opt:bool ->
-  ?post_cleanup:bool ->
-  ?cache:Cache.t ->
-  ?jobs:int ->
-  ?budget:Impact_interp.Rt.budget ->
-  ?fuel:int ->
-  ?profile_mode:Impact_profile.Coverage.mode ->
-  ?name:string ->
-  source:string ->
-  inputs:string list ->
-  unit ->
-  result
-
-(** [run_suite ?obs ?policy ?config ?post_cleanup ?jobs ()] runs
-    all twelve benchmarks, in suite order; [jobs > 1] fans the
-    benchmarks across domains (each benchmark's own profiling stays
+(** [run_suite ?obs ?config ?post_cleanup ?cache ?jobs ()] runs all
+    twelve benchmarks under [Strict], in suite order; [jobs > 1] fans
+    the benchmarks across domains (each benchmark's own profiling stays
     sequential).  The first benchmark failure aborts the suite — use
     {!run_suite_report} to isolate failures instead. *)
 val run_suite :
   ?obs:Impact_obs.Obs.t ->
-  ?policy:policy ->
   ?config:Impact_core.Config.t ->
   ?post_cleanup:bool ->
   ?cache:Cache.t ->
   ?jobs:int ->
-  ?clamp:bool ->
-  ?probe:Impact_support.Pool.probe ->
-  ?profile_mode:Impact_profile.Coverage.mode ->
   unit ->
   result list
 
@@ -164,21 +146,14 @@ type suite_report = {
   failed : (Impact_bench_progs.Benchmark.t * Impact_support.Ierr.t) list;
 }
 
-(** [run_suite_report ?policy ?benches ()] runs [benches] (default: the
-    full suite), isolating failures: a benchmark that fails — even
-    fatally — is reported in [failed] with its typed error while the
-    rest of the suite completes.  [policy] (default [Degrade]) governs
-    each benchmark's own recovery behaviour. *)
+(** [run_suite_report ?obs ?cache ?benches ()] runs [benches] (default:
+    the full suite) one after another under [Degrade], isolating
+    failures: a benchmark that fails — even fatally — is reported in
+    [failed] with its typed error while the rest of the suite
+    completes. *)
 val run_suite_report :
   ?obs:Impact_obs.Obs.t ->
-  ?policy:policy ->
-  ?config:Impact_core.Config.t ->
-  ?post_cleanup:bool ->
   ?cache:Cache.t ->
-  ?jobs:int ->
-  ?clamp:bool ->
-  ?probe:Impact_support.Pool.probe ->
-  ?profile_mode:Impact_profile.Coverage.mode ->
   ?benches:Impact_bench_progs.Benchmark.t list ->
   unit ->
   suite_report

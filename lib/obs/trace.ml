@@ -88,3 +88,58 @@ let with_span t ?(attrs = []) name f =
           })
       f
   end
+
+type span = {
+  id : int;
+  name : string;
+  parent : int;
+  attrs : (string * Sink.json) list;
+  dur_ms : float;
+  self_ms : float;
+}
+
+let self_times (events : Sink.event list) =
+  let ends = Hashtbl.create 64 in
+  let last =
+    List.fold_left
+      (fun last (e : Sink.event) ->
+        if e.Sink.ev_kind = "span_end" then
+          Hashtbl.replace ends e.Sink.ev_span e.Sink.ev_ts;
+        Float.max last e.Sink.ev_ts)
+      0. events
+  in
+  let begins =
+    List.filter_map
+      (fun (e : Sink.event) ->
+        if e.Sink.ev_kind <> "span_begin" then None
+        else
+          let stop =
+            Option.value ~default:last (Hashtbl.find_opt ends e.Sink.ev_span)
+          in
+          let parent =
+            match List.assoc_opt "parent" e.Sink.ev_attrs with
+            | Some (Sink.Int p) -> p
+            | _ -> 0
+          in
+          Some (e, parent, 1000. *. (stop -. e.Sink.ev_ts)))
+      events
+  in
+  let covered = Hashtbl.create 64 in
+  List.iter
+    (fun (_, parent, dur) ->
+      let c = Option.value ~default:0. (Hashtbl.find_opt covered parent) in
+      Hashtbl.replace covered parent (c +. dur))
+    begins;
+  List.map
+    (fun ((e : Sink.event), parent, dur_ms) ->
+      let id = e.Sink.ev_span in
+      {
+        id;
+        name = e.Sink.ev_name;
+        parent;
+        attrs = List.remove_assoc "parent" e.Sink.ev_attrs;
+        dur_ms;
+        self_ms =
+          dur_ms -. Option.value ~default:0. (Hashtbl.find_opt covered id);
+      })
+    begins

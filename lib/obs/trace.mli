@@ -33,3 +33,21 @@ val with_span : t -> ?attrs:(string * Sink.json) list -> string -> (unit -> 'a) 
 (** [instant t ~kind ?attrs name] emits a point event inside the current
     span. *)
 val instant : t -> kind:string -> ?attrs:(string * Sink.json) list -> string -> unit
+
+(** One span of a recorded trace, with its self time. *)
+type span = {
+  id : int;
+  name : string;
+  parent : int;  (** 0 for a root span *)
+  attrs : (string * Sink.json) list;  (** the begin's, without ["parent"] *)
+  dur_ms : float;
+  self_ms : float;  (** [dur_ms] minus the summed [dur_ms] of its children *)
+}
+
+(** [self_times events] is every span begun in [events], in begin order.
+    A span's duration runs from its begin's timestamp to its end's; one
+    still open when the trace stops lasts until the trace's last event.
+    Children are found through the ["parent"] attribute, so spans of
+    several domains interleaved in one trace each count only their own
+    children.  An end whose begin is missing is ignored. *)
+val self_times : Sink.event list -> span list

@@ -230,12 +230,19 @@ let execute_work t ~req_label (kind : Protocol.kind) :
   | Protocol.Compile job ->
     run_guarded (fun () ->
         with_fault job (fun () ->
+            let bench =
+              {
+                Impact_bench_progs.Benchmark.name = req_label;
+                description = "served source";
+                source = job.Protocol.j_source;
+                inputs = (fun () -> job.Protocol.j_inputs);
+              }
+            in
             let r =
-              Pipeline.run_source ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
+              Pipeline.run ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
                 ~config:(config_of_job job) ?cache:t.cfg.cache
                 ?budget:(budget_of_job job)
-                ~profile_mode:job.Protocol.j_profile_mode ~name:req_label
-                ~source:job.Protocol.j_source ~inputs:job.Protocol.j_inputs ()
+                ~profile_mode:job.Protocol.j_profile_mode bench
             in
             compile_result_json r))
   | Protocol.Profile job ->

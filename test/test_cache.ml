@@ -10,8 +10,10 @@
      typed miss that repairs itself, never a failure — even under the
      Strict pipeline policy;
    - a warm pipeline rerun is byte-identical to the cold one and skips
-     every stage (the ISSUE's >= 90% criterion, observed through the
-     cache hit/miss counters), checksums included;
+     every stage (>= 90% of lookups hit, observed through the cache
+     hit/miss counters), checksums included;
+   - every key, lookup, decode, store and checksum runs in its own span,
+     and the spans agree with the counters;
    - invalidation is precise: a whitespace-only source change recompiles
      the front end but reuses every later stage (the lowered program's
      checksum is unchanged); flipping one config field reuses the front
@@ -31,6 +33,7 @@ module Il_pp = Impact_il.Il_pp
 module Obs = Impact_obs.Obs
 module Sink = Impact_obs.Sink
 module Metrics = Impact_obs.Metrics
+module Trace = Impact_obs.Trace
 
 let tmp_dir () =
   let path = Filename.temp_file "impact_cache" "" in
@@ -279,6 +282,98 @@ let test_warm_run_identical () =
   in
   Alcotest.(check int) "inline.cached decision logged" 1
     (List.length cached_decisions)
+
+(* The span tree of a traced run: every span as (name, stage, parent's
+   name), in begin order. *)
+let span_tree sink =
+  let spans = Trace.self_times (Sink.events sink) in
+  let name_of id =
+    match List.find_opt (fun (s : Trace.span) -> s.Trace.id = id) spans with
+    | Some s -> s.Trace.name
+    | None -> ""
+  in
+  List.map
+    (fun (s : Trace.span) ->
+      let stage =
+        match Sink.mem "stage" (Sink.Obj s.Trace.attrs) with
+        | Sink.String stage -> stage
+        | _ -> ""
+      in
+      (s.Trace.name, stage, name_of s.Trace.parent))
+    spans
+
+(* The cache's spans against its counters, stage by stage, over a cold
+   and then a warm run on one store, and over a degraded run whose
+   recovered profile is not stored; an uncached run opens none of them
+   and keeps the pipeline's own spans under their parents. *)
+let test_cache_spans_match_counters () =
+  let bench = Suite.find "cmp" in
+  let plain = Sink.memory () in
+  ignore (Pipeline.run ~obs:(Obs.create plain) bench);
+  Alcotest.(check (list (pair string string)))
+    "uncached span tree"
+    [
+      ("pipeline", ""); ("parse", "pipeline"); ("sema", "pipeline");
+      ("lower", "pipeline"); ("pre_opt", "pipeline"); ("inputs", "pipeline");
+      ("profile", "pipeline"); ("callgraph", "pipeline");
+      ("classify", "pipeline"); ("inline", "pipeline"); ("callgraph", "inline");
+      ("classify", "inline"); ("linearize", "inline"); ("select", "inline");
+      ("expand", "inline"); ("dce", "inline"); ("re_profile", "pipeline");
+      ("post_callgraph", "pipeline"); ("post_classify", "pipeline");
+    ]
+    (List.map (fun (name, _, parent) -> (name, parent)) (span_tree plain));
+  let check_pass label ?(policy = Pipeline.Strict) ~dir ~checksums () =
+    let sink = Sink.memory () in
+    let obs = Obs.create sink in
+    ignore (Pipeline.run ~obs ~policy ~cache:(Cache.create dir) bench);
+    let tree = span_tree sink in
+    let spans name stage =
+      List.length
+        (List.filter (fun (n, s, _) -> n = name && s = stage) tree)
+    in
+    List.iter
+      (fun stage ->
+        let c what = counter obs (Printf.sprintf "cache.%s.%s" what stage) in
+        let check what expected name =
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s spans at %s = %s" label name stage what)
+            expected (spans name stage)
+        in
+        check "lookups" (c "hit" + c "miss" + c "corrupt") "cache.find";
+        check "lookups" (c "hit" + c "miss" + c "corrupt") "cache.key";
+        check "hits" (c "hit") "cache.decode";
+        check "stores" (c "store") "cache.store")
+      [ "front"; "profile"; "classify"; "inline" ];
+    List.iter
+      (fun (name, _, parent) ->
+        let expected =
+          if name = "cache.decode" then "cache.find" else "pipeline"
+        in
+        if String.starts_with ~prefix:"cache." name then
+          Alcotest.(check string) (label ^ ": " ^ name ^ " parent") expected parent)
+      tree;
+    let checksum_spans =
+      List.length (List.filter (fun (n, _, _) -> n = "checksum") tree)
+    in
+    Alcotest.(check (pair int int))
+      (label ^ ": checksum spans = cache.checksum")
+      (checksums, checksums)
+      (counter obs "cache.checksum", checksum_spans);
+    obs
+  in
+  let dir = tmp_dir () in
+  ignore (check_pass "cold" ~dir ~checksums:4 ());
+  ignore (check_pass "warm" ~dir ~checksums:0 ());
+  (* One failing profiling run, retried: that profile is a recovery, so
+     only the clean re-profile is stored. *)
+  let obs =
+    Impact_support.Fault.with_point Impact_support.Fault.Interp_step ~after:0
+      (fun () ->
+        check_pass "degraded" ~policy:Pipeline.Degrade ~dir:(tmp_dir ())
+          ~checksums:4 ())
+  in
+  Alcotest.(check int) "degraded: one profile stored" 1
+    (counter obs "cache.store.profile")
 
 (* The stage keys, pinned to their documented parts and order: a run's
    [cache.reuse] instants name exactly the keys rebuilt here from
@@ -586,4 +681,6 @@ let tests =
     Alcotest.test_case "pipeline survives a fully corrupt cache" `Quick
       test_pipeline_survives_corruption;
     QCheck_alcotest.to_alcotest prop_keys;
+    Alcotest.test_case "cache spans match the cache counters" `Quick
+      test_cache_spans_match_counters;
   ]

@@ -36,44 +36,52 @@ let run_pipeline ~policy () =
 (* ------------------------------------------------------------------ *)
 
 (* Strict: every pipeline-reachable point must surface as exactly one
-   typed, stage-tagged error. *)
+   typed error, with the stage and message pinned. *)
 let test_matrix_strict () =
-  let expect point stages =
+  let expect point stage msg =
     Fault.with_point point ~after:0 (fun () ->
         match run_pipeline ~policy:Pipeline.Strict () with
         | _ ->
           Alcotest.failf "%s: pipeline succeeded with the fault armed"
             (Fault.point_name point)
         | exception Ierr.Error e ->
-          if not (List.mem e.Ierr.stage stages) then
-            Alcotest.failf "%s: error tagged %s, expected one of [%s]"
-              (Fault.point_name point)
-              (Ierr.stage_name e.Ierr.stage)
-              (String.concat "; " (List.map Ierr.stage_name stages))
+          Alcotest.(check (pair string string))
+            (Fault.point_name point ^ ": stage and message")
+            (Ierr.stage_name stage, msg)
+            (Ierr.stage_name e.Ierr.stage, e.Ierr.msg)
         | exception e ->
           Alcotest.failf "%s: untyped exception escaped: %s"
             (Fault.point_name point) (Printexc.to_string e))
   in
-  expect Fault.Pool_worker_start [ Ierr.Profile_run ];
-  expect Fault.Pool_worker_finish [ Ierr.Profile_run ];
-  expect Fault.Interp_step [ Ierr.Profile_run ];
-  expect Fault.Expand_splice [ Ierr.Expand ];
-  expect Fault.Sink_write [ Ierr.Artifact ]
+  expect Fault.Pool_worker_start Ierr.Profile_run
+    "injected fault at pool-worker-start";
+  expect Fault.Pool_worker_finish Ierr.Profile_run
+    "injected fault at pool-worker-finish";
+  expect Fault.Interp_step Ierr.Profile_run "injected fault at interp-step";
+  expect Fault.Expand_splice Ierr.Expand
+    "while expanding into main: injected fault at expand-splice";
+  expect Fault.Sink_write Ierr.Artifact "injected fault at sink-write"
 
 (* Degrade: the same faults must yield a completed run that says how it
    degraded; faults that kill profiling must leave the no-inlining
    baseline, not a half-informed plan. *)
 let test_matrix_degrade () =
-  let complete point ~expect_no_inlining =
+  let complete point ~expect_no_inlining ~marks =
     Fault.with_point point ~after:0 (fun () ->
         match run_pipeline ~policy:Pipeline.Degrade () with
         | exception e ->
           Alcotest.failf "%s: degraded run failed: %s" (Fault.point_name point)
             (Printexc.to_string e)
         | r ->
-          if r.Pipeline.degradations = [] then
-            Alcotest.failf "%s: degraded run carries no degradation marks"
-              (Fault.point_name point);
+          Alcotest.(check (list (triple string string string)))
+            (Fault.point_name point ^ ": degradation marks")
+            marks
+            (List.map
+               (fun (d : Pipeline.degradation) ->
+                 ( Ierr.stage_name d.Pipeline.d_stage,
+                   d.Pipeline.d_detail,
+                   d.Pipeline.d_action ))
+               r.Pipeline.degradations);
           if
             expect_no_inlining
             && r.Pipeline.inliner.Inliner.expansion.Expand.expansions <> []
@@ -84,21 +92,62 @@ let test_matrix_degrade () =
           r)
   in
   (* A dead pool / dead worker means no profile: static fallback. *)
-  let r = complete Fault.Pool_worker_start ~expect_no_inlining:true in
+  let fallback point =
+    [
+      ( "profile-run",
+        Printf.sprintf
+          "profiling failed (profile-run error: injected fault at %s)" point,
+        "fell back to static uniform weights (no inlining)" );
+      ( "profile-run",
+        "no dynamic profile to compare against",
+        "re-profile skipped; post metrics are static" );
+    ]
+  in
+  let r =
+    complete Fault.Pool_worker_start ~expect_no_inlining:true
+      ~marks:(fallback "pool-worker-start")
+  in
   Alcotest.(check bool) "static fallback is vacuously verified" true
     r.Pipeline.outputs_match;
-  ignore (complete Fault.Pool_worker_finish ~expect_no_inlining:true);
+  ignore
+    (complete Fault.Pool_worker_finish ~expect_no_inlining:true
+       ~marks:(fallback "pool-worker-finish"));
   (* One failing interpreter run is retried and the retry succeeds (the
      one-shot fault is spent), so the full profile survives. *)
-  let r = complete Fault.Interp_step ~expect_no_inlining:false in
+  let r =
+    complete Fault.Interp_step ~expect_no_inlining:false
+      ~marks:
+        [
+          ( "profile-run",
+            "run on input 0 failed (profile-run error: injected fault at \
+             interp-step)",
+            "retried once" );
+        ]
+  in
   Alcotest.(check bool) "retried profile still verifies outputs" true
     r.Pipeline.outputs_match;
   (* A failing splice skips that caller but keeps the program correct. *)
-  let r = complete Fault.Expand_splice ~expect_no_inlining:false in
+  let r =
+    complete Fault.Expand_splice ~expect_no_inlining:false
+      ~marks:
+        [
+          ( "expand",
+            "expansion into main failed (expand error: injected fault at \
+             expand-splice)",
+            "caller skipped, rest of plan kept" );
+        ]
+  in
   Alcotest.(check bool) "outputs still match with a skipped caller" true
     r.Pipeline.outputs_match;
   (* A broken sink is reported, not fatal. *)
-  ignore (complete Fault.Sink_write ~expect_no_inlining:false)
+  ignore
+    (complete Fault.Sink_write ~expect_no_inlining:false
+       ~marks:
+         [
+           ( "artifact",
+             "trace sink failed (artifact error: injected fault at sink-write)",
+             "later events dropped; run kept" );
+         ])
 
 (* A sticky interpreter fault (fires on every hit, defeating the retry)
    kills every profiling run: the degraded result must be exactly the
@@ -321,6 +370,43 @@ let test_suite_isolation () =
     Alcotest.(check bool) "location reported" true (e.Ierr.loc <> None)
   | l -> Alcotest.failf "expected one failed benchmark, got %d" (List.length l)
 
+(* A front-end or input failure has no recovery: under either policy it
+   is one typed error whose stage, location and message are pinned. *)
+let test_front_end_errors () =
+  let expect src ?(inputs = fun () -> [ "" ]) (stage, loc, msg) =
+    let b =
+      { Benchmark.name = "fe"; description = "front-end failure"; source = src;
+        inputs }
+    in
+    List.iter
+      (fun policy ->
+        match Pipeline.run ~policy b with
+        | _ -> Alcotest.failf "%S compiled" src
+        | exception Ierr.Error e ->
+          Alcotest.(check (triple string (option string) string))
+            (src ^ ": stage, location, message")
+            (stage, loc, msg)
+            (Ierr.stage_name e.Ierr.stage, e.Ierr.loc, e.Ierr.msg);
+          Alcotest.(check (pair string string))
+            (src ^ ": fatal, abort") ("fatal", "abort")
+            (Ierr.severity_name e.Ierr.severity, Ierr.recovery_name e.Ierr.recovery))
+      [ Pipeline.Strict; Pipeline.Degrade ]
+  in
+  expect "int main( { return 0; }"
+    ("parse", Some "1:11", "malformed parameter list");
+  expect "int main() { return 0 @ 1; }"
+    ("parse", Some "1:23", "unexpected character '@'");
+  expect "int main() { return x; }"
+    ("sema", Some "1:21", "undefined identifier 'x'");
+  expect "int f(int a) { return a; }" ("sema", Some "0:0", "no 'main' function");
+  expect
+    "extern int print_int(int n);\n\
+     int main() { int (*f)(int); f = print_int; return f(1); }"
+    ("lower", None, "cannot take the address of external function 'print_int'");
+  expect "int main() { return 0; }"
+    ~inputs:(fun () -> failwith "no inputs today")
+    ("driver", None, "no inputs today")
+
 (* ------------------------------------------------------------------ *)
 (* Seeded plans and disabled-fault hygiene                             *)
 (* ------------------------------------------------------------------ *)
@@ -503,5 +589,7 @@ let tests =
       test_cache_write_fault_is_transparent;
     Alcotest.test_case "degrade: re-profile failure is noted, not stored"
       `Quick test_degrade_reprofile_failure;
+    Alcotest.test_case "front-end failures keep stage, location, message"
+      `Quick test_front_end_errors;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_mutated_profiles_never_raise ]

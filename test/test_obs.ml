@@ -89,6 +89,75 @@ let test_span_closed_on_raise () =
     [ "span_begin"; "span_end" ] kinds
 
 (* ------------------------------------------------------------------ *)
+(* Self times                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every clock read of the ticking clock is one second later, and a span
+   reads it once at each edge, so its duration is 1000 ms per clock read
+   from its begin to its end. *)
+let test_self_times () =
+  let obs, sink = obs_over_memory () in
+  let open_trace =
+    Obs.span obs "outer" (fun () ->
+        Obs.span obs "a" (fun () -> Obs.span obs "b" ignore);
+        Obs.span obs "c" ignore;
+        (try
+           Obs.span obs "raises" (fun () ->
+               Obs.span obs "inner" ignore;
+               failwith "boom")
+         with Failure _ -> ());
+        (* Spans of another domain interleave with this one's, under
+           their own root. *)
+        Domain.join
+          (Domain.spawn (fun () ->
+               Obs.span obs "d_outer" (fun () -> Obs.span obs "d_inner" ignore)));
+        Obs.span obs "open" (fun () ->
+            Obs.span obs "done" ignore;
+            Sink.events sink))
+  in
+  let spans = Trace.self_times (Sink.events sink) in
+  let find spans name = List.find (fun s -> s.Trace.name = name) spans in
+  let ms_in spans name =
+    let s = find spans name in
+    (s.Trace.dur_ms, s.Trace.self_ms)
+  in
+  let ms = ms_in spans in
+  let pair = Alcotest.(pair (float 1e-6) (float 1e-6)) in
+  check
+    (Alcotest.list Alcotest.string)
+    "every span, in begin order"
+    [ "outer"; "a"; "b"; "c"; "raises"; "inner"; "d_outer"; "d_inner"; "open";
+      "done" ]
+    (List.map (fun s -> s.Trace.name) spans);
+  check pair "leaf" (1000., 1000.) (ms "b");
+  check pair "nested parent" (3000., 2000.) (ms "a");
+  check pair "sibling" (1000., 1000.) (ms "c");
+  check pair "span left by an exception" (3000., 2000.) (ms "raises");
+  check pair "other domain's root" (3000., 2000.) (ms "d_outer");
+  checki "other domain's root has no parent" 0 (find spans "d_outer").Trace.parent;
+  check pair "open span" (3000., 2000.) (ms "open");
+  (* outer's children are a, c, raises and open, not d_outer. *)
+  check pair "root" (19000., 9000.) (ms "outer");
+  List.iter
+    (fun (s : Trace.span) ->
+      let children =
+        List.fold_left
+          (fun acc (c : Trace.span) ->
+            if c.Trace.parent = s.Trace.id then acc +. c.Trace.dur_ms else acc)
+          0. spans
+      in
+      check (Alcotest.float 1e-6)
+        (s.Trace.name ^ ": self = duration - children")
+        (s.Trace.dur_ms -. children) s.Trace.self_ms)
+    spans;
+  (* A trace cut while "open" and "outer" were running: both last until
+     its last event, "done"'s end. *)
+  let cut_ms = ms_in (Trace.self_times open_trace) in
+  check pair "span still open at the end" (2000., 1000.) (cut_ms "open");
+  check pair "its open parent" (17000., 8000.) (cut_ms "outer");
+  checkb "no trace, no spans" true (Trace.self_times [] = [])
+
+(* ------------------------------------------------------------------ *)
 (* JSONL round-trip                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -297,4 +366,5 @@ let tests =
       test_metrics_match_counters;
     Alcotest.test_case "null sink has zero overhead" `Quick
       test_null_sink_zero_overhead;
+    Alcotest.test_case "self times from a recorded trace" `Quick test_self_times;
   ]

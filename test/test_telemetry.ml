@@ -7,7 +7,6 @@ module Obs = Impact_obs.Obs
 module Metrics = Impact_obs.Metrics
 module Histogram = Impact_obs.Histogram
 module Flight = Impact_obs.Flight
-module Telemetry = Impact_obs.Telemetry
 module Trace_export = Impact_obs.Trace_export
 module Pool = Impact_support.Pool
 
@@ -149,16 +148,7 @@ let test_disabled_noop () =
   Alcotest.(check bool) "disabled" false (Histogram.enabled Histogram.disabled);
   Histogram.observe Histogram.disabled 1.;
   let s = Histogram.snapshot Histogram.disabled in
-  Alcotest.(check int) "no counts" 0 s.Histogram.s_count;
-  Alcotest.(check bool) "null telemetry disabled" false
-    (Telemetry.enabled Telemetry.null);
-  Alcotest.(check bool) "null probe absent" true
-    (Telemetry.probe Telemetry.null = None);
-  Alcotest.(check bool) "null histogram disabled" false
-    (Histogram.enabled (Telemetry.histogram Telemetry.null "x"));
-  Telemetry.observe Telemetry.null "x" 1.;
-  Alcotest.(check bool) "null json empty" true
-    (Telemetry.to_json Telemetry.null = Sink.Obj [])
+  Alcotest.(check int) "no counts" 0 s.Histogram.s_count
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain exactness                                              *)
@@ -292,22 +282,6 @@ let test_flight_pool_probe () =
       Alcotest.(check bool) "non-negative times" true
         (s.Pool.ts_queue_ms >= 0. && s.Pool.ts_run_ms >= 0.))
     ss
-
-let test_telemetry_probe_feeds_histograms () =
-  let t = Telemetry.create ~flight_capacity:16 () in
-  let probe =
-    match Telemetry.probe t with
-    | Some p -> p
-    | None -> Alcotest.fail "enabled telemetry must expose a probe"
-  in
-  ignore (Pool.map_array ~jobs:1 ~probe (fun i -> i + 1) (Array.init 5 Fun.id));
-  let task = Histogram.snapshot (Telemetry.histogram t "pool.task_ms") in
-  let queue = Histogram.snapshot (Telemetry.histogram t "pool.queue_ms") in
-  Alcotest.(check int) "task samples" 5 task.Histogram.s_count;
-  Alcotest.(check int) "queue samples" 5 queue.Histogram.s_count;
-  match Telemetry.flight t with
-  | None -> Alcotest.fail "flight recorder attached"
-  | Some f -> Alcotest.(check int) "flight sees the same tasks" 5 (Flight.recorded f)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
@@ -473,8 +447,6 @@ let tests =
     Alcotest.test_case "flight diagnose verdicts" `Quick test_flight_diagnose;
     Alcotest.test_case "flight records pool tasks" `Quick
       test_flight_pool_probe;
-    Alcotest.test_case "telemetry probe feeds histograms" `Quick
-      test_telemetry_probe_feeds_histograms;
     Alcotest.test_case "chrome export schema" `Quick test_chrome_schema;
     Alcotest.test_case "chrome span nesting" `Quick test_chrome_nesting;
     Alcotest.test_case "chrome unpaired events survive" `Quick
