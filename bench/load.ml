@@ -107,14 +107,7 @@ let kind_of ~seq cls =
   | Ping -> Protocol.Ping
   | Warm -> Protocol.Compile (job warm_src [ "abcdef"; "xyz" ] Pipeline.Degrade)
   | Cold -> Protocol.Compile (job (cold_src seq) [ "abcd" ] Pipeline.Degrade)
-  | Profile ->
-    (* Exercises the wire-level profile_mode field: min-coverage
-       instrumentation yields the same profile as full, so the daemon's
-       answer (and the warm cache it feeds) is unchanged — only the
-       "profile:min" latency label and the cheaper sweep differ. *)
-    Protocol.Profile
-      { (job warm_src [ "hello world" ] Pipeline.Degrade) with
-        Protocol.j_profile_mode = Impact_profile.Coverage.Min }
+  | Profile -> Protocol.Profile (job warm_src [ "hello world" ] Pipeline.Degrade)
   | Report -> Protocol.Report ("cmp", job "" [ "" ] Pipeline.Degrade)
   | Faulted ->
     Protocol.Compile

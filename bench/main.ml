@@ -1,25 +1,17 @@
-(* bench/main — regenerates every table of the paper's evaluation and
-   times the tool chain with Bechamel.
+(* bench/main — regenerates every table of the paper's evaluation.
 
    Usage:
-     dune exec bench/main.exe              tables 1-4 + residual mix + timings
+     dune exec bench/main.exe              tables, ablations and i-cache
      dune exec bench/main.exe tables       tables only
      dune exec bench/main.exe tables-json  tables 1-4 + aggregates as JSON
-     dune exec bench/main.exe ablation     the five ablation sweeps
-     dune exec bench/main.exe icache       the instruction-cache extension
-     dune exec bench/main.exe speed        Bechamel microbenchmarks only *)
+     dune exec bench/main.exe ablation     the ablation sweeps
+     dune exec bench/main.exe icache       the instruction-cache extension *)
 
-open Bechamel
 module Pipeline = Impact_harness.Pipeline
 module Report = Impact_harness.Report
 module Ablation = Impact_harness.Ablation
-module Suite = Impact_bench_progs.Suite
-module Benchmark_def = Impact_bench_progs.Benchmark
 
-let print_tables () =
-  let results = Pipeline.run_suite () in
-  print_string (Report.all results);
-  results
+let print_tables () = print_string (Report.all (Pipeline.run_suite ()))
 
 let print_ablations () =
   let sweeps =
@@ -42,97 +34,24 @@ let print_ablations () =
       print_newline ())
     sweeps
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let staged_tests results =
-  let grep = Suite.find "grep" in
-  let grep_source = grep.Benchmark_def.source in
-  let input = List.hd (grep.Benchmark_def.inputs ()) in
-  let compiled = Impact_il.Lower.lower_source grep_source in
-  let { Impact_profile.Profiler.profile; _ } =
-    Impact_profile.Profiler.profile compiled ~inputs:[ input ]
-  in
-  let graph = Impact_callgraph.Callgraph.build compiled profile in
-  let linear = Impact_core.Linearize.linearize graph ~seed:42 in
-  [
-    (* One Test.make per table of the paper. *)
-    Test.make ~name:"table1" (Staged.stage (fun () -> Report.table1 results));
-    Test.make ~name:"table2" (Staged.stage (fun () -> Report.table2 results));
-    Test.make ~name:"table3" (Staged.stage (fun () -> Report.table3 results));
-    Test.make ~name:"table4" (Staged.stage (fun () -> Report.table4 results));
-    (* The compiler phases producing the measurements, on grep. *)
-    Test.make ~name:"phase:parse"
-      (Staged.stage (fun () -> Impact_cfront.Parser.parse_program grep_source));
-    Test.make ~name:"phase:sema"
-      (Staged.stage (fun () -> Impact_cfront.Sema.check_source grep_source));
-    Test.make ~name:"phase:lower"
-      (Staged.stage (fun () -> Impact_il.Lower.lower_source grep_source));
-    Test.make ~name:"phase:interp-run"
-      (Staged.stage (fun () -> Impact_interp.Machine.run compiled ~input));
-    Test.make ~name:"phase:callgraph"
-      (Staged.stage (fun () -> Impact_callgraph.Callgraph.build compiled profile));
-    Test.make ~name:"phase:select"
-      (Staged.stage (fun () ->
-           Impact_core.Select.select graph Impact_core.Config.default linear));
-    Test.make ~name:"phase:inline"
-      (Staged.stage (fun () -> Impact_core.Inliner.run compiled profile));
-    Test.make ~name:"pipeline:wc"
-      (Staged.stage (fun () -> Pipeline.run (Suite.find "wc")));
-  ]
-
-let run_speed results =
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  Printf.printf "\nMicrobenchmarks (time per run, monotonic clock):\n";
-  Printf.printf "%-20s %16s %10s\n" "benchmark" "time/run" "samples";
-  Printf.printf "%s\n" (String.make 48 '-');
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ instance ] elt in
-          let est = Analyze.one ols instance raw in
-          let time_ns =
-            match Analyze.OLS.estimates est with
-            | Some (t :: _) -> t
-            | Some [] | None -> nan
-          in
-          let rendered =
-            if time_ns >= 1e9 then Printf.sprintf "%.2f s" (time_ns /. 1e9)
-            else if time_ns >= 1e6 then Printf.sprintf "%.2f ms" (time_ns /. 1e6)
-            else if time_ns >= 1e3 then Printf.sprintf "%.2f us" (time_ns /. 1e3)
-            else Printf.sprintf "%.0f ns" time_ns
-          in
-          Printf.printf "%-20s %16s %10d\n" (Test.Elt.name elt) rendered
-            raw.Benchmark.stats.Benchmark.samples)
-        (Test.elements test))
-    (staged_tests results)
-
 let print_icache () =
   print_string (Impact_harness.Icache_exp.render (Impact_harness.Icache_exp.run_suite ()))
 
 let () =
   match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "tables" -> ignore (print_tables ())
+  | "tables" -> print_tables ()
   | "tables-json" ->
     let results = Pipeline.run_suite () in
     print_endline (Impact_obs.Sink.json_to_string (Report.to_json results))
   | "ablation" -> print_ablations ()
   | "icache" -> print_icache ()
-  | "speed" ->
-    let results = Pipeline.run_suite () in
-    run_speed results
   | "all" ->
-    let results = print_tables () in
+    print_tables ();
     print_newline ();
     print_ablations ();
     print_newline ();
-    print_icache ();
-    run_speed results
+    print_icache ()
   | other ->
     Printf.eprintf
-      "unknown mode '%s' (expected tables|tables-json|ablation|icache|speed)\n" other;
+      "unknown mode '%s' (expected tables|tables-json|ablation|icache)\n" other;
     exit 2

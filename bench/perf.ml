@@ -3,13 +3,8 @@
    Times the whole suite end to end (wall clock), then runs it cold and
    warm through a fresh stage cache with an in-memory trace: the self
    time of every span Pipeline.run emits, per benchmark, becomes the
-   BENCH_perf.json "stages" section.  Writes that summary along with the
-   profiling-mode costs and the devirt ablation.
-
-   The profiling modes are compared by their exact instrumentation
-   store counts: the run fails if min-coverage profiling executes more
-   stores than full profiling on any benchmark.  Their wall clocks are
-   reported, not guarded.
+   BENCH_perf.json "stages" section.  Writes that summary along with
+   the devirt ablation.
 
    With --baseline FILE, the fresh suite wall clock is guarded against
    the committed baseline: the run fails if it regresses by more than
@@ -45,37 +40,6 @@ let tolerance_pct () =
     match float_of_string_opt v with
     | Some t when t >= 0. -> t
     | Some _ | None -> fail "bad IMPACT_PERF_TOLERANCE '%s'" v)
-
-(* Min-coverage profiling counts a subset of full's sites on the same
-   runs, so it can never execute more instrumentation stores: an exact
-   guard, with no noise to absorb. *)
-let guard_profiling (costs : Perf.profiling_cost list) =
-  let module Coverage = Impact_profile.Coverage in
-  List.iter
-    (fun (pc : Perf.profiling_cost) ->
-      let full = Perf.profiling_stores pc Coverage.Full in
-      let min_s = Perf.profiling_stores pc Coverage.Min in
-      if min_s > full then
-        fail
-          "min-coverage profiling executed more instrumentation stores than \
-           full on %s: %d vs %d"
-          pc.Perf.pc_bench min_s full)
-    costs;
-  let sum f = List.fold_left (fun a pc -> a + f pc) 0 costs in
-  let wall mode =
-    List.fold_left (fun a pc -> a +. Perf.profiling_wall pc mode) 0. costs
-  in
-  let stores mode = sum (fun pc -> Perf.profiling_stores pc mode) in
-  let counted = sum (fun pc -> pc.Perf.pc_counted_sites) in
-  let all_sites = sum (fun pc -> pc.Perf.pc_total_sites) in
-  Printf.printf
-    "  profiling modes: full %d stores in %.0f ms, min %d stores in %.0f ms \
-     over the suite; min instruments %d of %d sites (%.0f%%)\n"
-    (stores Coverage.Full) (wall Coverage.Full) (stores Coverage.Min)
-    (wall Coverage.Min) counted all_sites
-    (100. *. float_of_int counted /. float_of_int (max all_sites 1));
-  Printf.printf
-    "  profiling guard ok: min stores <= full stores on every benchmark\n"
 
 (* The root "pipeline" spans' self time against their summed duration:
    what no step's span covers. *)
@@ -115,12 +79,9 @@ let () =
   let suite_wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   if not (List.for_all (fun r -> r.Pipeline.outputs_match) results) then
     fail "inlined outputs diverge from the un-inlined run";
-  let profiling = Perf.profiling_costs () in
   let cache = Perf.cache_cold_warm ~jobs:suite_jobs () in
   let devirt = Perf.devirt_ablation () in
-  let json =
-    Perf.to_json ~suite_wall_ms ~suite_jobs ~cache ~profiling ~devirt
-  in
+  let json = Perf.to_json ~suite_wall_ms ~suite_jobs ~cache ~devirt in
   Impact_support.Atomic_io.write_string !out_file (Sink.json_to_string json ^ "\n");
   Printf.printf "bench-perf ok: suite %.0f ms -> %s\n" suite_wall_ms !out_file;
   List.iter
@@ -158,7 +119,6 @@ let () =
       if not row.Perf.da_outputs_match then
         fail "devirted outputs diverge on %s" row.Perf.da_bench)
     devirt;
-  guard_profiling profiling;
   match !baseline with
   | None -> ()
   | Some path ->

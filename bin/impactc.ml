@@ -188,21 +188,6 @@ let timeout_arg =
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:"Wall-clock budget per profiling run (default: none)")
 
-module Coverage = Impact_profile.Coverage
-
-let profile_mode_arg =
-  Arg.(
-    value
-    & opt
-        (enum (List.map (fun m -> (Coverage.mode_name m, m)) Coverage.all_modes))
-        Coverage.Full
-    & info [ "profile-mode" ] ~docv:"MODE"
-        ~doc:
-          "Profiling instrumentation: $(b,full) counts every call site (the \
-           default); $(b,min) instruments only a minimum-coverage subset of \
-           sites and reconstructs the rest exactly from flow conservation — \
-           the profile is bit-identical to $(b,full) at lower run-time cost")
-
 (* Speculative devirtualization: --devirt rewrites indirect call sites
    whose value profile shows one dominant target into a guarded direct
    call, so the speculated callee becomes inlinable. *)
@@ -356,40 +341,22 @@ let profile_file_arg =
     & info [ "p"; "profile" ] ~docv:"FILE"
         ~doc:"Use a saved profile instead of re-profiling")
 
-let report_coverage (c : Profiler.coverage) =
-  (match c.Profiler.effective with
-  | Coverage.Full when c.Profiler.requested <> Coverage.Full ->
-    (* A Min plan was poisoned by a fabricated indirect-call target and
-       the sweep was redone fully instrumented. *)
-    Printf.eprintf
-      "impactc: profile-mode %s fell back to full instrumentation (indirect \
-       call outside the planned targets)\n"
-      (Coverage.mode_name c.Profiler.requested)
-  | _ -> ());
-  if c.Profiler.counted_sites < c.Profiler.total_sites then
-    Printf.eprintf "impactc: instrumented %d of %d call sites (%.1f%%)\n"
-      c.Profiler.counted_sites c.Profiler.total_sites
-      (100.
-      *. float_of_int c.Profiler.counted_sites
-      /. float_of_int (max c.Profiler.total_sites 1))
-
 let profile_cmd =
-  let run src inputs output jobs timeout mode =
+  let run src inputs output jobs timeout =
     guarded Ierr.Profile_run (fun () ->
         let prog = Lower.lower_source (read_file src) in
         ignore (Impact_opt.Driver.pre_inline prog);
         let inputs =
           match inputs with [] -> [ "" ] | files -> List.map read_file files
         in
-        let { Profiler.profile; coverage; _ } =
-          Profiler.profile ~jobs ?budget:(budget_of_timeout timeout)
-            ~mode prog ~inputs
+        let { Profiler.profile; _ } =
+          Profiler.profile ~jobs ?budget:(budget_of_timeout timeout) prog
+            ~inputs
         in
-        report_coverage coverage;
         (match output with
         | Some path ->
-          Profile_io.save ~checksum:(Profile_io.program_checksum prog)
-            ~mode:coverage.Profiler.effective path profile;
+          Profile_io.save ~checksum:(Profile_io.program_checksum prog) path
+            profile;
           Printf.printf "profile written to %s\n" path
         | None -> ());
         Printf.printf "%s\n" (Profile.to_string profile);
@@ -403,13 +370,12 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc:"Profile a C program over input files")
     Term.(
-      const run $ source_arg $ inputs_arg $ output_arg $ jobs_arg $ timeout_arg
-      $ profile_mode_arg)
+      const run $ source_arg $ inputs_arg $ output_arg $ jobs_arg $ timeout_arg)
 
 (* inline *)
 
 let inline_cmd =
-  let run src inputs profile_file jobs policy mode config trace trace_format
+  let run src inputs profile_file jobs policy config trace trace_format
       metrics_out =
     guarded Ierr.Driver (fun () ->
         with_obs ~policy ~trace_format ~trace ~metrics_out (fun obs ->
@@ -423,23 +389,19 @@ let inline_cmd =
             match inputs with [] -> [ "" ] | files -> List.map read_file files
           in
           Obs.span obs "profile" (fun () ->
-              let r = Profiler.profile ~obs ~jobs ~mode prog ~inputs in
-              report_coverage r.Profiler.coverage;
-              r.Profiler.profile)
+              (Profiler.profile ~obs ~jobs prog ~inputs).Profiler.profile)
         in
         let profile =
           match profile_file with
           | None -> profile_dynamically ()
           | Some path -> (
-            (* The saved profile is validated against this very program
-               and the requested mode: a corrupt file, a checksum
-               recorded for different IL, or a profile collected under a
-               different instrumentation mode is a typed stale-profile
-               error.  Strict aborts; degrade re-profiles, and if that
-               fails too, falls back to static weights (no inlining). *)
-            match
-              Profile_io.load ~expect_checksum:checksum ~expect_mode:mode path
-            with
+            (* The saved profile is validated against this very program:
+               a corrupt file, a checksum recorded for different IL, or a
+               header naming a retired profiling mode is a typed
+               profile-io error.  Strict aborts; degrade re-profiles, and
+               if that fails too, falls back to static weights (no
+               inlining). *)
+            match Profile_io.load ~expect_checksum:checksum path with
             | Ok p -> p
             | Error e -> (
               match policy with
@@ -492,7 +454,7 @@ let inline_cmd =
   Cmd.v
     (Cmd.info "inline" ~doc:"Profile-guided inline expansion of a C program")
     Term.(const run $ source_arg $ inputs_arg $ profile_file_arg $ jobs_arg
-          $ policy_arg $ profile_mode_arg $ config_term $ trace_arg
+          $ policy_arg $ config_term $ trace_arg
           $ trace_format_arg $ metrics_out_arg)
 
 (* bench *)
@@ -522,7 +484,7 @@ let bench_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the benchmark's table rows (Report.to_json) to $(docv)")
   in
-  let run name jobs policy timeout cache_dir mode config trace trace_format
+  let run name jobs policy timeout cache_dir config trace trace_format
       metrics_out json =
     match Impact_bench_progs.Suite.find name with
     | exception Not_found ->
@@ -534,7 +496,7 @@ let bench_cmd =
           let r =
             with_obs ~policy ~trace_format ~trace ~metrics_out (fun obs ->
                 Pipeline.run ~obs ~policy ~config ?cache ~jobs
-                  ?budget:(budget_of_timeout timeout) ~profile_mode:mode bench)
+                  ?budget:(budget_of_timeout timeout) bench)
           in
           report_degradations r;
           report_cache cache;
@@ -554,8 +516,8 @@ let bench_cmd =
   Cmd.v (Cmd.info "bench" ~doc:"Run one built-in benchmark end to end")
     Term.(
       const run $ name_arg $ jobs_arg $ policy_arg $ timeout_arg
-      $ cache_arg $ profile_mode_arg $ config_term $ trace_arg
-      $ trace_format_arg $ metrics_out_arg $ json_arg)
+      $ cache_arg $ config_term $ trace_arg $ trace_format_arg
+      $ metrics_out_arg $ json_arg)
 
 (* Default command: the full observed pipeline over a user C file —
    `impactc --trace t.jsonl --metrics-out m.json -O file.c` compiles,
@@ -563,7 +525,7 @@ let bench_cmd =
    span. *)
 
 let default_term =
-  let run src inputs optimize jobs policy timeout cache_dir mode config trace
+  let run src inputs optimize jobs policy timeout cache_dir config trace
       trace_format metrics_out =
     match src with
     | None -> `Help (`Pager, None)
@@ -586,8 +548,7 @@ let default_term =
           let r =
             with_obs ~policy ~trace_format ~trace ~metrics_out (fun obs ->
                 Pipeline.run ~obs ~policy ~config ~pre_opt:optimize ?cache
-                  ~jobs ?budget:(budget_of_timeout timeout)
-                  ~profile_mode:mode bench)
+                  ~jobs ?budget:(budget_of_timeout timeout) bench)
           in
           report_degradations r;
           report_cache cache;
@@ -612,8 +573,8 @@ let default_term =
   Term.(
     ret
       (const run $ opt_source_arg $ inputs_arg $ optimize_arg $ jobs_arg
-     $ policy_arg $ timeout_arg $ cache_arg $ profile_mode_arg $ config_term
-     $ trace_arg $ trace_format_arg $ metrics_out_arg))
+     $ policy_arg $ timeout_arg $ cache_arg $ config_term $ trace_arg
+     $ trace_format_arg $ metrics_out_arg))
 
 let () =
   Printexc.record_backtrace true;

@@ -1,5 +1,4 @@
 module Lower = Impact_il.Lower
-module Profiler = Impact_profile.Profiler
 module Config = Impact_core.Config
 module Benchmark_def = Impact_bench_progs.Benchmark
 module Sink = Impact_obs.Sink
@@ -9,120 +8,6 @@ module Cstore = Impact_support.Cstore
 module Obs = Impact_obs.Obs
 module Metrics = Impact_obs.Metrics
 module Trace = Impact_obs.Trace
-
-(* Profiling-mode cost: what each instrumentation mode costs on each
-   benchmark, end to end through Profiler.profile (plan construction
-   included — that is what a pipeline run pays).
-
-   The exact figure is the number of instrumentation stores executed:
-   per run, the [calls] and [ext_calls] scalar bumps plus every per-site
-   count.  It is read off the raw per-run counters the profiler already
-   returns (under [Min], before inference fills the elided counts in),
-   so no counter is added to either engine's loop.  A [Min] plan counts
-   a subset of [Full]'s sites on identical runs, so its store count can
-   never be higher; that is what the bench guards.
-
-   Wall clock is reported beside it, not guarded: the minimum over a few
-   rotated, interleaved rounds, since noise only ever adds time. *)
-
-module Coverage = Impact_profile.Coverage
-module Counters = Impact_interp.Counters
-
-type profiling_cost = {
-  pc_bench : string;
-  pc_total_sites : int;
-  pc_counted_sites : int;
-  pc_stores : (Coverage.mode * int) list;
-  pc_wall_ms : (Coverage.mode * float) list;
-}
-
-let instrumentation_stores (c : Counters.t) =
-  Array.fold_left ( + ) (c.Counters.calls + c.Counters.ext_calls)
-    c.Counters.site_counts
-
-let profiling_cost ?(repeats = 7) (b : Benchmark_def.t) =
-  let prog = Lower.lower_source b.Benchmark_def.source in
-  ignore (Impact_opt.Driver.pre_inline prog);
-  let inputs = b.Benchmark_def.inputs () in
-  let min_plan = Coverage.build prog Coverage.Min in
-  let modes = Coverage.all_modes in
-  let sweep mode = Profiler.profile ~keep_outputs:false ~mode prog ~inputs in
-  (* One untimed sweep per mode yields its store count and takes the
-     first-decode cost off the timed rounds; the first one's wall also
-     sizes the batch, so a sub-10ms benchmark is swept several times per
-     timed sample and clock granularity stays out of the figure. *)
-  let t0 = Unix.gettimeofday () in
-  let stores =
-    List.map
-      (fun mode ->
-        ( mode,
-          List.fold_left
-            (fun acc (o : Machine.outcome) ->
-              acc + instrumentation_stores o.Machine.counters)
-            0 (sweep mode).Profiler.runs ))
-      modes
-  in
-  let warm_ms =
-    (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int (List.length modes)
-  in
-  let iters = max 1 (int_of_float (ceil (10. /. Float.max warm_ms 0.1))) in
-  let best = Hashtbl.create 4 in
-  let sample mode =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (sweep mode))
-    done;
-    let ms = (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int iters in
-    let cur = Option.value ~default:infinity (Hashtbl.find_opt best mode) in
-    if ms < cur then Hashtbl.replace best mode ms
-  in
-  (* Rotating the mode order every round keeps drift within a round (GC
-     debt, frequency ramps) from landing on the same mode every time. *)
-  let nmodes = List.length modes in
-  for r = 1 to repeats do
-    List.iteri (fun i _ -> sample (List.nth modes ((i + r) mod nmodes))) modes
-  done;
-  {
-    pc_bench = b.Benchmark_def.name;
-    pc_total_sites = min_plan.Coverage.total_sites;
-    pc_counted_sites = min_plan.Coverage.counted_sites;
-    pc_stores = stores;
-    pc_wall_ms = List.map (fun m -> (m, Hashtbl.find best m)) modes;
-  }
-
-let profiling_costs ?repeats () =
-  List.map (fun b -> profiling_cost ?repeats b) Impact_bench_progs.Suite.all
-
-let profiling_stores pc mode = List.assoc mode pc.pc_stores
-
-let profiling_wall pc mode = List.assoc mode pc.pc_wall_ms
-
-let profiling_to_json costs =
-  Sink.Obj
-    (List.map
-       (fun pc ->
-         ( pc.pc_bench,
-           Sink.Obj
-             (List.concat_map
-                (fun m ->
-                  let name = Coverage.mode_name m in
-                  [
-                    (name ^ "_wall_ms", Sink.Float (profiling_wall pc m));
-                    (name ^ "_stores", Sink.Int (profiling_stores pc m));
-                  ])
-                Coverage.all_modes
-             @ [
-                 ("total_sites", Sink.Int pc.pc_total_sites);
-                 ("counted_sites_min", Sink.Int pc.pc_counted_sites);
-                 ( "instrumented_fraction_min",
-                   Sink.Float
-                     (if pc.pc_total_sites = 0 then 1.
-                      else
-                        float_of_int pc.pc_counted_sites
-                        /. float_of_int pc.pc_total_sites) );
-               ]) ))
-       costs)
 
 (* Domain scaling: a flight-recorded profiling sweep of the whole suite
    per job count.
@@ -494,7 +379,7 @@ let stages_to_json (st : stage_ms) =
          (b, Sink.Obj (List.map (fun (n, ms) -> (n, Sink.Float ms)) row)))
        st)
 
-let to_json ~suite_wall_ms ~suite_jobs ~cache ~profiling ~devirt =
+let to_json ~suite_wall_ms ~suite_jobs ~cache ~devirt =
   Sink.Obj
     [
       ("suite_wall_ms", Sink.Float suite_wall_ms);
@@ -505,7 +390,6 @@ let to_json ~suite_wall_ms ~suite_jobs ~cache ~profiling ~devirt =
             ("cold", stages_to_json cache.cold_stages);
             ("warm", stages_to_json cache.warm_stages);
           ] );
-      ("profiling", profiling_to_json profiling);
       ("devirt_ablation", devirt_to_json devirt);
       ( "cache",
         Sink.Obj

@@ -6,43 +6,6 @@
     traced cold and a traced warm suite run through the stage cache
     ({!cache_cold_warm}) give every span's self time, per benchmark. *)
 
-(** Profiling-mode cost on one benchmark, per instrumentation mode: the
-    instrumentation stores one full [Profiler.profile] sweep executes
-    (exact: the [calls] and [ext_calls] bumps plus every per-site count,
-    summed over the raw per-run counters) and the best (minimum) wall
-    clock of that sweep over a few rotated, interleaved rounds, plus the
-    [Min] plan's site counts.  Walls include plan construction: exactly
-    what a pipeline run pays. *)
-type profiling_cost = {
-  pc_bench : string;
-  pc_total_sites : int;  (** call sites in alive code *)
-  pc_counted_sites : int;  (** sites the [Min] plan instruments *)
-  pc_stores : (Impact_profile.Coverage.mode * int) list;
-  pc_wall_ms : (Impact_profile.Coverage.mode * float) list;
-}
-
-(** [profiling_cost ?repeats b] measures every mode on benchmark [b]:
-    one untimed sweep per mode for the store counts, then [repeats]
-    timed rounds (default 7). *)
-val profiling_cost :
-  ?repeats:int -> Impact_bench_progs.Benchmark.t -> profiling_cost
-
-(** [profiling_costs ?repeats ()] measures the full suite. *)
-val profiling_costs : ?repeats:int -> unit -> profiling_cost list
-
-(** [profiling_stores pc mode] — the stores a sweep under [mode]
-    executed. *)
-val profiling_stores : profiling_cost -> Impact_profile.Coverage.mode -> int
-
-(** [profiling_wall pc mode] — the best sweep wall under [mode], ms. *)
-val profiling_wall : profiling_cost -> Impact_profile.Coverage.mode -> float
-
-(** [profiling_to_json costs] is the ["profiling"] BENCH_perf.json
-    section: per benchmark, [<mode>_wall_ms] and [<mode>_stores] for each
-    mode plus [total_sites], [counted_sites_min] and
-    [instrumented_fraction_min]. *)
-val profiling_to_json : profiling_cost list -> Impact_obs.Sink.json
-
 (** One level of the domain-scaling sweep: the requested and effective
     (post-clamp) job counts, the wall clock, and the flight-recorder
     aggregate over every task of the level.  When the sweep took
@@ -154,17 +117,15 @@ val devirt_ablation : ?threshold:float -> unit -> devirt_row list
 
 val devirt_to_json : devirt_row list -> Impact_obs.Sink.json
 
-(** [to_json ~suite_wall_ms ~suite_jobs ~cache ~profiling ~devirt] is
-    the BENCH_perf.json document: the wall clock and job count of the
+(** [to_json ~suite_wall_ms ~suite_jobs ~cache ~devirt] is the
+    BENCH_perf.json document: the wall clock and job count of the
     end-to-end suite run ([suite_wall_ms], [suite_jobs]), the span self
     times of the cold and warm cached runs ([stages.cold],
-    [stages.warm]), the per-mode profiling-cost section ([profiling]),
-    the devirt ablation ([devirt_ablation]) and the cold-vs-warm
-    stage-cache section ([cache]). *)
+    [stages.warm]), the devirt ablation ([devirt_ablation]) and the
+    cold-vs-warm stage-cache section ([cache]). *)
 val to_json :
   suite_wall_ms:float ->
   suite_jobs:int ->
   cache:cache_timing ->
-  profiling:profiling_cost list ->
   devirt:devirt_row list ->
   Impact_obs.Sink.json

@@ -76,7 +76,7 @@ let scatter_runs n runs (failures : (int * exn) list) =
 
 let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
     ?(pre_opt = true) ?(post_cleanup = false) ?cache ?jobs ?budget
-    ?(profile_mode = Impact_profile.Coverage.Full) (bench : Benchmark.t) =
+    (bench : Benchmark.t) =
   let degradations = ref [] in
   let note d_stage d_detail d_action =
     degradations := { d_stage; d_detail; d_action } :: !degradations;
@@ -190,14 +190,12 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       let config_fp = lazy (Config.fingerprint config) in
       (* One profiling pass, for the pre-inline profile and the re-profile
          alike.  A profile entry is keyed by the constant part
-         "profile-threaded" (kept byte for byte, so existing keys and
-         keys that tools rebuild still match), the instrumentation mode,
-         the program's checksum and the raw input bytes; the payload
-         carries the averaged profile and its checksum plus each run's
-         (digest, exit code) pair, so a warm rerun can still verify
-         outputs without executing anything.  The mode stays
-         in the key although [Min] and [Full] profiles are bit-identical:
-         the key parts are documented, and tools rebuild keys from them.
+         "profile-threaded" and "mode-full" (both kept byte for byte, so
+         existing keys and keys that tools rebuild still match), the
+         program's checksum and the raw input bytes; the payload carries
+         the averaged profile and its checksum plus each run's (digest,
+         exit code) pair, so a warm rerun can still verify outputs
+         without executing anything.
          A wall-clock budget can truncate runs non-deterministically, so
          profiles collected under one are never cached.
 
@@ -217,7 +215,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               List.map digest
                 [
                   "profile-threaded";
-                  "mode-" ^ Impact_profile.Coverage.mode_name profile_mode;
+                  "mode-" ^ Impact_profile.Coverage.(mode_name Full);
                   sum;
                 ]
               @ Lazy.force input_digests)
@@ -225,7 +223,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               let r =
                 step Ierr.Profile_run span (fun () ->
                     Profiler.profile ?budget ~obs ?jobs ~keep_outputs:false
-                      ~tolerant:(policy = Degrade) ~mode:profile_mode
+                      ~tolerant:(policy = Degrade)
                       ~on_retry:(fun i e ->
                         note Ierr.Profile_run
                           (Printf.sprintf "%s on input %d failed (%s)" runs_name

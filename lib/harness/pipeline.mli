@@ -69,16 +69,12 @@ type result = {
     pre-inline optimisation pass when measuring a raw lowering.
     [jobs] sets the number of domains for the two profiling passes; it
     leaves the result unchanged.  [budget] bounds every profiling run
-    ({!Impact_interp.Rt.budget}).  [profile_mode] (default
-    {!Impact_profile.Coverage.Full}) selects the instrumentation mode
-    for both profiling passes: [Min] counts only the co-forest call
-    sites and reconstructs the rest exactly (bit-identical result,
-    fewer instrumentation stores).
+    ({!Impact_interp.Rt.budget}).
 
     [cache] makes the run incremental: each expensive stage — front end
     (keyed by source text), the two profiling passes (keyed by the
-    constant part ["profile-threaded"], program checksum, input bytes,
-    and profile mode), classification and
+    constant parts ["profile-threaded"] and ["mode-full"], program
+    checksum and input bytes), classification and
     selection+expansion (keyed by program/profile checksums and the
     {!Impact_core.Config.fingerprint}) — first consults the stage cache
     and, on a verified hit, is skipped entirely with a byte-identical
@@ -120,7 +116,6 @@ val run :
   ?cache:Cache.t ->
   ?jobs:int ->
   ?budget:Impact_interp.Rt.budget ->
-  ?profile_mode:Impact_profile.Coverage.mode ->
   Impact_bench_progs.Benchmark.t ->
   result
 

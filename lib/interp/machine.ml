@@ -84,7 +84,7 @@ let body_tables (prog : Il.program) =
       (labels, code)
 
 let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
-    ?(stack_size = 1024 * 1024) ?icache ?plan ?(obs = Impact_obs.Obs.null)
+    ?(stack_size = 1024 * 1024) ?icache ?(obs = Impact_obs.Obs.null)
     (prog : Il.program) ~input =
   (* [reuse_mem]: the entry point creates exactly one state per call and
      drops it before returning, so the per-domain scratch image is safe
@@ -97,32 +97,11 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
   let tables = body_tables prog in
   (* Compiled switch tables, keyed by (fid, body index). *)
   let switches = Hashtbl.create 16 in
-  (* Instrumentation-plan-aware call counting.  Without a plan this is
-     exactly the historical full counting; with one, elided sites skip
-     the scalar and/or per-site bumps. *)
   let count_site ~ext site =
     let cnt = st.Rt.counters in
-    match plan with
-    | None ->
-      cnt.Counters.calls <- cnt.Counters.calls + 1;
-      if ext then cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1;
-      cnt.Counters.site_counts.(site) <- cnt.Counters.site_counts.(site) + 1
-    | Some pl ->
-      if pl.Iplan.site_scalar.(site) then begin
-        cnt.Counters.calls <- cnt.Counters.calls + 1;
-        if ext then cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1
-      end;
-      if pl.Iplan.site_counted.(site) then
-        cnt.Counters.site_counts.(site) <- cnt.Counters.site_counts.(site) + 1
-  in
-  (* An indirect call that reaches a function whose incoming arc the
-     plan elided (only possible through a fabricated integer address)
-     breaks flow inference; flag it so the driver re-profiles fully. *)
-  let check_ind_target fid =
-    match plan with
-    | None -> ()
-    | Some pl ->
-      if not pl.Iplan.ind_ok.(fid) then Atomic.set pl.Iplan.poisoned true
+    cnt.Counters.calls <- cnt.Counters.calls + 1;
+    if ext then cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1;
+    cnt.Counters.site_counts.(site) <- cnt.Counters.site_counts.(site) + 1
   in
   let enter_activation ~sp (f : Il.func) args ret_reg =
     (* One activation consumes the full paper-style stack usage: frame
@@ -219,7 +198,6 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
          let tv = value target in
          (match Rt.fid_of_addr tv nfuncs with
          | Some fid when prog.Il.funcs.(fid).Il.alive ->
-           check_ind_target fid;
            Counters.record_ind st.Rt.counters ~nfuncs ~site ~fid;
            let f = prog.Il.funcs.(fid) in
            let argv = List.map value args in
@@ -254,10 +232,9 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
 (* ------------------------------------------------------------------ *)
 
 let run ?budget ?fuel ?heap_size ?stack_size ?obs ?(engine = Threaded) ?cache
-    ?plan (prog : Il.program) ~input =
+    (prog : Il.program) ~input =
   match engine with
   | Threaded ->
-    Threaded.run ?budget ?fuel ?heap_size ?stack_size ?obs ?cache ?plan prog
-      ~input
+    Threaded.run ?budget ?fuel ?heap_size ?stack_size ?obs ?cache prog ~input
   | Reference ->
-    run_reference ?budget ?fuel ?heap_size ?stack_size ?plan ?obs prog ~input
+    run_reference ?budget ?fuel ?heap_size ?stack_size ?obs prog ~input

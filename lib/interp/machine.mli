@@ -75,8 +75,8 @@ type engine =
 
 val engine_to_string : engine -> string
 
-(** [run ?budget ?fuel ?heap_size ?stack_size ?obs ?engine ?cache ?plan
-    prog ~input] executes [prog] from [main] with [input] as its stdin.
+(** [run ?budget ?fuel ?heap_size ?stack_size ?obs ?engine ?cache prog
+    ~input] executes [prog] from [main] with [input] as its stdin.
 
     @param budget wall-clock deadline and output watermark (default
       {!Rt.no_budget} — both off; see {!Rt.budget}).  The deadline
@@ -93,10 +93,6 @@ val engine_to_string : engine -> string
     @param cache a {!Threaded.cache} reusing decoded code across runs of
       the same physical program (profiling drivers create one per
       program); ignored by the reference engine
-    @param plan an instrumentation plan ({!Iplan.t}): sites the plan
-      elides skip their counter bumps (minimum-coverage profiling
-      reconstructs them by flow inference afterwards).  Both engines
-      honor it; without one, every call site is counted as always.
     @raise Trap on runtime errors
     @raise Out_of_fuel if the budget is exhausted
     @raise Invalid_il if the threaded engine refuses [prog] *)
@@ -108,7 +104,6 @@ val run :
   ?obs:Impact_obs.Obs.t ->
   ?engine:engine ->
   ?cache:Threaded.cache ->
-  ?plan:Iplan.t ->
   Impact_il.Il.program ->
   input:string ->
   outcome
@@ -123,7 +118,6 @@ val run_reference :
   ?heap_size:int ->
   ?stack_size:int ->
   ?icache:Impact_icache.Icache.t ->
-  ?plan:Iplan.t ->
   ?obs:Impact_obs.Obs.t ->
   Impact_il.Il.program ->
   input:string ->

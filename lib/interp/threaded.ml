@@ -78,18 +78,7 @@ and ctx = {
   cnt : Counters.t;  (* == st.counters, one indirection shorter *)
   prog : Il.program;
   nfuncs : int;
-  plan : Iplan.t option;
-  (* Instrumentation plan; [None] counts everything.  Read only at
-     decode time — each call site compiles to the closure variant its
-     plan entry selects, so the per-execution hot path never consults
-     the plan at all. *)
   dfuncs : dfunc option array;  (* decode cache, per fid *)
-  ind_dfuncs : dfunc option array;
-  (* Per-fid view of [dfuncs] for indirect-call targets resolved under
-     a plan.  A populated slot means the target already went through
-     its one-time [Iplan.ind_ok] legitimacy check (poisoning the plan's
-     sticky flag if it failed), so the steady-state indirect hot path
-     is the same array-load-and-match shape as an uninstrumented run. *)
   mutable fuel : int;
   (* current activation *)
   mutable regs : int array;
@@ -358,29 +347,6 @@ let[@inline] count_ext c site =
   let cnt = c.cnt in
   cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1
 
-(* Plan-selected counting variants (minimum-coverage profiling).  An
-   elided direct site keeps neither the scalar nor the per-site count;
-   an elided external site keeps its scalars (so the run-level calls /
-   ext-calls / returns totals stay exact) and skips only the per-site
-   store. *)
-
-let[@inline] count_call_scalar c =
-  let cnt = c.cnt in
-  cnt.Counters.calls <- cnt.Counters.calls + 1
-
-let[@inline] count_ext_scalar c =
-  let cnt = c.cnt in
-  cnt.Counters.calls <- cnt.Counters.calls + 1;
-  cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1
-
-let[@inline] count_site_only c site =
-  let sc = c.cnt.Counters.site_counts in
-  Array.unsafe_set sc site (Array.unsafe_get sc site + 1)
-
-(* Indirect-site target histograms are never elided: the
-   counts cannot be re-attributed to a callee afterwards, so the value
-   profile must stay exact under every coverage mode (both the devirt
-   pass and the full|min differential rely on that). *)
 let[@inline] count_ind_target c site fid =
   Counters.record_ind c.cnt ~nfuncs:c.nfuncs ~site ~fid
 
@@ -394,11 +360,9 @@ let[@inline] ext_return c retc r =
 (* Decoder                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* External calls, fully counted (the plan-less path and plan-counted
-   sites).  Hot externals are specialised to direct calls on the shared
-   {!Rt} helpers; the counting is inlined, not a closure, so the default
-   engine pays no indirection. *)
-let decode_ext_full (code : op array) next site name args retc : op =
+(* External calls.  Hot externals are specialised to direct calls on
+   the shared {!Rt} helpers, with the counting inlined. *)
+let decode_ext (code : op array) next site name args retc : op =
   match (name, args) with
   | "getchar", [] ->
     fun c ->
@@ -455,141 +419,6 @@ let decode_ext_full (code : op array) next site name args retc : op =
       c.fuel <- c.fuel - 1;
       if c.fuel <= 0 then raise Rt.Out_of_fuel;
       count_ext c site;
-      let regs = c.regs in
-      let vs = Array.fold_right (fun e acc -> get regs e :: acc) argsenc [] in
-      ext_return c retc (Rt.call_external c.st name vs);
-      (Array.unsafe_get code next) c
-
-(* External calls whose counting the plan altered (the elided site of a
-   minimum-coverage plan).  The external
-   itself stays specialised; only the counting goes through [count],
-   chosen once at decode time. *)
-let decode_ext_by (code : op array) next name args retc (count : ctx -> unit) :
-    op =
-  match (name, args) with
-  | "getchar", [] ->
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count c;
-      ext_return c retc (Rt.ext_getchar c.st);
-      (Array.unsafe_get code next) c
-  | "putchar", [ a ] ->
-    let ea = enc a in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count c;
-      ext_return c retc (Rt.ext_putchar c.st (get c.regs ea));
-      (Array.unsafe_get code next) c
-  | "print_int", [ a ] ->
-    let ea = enc a in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count c;
-      ext_return c retc (Rt.ext_print_int c.st (get c.regs ea));
-      (Array.unsafe_get code next) c
-  | "print_str", [ a ] ->
-    let ea = enc a in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count c;
-      ext_return c retc (Rt.ext_print_str c.st (get c.regs ea));
-      (Array.unsafe_get code next) c
-  | "read", [ p; n ] ->
-    let ep = enc p and en = enc n in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count c;
-      let regs = c.regs in
-      ext_return c retc (Rt.ext_read c.st (get regs ep) (get regs en));
-      (Array.unsafe_get code next) c
-  | "write", [ p; n ] ->
-    let ep = enc p and en = enc n in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count c;
-      let regs = c.regs in
-      ext_return c retc (Rt.ext_write c.st (get regs ep) (get regs en));
-      (Array.unsafe_get code next) c
-  | _ ->
-    let argsenc = Array.of_list (List.map enc args) in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count c;
-      let regs = c.regs in
-      let vs = Array.fold_right (fun e acc -> get regs e :: acc) argsenc [] in
-      ext_return c retc (Rt.call_external c.st name vs);
-      (Array.unsafe_get code next) c
-
-(* The elided external site of a minimum-coverage plan: scalars stay
-   exact, only the per-site store is dropped.  Inlined like
-   {!decode_ext_full} — the elided site is typically the hottest
-   external in the program (the plan elides the max-weight in-arc), so
-   it must do strictly {e less} work per execution than the full path,
-   not trade a store for a closure call. *)
-let decode_ext_scalar (code : op array) next name args retc : op =
-  match (name, args) with
-  | "getchar", [] ->
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count_ext_scalar c;
-      ext_return c retc (Rt.ext_getchar c.st);
-      (Array.unsafe_get code next) c
-  | "putchar", [ a ] ->
-    let ea = enc a in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count_ext_scalar c;
-      ext_return c retc (Rt.ext_putchar c.st (get c.regs ea));
-      (Array.unsafe_get code next) c
-  | "print_int", [ a ] ->
-    let ea = enc a in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count_ext_scalar c;
-      ext_return c retc (Rt.ext_print_int c.st (get c.regs ea));
-      (Array.unsafe_get code next) c
-  | "print_str", [ a ] ->
-    let ea = enc a in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count_ext_scalar c;
-      ext_return c retc (Rt.ext_print_str c.st (get c.regs ea));
-      (Array.unsafe_get code next) c
-  | "read", [ p; n ] ->
-    let ep = enc p and en = enc n in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count_ext_scalar c;
-      let regs = c.regs in
-      ext_return c retc (Rt.ext_read c.st (get regs ep) (get regs en));
-      (Array.unsafe_get code next) c
-  | "write", [ p; n ] ->
-    let ep = enc p and en = enc n in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count_ext_scalar c;
-      let regs = c.regs in
-      ext_return c retc (Rt.ext_write c.st (get regs ep) (get regs en));
-      (Array.unsafe_get code next) c
-  | _ ->
-    let argsenc = Array.of_list (List.map enc args) in
-    fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
-      count_ext_scalar c;
       let regs = c.regs in
       let vs = Array.fold_right (fun e acc -> get regs e :: acc) argsenc [] in
       ext_return c retc (Rt.call_external c.st name vs);
@@ -608,8 +437,7 @@ let decode_ext_scalar (code : op array) next name args retc : op =
    program order, each before its own IL's work, so [Out_of_fuel] fires
    on the same IL as in the reference engine; [Bnz] and [Jump] count
    their control transfers, and a fused compare still writes its
-   register.  No call, external, return or switch takes part, so the
-   fused closures are the same under every instrumentation plan. *)
+   register.  No call, external, return or switch takes part. *)
 let fuse st0 ltab (code : op array) (a : Il.instr) (b : Il.instr) after :
     op option =
   match (a, b) with
@@ -750,20 +578,6 @@ let rec get_dfunc c fid =
        recursive call targets resolve to it. *)
     c.dfuncs.(fid) <- Some df;
     df.dcode <- decode c f body;
-    df
-
-and get_dfunc_ind c pl fid =
-  match c.ind_dfuncs.(fid) with
-  | Some df -> df
-  | None ->
-    (* First resolution of this indirect target under this plan: run
-       the legitimacy check once — a fabricated address poisons the
-       sticky flag, and once is enough — then cache the decoded
-       function so later calls skip the check and its branch. *)
-    if not (Array.unsafe_get pl.Iplan.ind_ok fid) then
-      Atomic.set pl.Iplan.poisoned true;
-    let df = get_dfunc c fid in
-    c.ind_dfuncs.(fid) <- Some df;
     df
 
 and decode c (f : Il.func) (body : Il.instr array) : op array =
@@ -1109,123 +923,41 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
           let i = Rt.switch_find cases v in
           let t = if i >= 0 then Array.unsafe_get dtargets i else ddefault in
           (Array.unsafe_get code t) c)
-  | Il.Call (site, callee, args, ret) -> (
+  | Il.Call (site, callee, args, ret) ->
     let df = get_dfunc c callee in
     let argsenc = Array.of_list (List.map enc args) in
     let retc = match ret with Some r -> r | None -> -1 in
-    let counted : op =
-      fun c ->
+    Some
+      (fun c ->
         c.fuel <- c.fuel - 1;
         if c.fuel <= 0 then raise Rt.Out_of_fuel;
         count_call c site;
         enter c df argsenc retc next;
         (* [enter] installed the callee's code; its entry may be the
            sentinel (empty body), so fetch through the activation. *)
-        (Array.unsafe_get c.code 0) c
-    in
-    match c.plan with
-    | None -> Some counted
-    | Some pl -> (
-      (* The variant is fixed here, at decode time: an elided site's
-         closure simply has no counting code in it. *)
-      match
-        ( Array.unsafe_get pl.Iplan.site_scalar site,
-          Array.unsafe_get pl.Iplan.site_counted site )
-      with
-      | true, true -> Some counted
-      | false, false ->
-        Some
-          (fun c ->
-            c.fuel <- c.fuel - 1;
-            if c.fuel <= 0 then raise Rt.Out_of_fuel;
-            enter c df argsenc retc next;
-            (Array.unsafe_get c.code 0) c)
-      | true, false ->
-        Some
-          (fun c ->
-            c.fuel <- c.fuel - 1;
-            if c.fuel <= 0 then raise Rt.Out_of_fuel;
-            count_call_scalar c;
-            enter c df argsenc retc next;
-            (Array.unsafe_get c.code 0) c)
-      | false, true ->
-        Some
-          (fun c ->
-            c.fuel <- c.fuel - 1;
-            if c.fuel <= 0 then raise Rt.Out_of_fuel;
-            count_site_only c site;
-            enter c df argsenc retc next;
-            (Array.unsafe_get c.code 0) c)))
-  | Il.Call_ind (site, target, args, ret) -> (
+        (Array.unsafe_get c.code 0) c)
+  | Il.Call_ind (site, target, args, ret) ->
     let et = enc target in
     let argsenc = Array.of_list (List.map enc args) in
     let retc = match ret with Some r -> r | None -> -1 in
-    match c.plan with
-    | None ->
-      Some
-        (fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
-          count_call c site;
-          let tv = get c.regs et in
-          match Rt.fid_of_addr tv c.nfuncs with
-          | Some fid when c.prog.Il.funcs.(fid).Il.alive ->
-            count_ind_target c site fid;
-            enter c (get_dfunc c fid) argsenc retc next;
-            (Array.unsafe_get c.code 0) c
-          | Some fid ->
-            Rt.trap "indirect call to dead function %s"
-              c.prog.Il.funcs.(fid).Il.name
-          | None -> Rt.trap "indirect call through bad pointer %d" tv)
-    | Some pl ->
-      (* Indirect sites are never elided (the counts cannot be
-         attributed to a callee afterwards); under a plan they count
-         fully and additionally verify the resolved target against
-         [Iplan.ind_ok]: an unexpected target (a fabricated integer
-         address) poisons the plan so the driver re-profiles fully
-         instrumented.  {!get_dfunc_ind} pays that check once per target
-         and caches the result, so the steady-state path costs the same
-         as the plan-less variant. *)
-      Some
-        (fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
-          count_call c site;
-          let tv = get c.regs et in
-          match Rt.fid_of_addr tv c.nfuncs with
-          | Some fid when c.prog.Il.funcs.(fid).Il.alive ->
-            count_ind_target c site fid;
-            enter c (get_dfunc_ind c pl fid) argsenc retc next;
-            (Array.unsafe_get c.code 0) c
-          | Some fid ->
-            Rt.trap "indirect call to dead function %s"
-              c.prog.Il.funcs.(fid).Il.name
-          | None -> Rt.trap "indirect call through bad pointer %d" tv))
-  | Il.Call_ext (site, name, args, ret) -> (
+    Some
+      (fun c ->
+        c.fuel <- c.fuel - 1;
+        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        count_call c site;
+        let tv = get c.regs et in
+        match Rt.fid_of_addr tv c.nfuncs with
+        | Some fid when c.prog.Il.funcs.(fid).Il.alive ->
+          count_ind_target c site fid;
+          enter c (get_dfunc c fid) argsenc retc next;
+          (Array.unsafe_get c.code 0) c
+        | Some fid ->
+          Rt.trap "indirect call to dead function %s"
+            c.prog.Il.funcs.(fid).Il.name
+        | None -> Rt.trap "indirect call through bad pointer %d" tv)
+  | Il.Call_ext (site, name, args, ret) ->
     let retc = match ret with Some r -> r | None -> -1 in
-    match c.plan with
-    | None -> Some (decode_ext_full code next site name args retc)
-    | Some pl ->
-      if
-        Array.unsafe_get pl.Iplan.site_scalar site
-        && Array.unsafe_get pl.Iplan.site_counted site
-      then
-        (* Fully counted sites compile to the exact same closures as
-           the plan-less engine — min-mode pays nothing on them. *)
-        Some (decode_ext_full code next site name args retc)
-      else if
-        pl.Iplan.site_scalar.(site) && not pl.Iplan.site_counted.(site)
-      then
-        (* The one elidable external: scalars inlined, site store
-           dropped — strictly less work than the full path. *)
-        Some (decode_ext_scalar code next name args retc)
-      else
-        let do_scalar = pl.Iplan.site_scalar.(site)
-        and do_site = pl.Iplan.site_counted.(site) in
-        Some
-          (decode_ext_by code next name args retc (fun c ->
-               if do_scalar then count_ext_scalar c;
-               if do_site then count_site_only c site)))
+    Some (decode_ext code next site name args retc)
   | Il.Ret None ->
     Some
       (fun c ->
@@ -1280,39 +1012,26 @@ and ignore_op (_ : ctx) = ()
    running domain, which is why the table is keyed by domain id: two
    workers profiling the same program decode once each and never share.
 
-   A cache is valid for one physical (program, instrumentation plan)
-   pair; both are compared by identity on lookup, so handing the same
-   cache a different (or mutated-via-copy) program — or re-running the
-   same program under a different plan, whose decoded closures bake in
-   different counting variants — silently decodes fresh rather than
-   running stale code.  Callers must not mutate a program in place
+   A cache is valid for one physical program, compared by identity on
+   lookup, so handing the same cache a different (or mutated-via-copy)
+   program silently decodes fresh rather than running stale code.
+   Callers must not mutate a program in place
    between runs under one cache — the profiling driver, which owns the
    only caches, runs a frozen program by construction.  The same
    contract lets a program be validated once per fresh table rather
    than once per run. *)
 type cache = {
   cmu : Mutex.t;
-  per_domain :
-    ( int,
-      Il.program * Iplan.t option * dfunc option array * dfunc option array )
-    Hashtbl.t;
-      (* decoded functions + the checked indirect-target view, keyed by
-         the owning domain *)
+  per_domain : (int, Il.program * dfunc option array) Hashtbl.t;
+      (* decoded functions, keyed by the owning domain *)
 }
 
 let cache () = { cmu = Mutex.create (); per_domain = Hashtbl.create 4 }
 
-let same_plan a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> x == y
-  | None, Some _ | Some _, None -> false
-
-let cached_dfuncs cache prog plan =
+let cached_dfuncs cache prog =
   let fresh () =
     validate prog;
-    let n = Array.length prog.Il.funcs in
-    (Array.make n None, Array.make n None)
+    Array.make (Array.length prog.Il.funcs) None
   in
   match cache with
   | None -> fresh ()
@@ -1320,16 +1039,16 @@ let cached_dfuncs cache prog plan =
     let dom = (Domain.self () :> int) in
     Mutex.protect cch.cmu (fun () ->
         match Hashtbl.find_opt cch.per_domain dom with
-        | Some (p, pl, d, di) when p == prog && same_plan pl plan -> (d, di)
+        | Some (p, d) when p == prog -> d
         | _ ->
-          let d, di = fresh () in
-          Hashtbl.replace cch.per_domain dom (prog, plan, d, di);
-          (d, di))
+          let d = fresh () in
+          Hashtbl.replace cch.per_domain dom (prog, d);
+          d)
 
 let run ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
-    ?(stack_size = 1024 * 1024) ?(obs = Impact_obs.Obs.null) ?cache ?plan
+    ?(stack_size = 1024 * 1024) ?(obs = Impact_obs.Obs.null) ?cache
     (prog : Il.program) ~input =
-  let dfuncs, ind_dfuncs = cached_dfuncs cache prog plan in
+  let dfuncs = cached_dfuncs cache prog in
   let st =
     Rt.create_state ?budget ~reuse_mem:true ~fuel ~heap_size ~stack_size prog
       ~input
@@ -1352,9 +1071,7 @@ let run ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
       cnt = st.Rt.counters;
       prog;
       nfuncs = Array.length prog.Il.funcs;
-      plan;
       dfuncs;
-      ind_dfuncs;
       fuel;
       regs = [||];
       fp = st.Rt.stack_top;

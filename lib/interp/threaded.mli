@@ -17,28 +17,23 @@
     Call it through {!Machine.run}. *)
 
 (** A decode cache: reuses each function's decoded closure array across
-    runs of the {e same physical program under the same physical
-    instrumentation plan}, sharded per domain (decoded code carries
-    domain-private register pools, so two domains never share an
-    entry).  Create one per program with {!cache} and pass it to every
-    {!run} over that program — profiling the suite re-decodes nothing
-    after the first run per domain.  Handing a cache a different
-    program or plan decodes fresh (identity-checked — decoded closures
-    bake the plan's counting variants in), so misuse costs speed, never
-    soundness; mutating a program in place between runs under one cache
-    is the caller's contract to avoid. *)
+    runs of the {e same physical program}, sharded per domain (decoded
+    code carries domain-private register pools, so two domains never
+    share an entry).  Create one per program with {!cache} and pass it
+    to every {!run} over that program — profiling the suite re-decodes
+    nothing after the first run per domain.  Handing a cache a different
+    program decodes fresh (identity-checked), so misuse costs speed,
+    never soundness; mutating a program in place between runs under one
+    cache is the caller's contract to avoid. *)
 type cache
 
 val cache : unit -> cache
 
-(** [run ?budget ?fuel ?heap_size ?stack_size ?obs ?cache ?plan prog
-    ~input] — semantics and defaults of {!Machine.run}.  The memory
-    image is drawn from per-domain scratch ({!Rt.create_state}'s
-    [reuse_mem]); [?cache] additionally reuses decoded code, and the
-    program is validated once per fresh decode table.  [?plan] selects
-    per-site counting variants at decode time ({!Iplan.t}): an elided
-    site's closure contains no counting code at all, so
-    minimum-coverage profiling pays nothing per execution.
+(** [run ?budget ?fuel ?heap_size ?stack_size ?obs ?cache prog ~input]
+    — semantics and defaults of {!Machine.run}.  The memory image is
+    drawn from per-domain scratch ({!Rt.create_state}'s [reuse_mem]);
+    [?cache] additionally reuses decoded code, and the program is
+    validated once per fresh decode table.
 
     @raise Rt.Invalid_il before running anything, if a register, label,
       call site, function, global or string reference is out of range
@@ -54,7 +49,6 @@ val run :
   ?stack_size:int ->
   ?obs:Impact_obs.Obs.t ->
   ?cache:cache ->
-  ?plan:Iplan.t ->
   Impact_il.Il.program ->
   input:string ->
   Rt.outcome

@@ -1,29 +1,29 @@
 (* Profile serialisation.
 
    Current format (v4) adds the per-indirect-site value profile
-   ("vsite" lines) on top of the v3 mode extension:
+   ("vsite" lines):
 
-     impact-profile v4 <md5-of-program-dump | -> <full|min | ->
+     impact-profile v4 <md5-of-program-dump | -> -
      ...
      vsite <site> <other-weight> <fid>:<weight> ...
 
    A v4 header is emitted only when the profile actually carries value
-   data (some indirect site executed); otherwise the previous headers
-   are kept — v3 when the writer states a mode:
-
-     impact-profile v3 <md5-of-program-dump | -> <full|min>
-
-   and v2 when it does not:
+   data (some indirect site executed); otherwise the v2 header is kept:
 
      impact-profile v2 <md5-of-program-dump | ->
 
    — which keeps {!profile_checksum} (and every cache artifact keyed by
-   it) byte-stable for every profile without indirect-call data.  v3/v2
-   files read back with an empty value profile (they predate it, and an
-   empty value profile simply disables devirtualization); v1 files
-   ("impact-profile 1") are still read and carry neither checksum nor
-   mode, so staleness cannot be detected for them.  A header naming any
-   other mode (the retired "sampled" included) is a typed error.
+   it) byte-stable for every profile without indirect-call data.
+
+   The reader also takes v3 headers ("impact-profile v3 <checksum>
+   full") and v4 headers whose mode field says "full": both were
+   written while profiling had several instrumentation modes.  A header
+   naming any other mode ("min", the retired "sampled") is a typed
+   error: no profile from a mode that no longer exists is loaded.
+   v3/v2 files read back with an empty value profile (they predate it,
+   and an empty value profile simply disables devirtualization); v1
+   files ("impact-profile 1") are still read and carry no checksum, so
+   staleness cannot be detected for them.
 
    "vsite" lines are deliberately forgiving in a different way from the
    rest of the format: a malformed, truncated or out-of-bounds value
@@ -43,7 +43,6 @@ module Ierr = Impact_support.Ierr
 module Fault = Impact_support.Fault
 
 let magic_v2 = "impact-profile v2"
-let magic_v3 = "impact-profile v3"
 let magic_v4 = "impact-profile v4"
 
 (* Bound on the targets a single vsite line may carry — generous
@@ -63,33 +62,13 @@ let fail fmt =
 
 let program_checksum prog = Digest.to_hex (Digest.string (Impact_il.Il_pp.dump prog))
 
-let to_string ?checksum ?mode (p : Profile.t) =
+let to_string ?(checksum = "-") (p : Profile.t) =
   let buf = Buffer.create 1024 in
-  (if p.Profile.vsites <> [] then begin
-     (* Value data present: v4 header, with "-" standing in for an
-        unstated mode exactly like an unrecorded checksum. *)
-     Buffer.add_string buf magic_v4;
-     Buffer.add_char buf ' ';
-     Buffer.add_string buf (match checksum with Some c -> c | None -> "-");
-     Buffer.add_char buf ' ';
-     Buffer.add_string buf
-       (match mode with Some m -> Coverage.mode_name m | None -> "-")
-   end
-   else
-     match mode with
-     | None ->
-       (* No mode stated: keep the v2 header byte-for-byte, so
-          [profile_checksum] — and every cached artifact keyed by it —
-          is unchanged by the mode extension. *)
-       Buffer.add_string buf magic_v2;
-       Buffer.add_char buf ' ';
-       Buffer.add_string buf (match checksum with Some c -> c | None -> "-")
-     | Some m ->
-       Buffer.add_string buf magic_v3;
-       Buffer.add_char buf ' ';
-       Buffer.add_string buf (match checksum with Some c -> c | None -> "-");
-       Buffer.add_char buf ' ';
-       Buffer.add_string buf (Coverage.mode_name m));
+  (* Value data present: the v4 header, whose mode field is always the
+     unrecorded "-".  Otherwise the v2 header, byte for byte. *)
+  if p.Profile.vsites <> [] then
+    Buffer.add_string buf (Printf.sprintf "%s %s -" magic_v4 checksum)
+  else Buffer.add_string buf (Printf.sprintf "%s %s" magic_v2 checksum);
   Buffer.add_char buf '\n';
   Buffer.add_string buf (Printf.sprintf "runs %d\n" p.Profile.nruns);
   Buffer.add_string buf
@@ -148,7 +127,7 @@ let weight_of_string line w =
   | Some _ -> fail "negative or non-finite weight in %S" line
   | None -> fail "bad weight %S in %S" w line
 
-let parse ?expect_checksum ?expect_mode s =
+let parse ?expect_checksum s =
   let lines =
     String.split_on_char '\n' s
     |> List.map strip_cr
@@ -166,34 +145,19 @@ let parse ?expect_checksum ?expect_mode s =
         expected
     | _ -> ()
   in
+  (* A recorded mode must be the one there is. *)
+  let check_mode mode =
+    if mode <> Coverage.mode_name Coverage.Full then
+      fail "bad profile mode %S in header" mode
+  in
   (match header with
-  | [ "impact-profile"; "v4"; checksum; mode ] -> (
+  | [ "impact-profile"; "v4"; checksum; mode ] ->
     check_checksum checksum;
-    if mode <> "-" then
-      (* "-" = unstated mode, undetectable like a "-" checksum. *)
-      match Coverage.mode_of_string mode with
-      | None -> fail "bad profile mode %S in header" mode
-      | Some recorded -> (
-        match expect_mode with
-        | Some wanted when recorded <> wanted ->
-          fail "stale profile: mode %s does not match requested %s"
-            (Coverage.mode_name recorded) (Coverage.mode_name wanted)
-        | _ -> ()))
-  | [ "impact-profile"; "v3"; checksum; mode ] -> (
+    if mode <> "-" then check_mode mode
+  | [ "impact-profile"; "v3"; checksum; mode ] ->
     check_checksum checksum;
-    match Coverage.mode_of_string mode with
-    | None -> fail "bad profile mode %S in header" mode
-    | Some recorded -> (
-      match expect_mode with
-      | Some wanted when recorded <> wanted ->
-        fail "stale profile: mode %s does not match requested %s"
-          (Coverage.mode_name recorded) (Coverage.mode_name wanted)
-      | _ -> ()))
-  | [ "impact-profile"; "v2"; checksum ] ->
-    (* v2 back-compat: no mode recorded (the format predates modes), so
-       — like an unrecorded "-" checksum — mode staleness is
-       undetectable and the file passes any [expect_mode]. *)
-    check_checksum checksum
+    check_mode mode
+  | [ "impact-profile"; "v2"; checksum ] -> check_checksum checksum
   | [ "impact-profile"; "1" ] ->
     (* v1 back-compat: no checksum recorded, staleness undetectable. *)
     ()
@@ -341,10 +305,10 @@ let parse ?expect_checksum ?expect_mode s =
     avg_max_stack = f;
   }
 
-let of_string ?expect_checksum ?expect_mode s =
+let of_string ?expect_checksum s =
   match
     Fault.hit Fault.Profile_read;
-    parse ?expect_checksum ?expect_mode s
+    parse ?expect_checksum s
   with
   | p -> Ok p
   | exception Ierr.Error e -> Error e
@@ -355,18 +319,18 @@ let of_string ?expect_checksum ?expect_mode s =
       (Ierr.of_exn ~severity:Ierr.Degradable ~recovery:Ierr.Fallback_static
          Ierr.Profile_io e)
 
-let of_string_exn ?expect_checksum ?expect_mode s =
-  match of_string ?expect_checksum ?expect_mode s with
+let of_string_exn ?expect_checksum s =
+  match of_string ?expect_checksum s with
   | Ok p -> p
   | Error e -> raise (Ierr.Error e)
 
 (* Write-to-temp then rename (via Atomic_io), so a crash mid-write never
    leaves a truncated profile at [path]: the reader sees either the old
    file or the complete new one. *)
-let save ?checksum ?mode path p =
+let save ?checksum path p =
   match
     Fault.hit Fault.Profile_write;
-    Impact_support.Atomic_io.write_string path (to_string ?checksum ?mode p)
+    Impact_support.Atomic_io.write_string path (to_string ?checksum p)
   with
   | () -> ()
   | exception (Ierr.Error _ as e) -> raise e
@@ -376,7 +340,7 @@ let save ?checksum ?mode path p =
          (Ierr.of_exn ~severity:Ierr.Degradable ~recovery:Ierr.Abort
             Ierr.Profile_io e))
 
-let load ?expect_checksum ?expect_mode path =
+let load ?expect_checksum path =
   match
     let ic = open_in path in
     let n = in_channel_length ic in
@@ -384,13 +348,13 @@ let load ?expect_checksum ?expect_mode path =
     close_in ic;
     s
   with
-  | s -> of_string ?expect_checksum ?expect_mode s
+  | s -> of_string ?expect_checksum s
   | exception e ->
     Error
       (Ierr.of_exn ~severity:Ierr.Degradable ~recovery:Ierr.Fallback_static
          Ierr.Profile_io e)
 
-let load_exn ?expect_checksum ?expect_mode path =
-  match load ?expect_checksum ?expect_mode path with
+let load_exn ?expect_checksum path =
+  match load ?expect_checksum path with
   | Ok p -> p
   | Error e -> raise (Ierr.Error e)

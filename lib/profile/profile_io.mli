@@ -5,7 +5,7 @@
     The format is a line-oriented text file:
 
     {v
-    impact-profile v4 <checksum> <full|min|->
+    impact-profile v4 <checksum> -
     runs <n>
     totals <ils> <cts> <calls> <returns> <ext_calls> <max_stack>
     func <fid> <weight>      (one line per non-zero node weight)
@@ -16,24 +16,22 @@
     Weights are averages over the run set and may be fractional.  The
     header's [<checksum>] is the {!program_checksum} of the program the
     profile was collected against ([-] when not recorded), so a stale
-    profile is detected at load time.  The mode field records the
-    instrumentation mode the profile was collected under; a header
-    naming any other mode, such as the retired [sampled], is a typed
-    error.
+    profile is detected at load time.
 
     Writers emit a v4 header only when the profile carries a value
-    profile (some indirect site executed); otherwise a v3 header is
-    emitted when they state a mode and the v2 header
-    ([impact-profile v2 <checksum>]) is kept when they do not, which
-    also keeps {!profile_checksum} byte-stable for profiles without
-    indirect-call data.  v2/v3 files read back with an empty value
-    profile; v2 files carry no mode and pass any [expect_mode]; v1
-    files ([impact-profile 1]) are still read and carry neither
-    checksum nor mode.
+    profile (some indirect site executed); otherwise the v2 header
+    ([impact-profile v2 <checksum>]) is kept, which also keeps
+    {!profile_checksum} byte-stable for profiles without indirect-call
+    data.  Readers also accept the v3 header
+    ([impact-profile v3 <checksum> full]) and a v4 mode field of
+    [full], both written while profiling had several modes; a header
+    naming any other mode ([min], the retired [sampled]) is a typed
+    error.  v2/v3 files read back with an empty value profile; v1
+    files ([impact-profile 1]) are still read and carry no checksum.
 
     All failure modes — unreadable file, malformed line,
-    negative/overflowing count, unknown section, stale checksum or
-    mode — are reported as typed {!Impact_support.Ierr.t} values (stage
+    negative/overflowing count, unknown section, stale checksum, a
+    retired mode — are reported as typed {!Impact_support.Ierr.t} values (stage
     [Profile_io], severity [Degradable], recovery [Fallback_static]),
     never raw exceptions: array sizes requested by the file are bounds-
     checked before allocation.  The one deliberate exception is the
@@ -45,7 +43,7 @@
     points. *)
 
 (** [program_checksum prog] is the MD5 (hex) of the program's textual
-    dump — the staleness fingerprint recorded in v2/v3 headers. *)
+    dump — the staleness fingerprint recorded in profile headers. *)
 val program_checksum : Impact_il.Il.program -> string
 
 (** [profile_checksum p] is the MD5 (hex) of the profile's canonical
@@ -53,46 +51,38 @@ val program_checksum : Impact_il.Il.program -> string
     artifacts (cached inlining decisions) derived from it. *)
 val profile_checksum : Profile.t -> string
 
-(** [to_string ?checksum ?mode p] serialises a profile.  A profile with
-    value data takes a v4 header ([?mode] defaulting to the unrecorded
-    marker [-]); otherwise, with [?mode], a v3 header records the
-    instrumentation mode and without it the v2 header is emitted
-    unchanged.  [?checksum] defaults to [-]. *)
-val to_string : ?checksum:string -> ?mode:Coverage.mode -> Profile.t -> string
+(** [to_string ?checksum p] serialises a profile: a v4 header when it
+    has value data, the v2 header otherwise.  [?checksum] defaults to
+    [-]. *)
+val to_string : ?checksum:string -> Profile.t -> string
 
-(** [of_string ?expect_checksum ?expect_mode s] parses a serialised
-    profile.  CRLF line endings and runs of spaces/tabs between fields
-    are tolerated.  With [?expect_checksum], a v2/v3 header whose
-    recorded checksum differs is rejected as stale; with [?expect_mode],
-    a v3 header recording a different mode is rejected as stale (v1/v2
-    headers and unrecorded [-] checksums pass either check).  Never
-    raises: every failure is a typed [Error]. *)
+(** [of_string ?expect_checksum s] parses a serialised profile.  CRLF
+    line endings and runs of spaces/tabs between fields are tolerated.
+    With [?expect_checksum], a header whose recorded checksum differs
+    is rejected as stale (v1 headers and unrecorded [-] checksums pass
+    the check).  Never raises: every failure is a typed [Error]. *)
 val of_string :
   ?expect_checksum:string ->
-  ?expect_mode:Coverage.mode ->
   string ->
   (Profile.t, Impact_support.Ierr.t) result
 
 (** [of_string_exn] is {!of_string}, raising {!Impact_support.Ierr.Error}. *)
-val of_string_exn :
-  ?expect_checksum:string -> ?expect_mode:Coverage.mode -> string -> Profile.t
+val of_string_exn : ?expect_checksum:string -> string -> Profile.t
 
-(** [save ?checksum ?mode path p] writes [to_string p] to [path]
+(** [save ?checksum path p] writes [to_string p] to [path]
     atomically: the bytes go to [path ^ ".tmp"] first and are renamed
     over [path], so a crash mid-write never leaves a truncated profile
     behind.
     @raise Impact_support.Ierr.Error when the file cannot be written. *)
-val save : ?checksum:string -> ?mode:Coverage.mode -> string -> Profile.t -> unit
+val save : ?checksum:string -> string -> Profile.t -> unit
 
-(** [load ?expect_checksum ?expect_mode path] reads and parses a profile
-    file.  Never raises: an unreadable file or malformed content is a
-    typed [Error]. *)
+(** [load ?expect_checksum path] reads and parses a profile file.
+    Never raises: an unreadable file or malformed content is a typed
+    [Error]. *)
 val load :
   ?expect_checksum:string ->
-  ?expect_mode:Coverage.mode ->
   string ->
   (Profile.t, Impact_support.Ierr.t) result
 
 (** [load_exn] is {!load}, raising {!Impact_support.Ierr.Error}. *)
-val load_exn :
-  ?expect_checksum:string -> ?expect_mode:Coverage.mode -> string -> Profile.t
+val load_exn : ?expect_checksum:string -> string -> Profile.t

@@ -163,7 +163,6 @@ type job = {
   j_source : string;
   j_inputs : string list;
   j_policy : Pipeline.policy;
-  j_profile_mode : Impact_profile.Coverage.mode;
   j_devirt : bool;
   j_devirt_threshold : float;
   j_timeout_s : float option;
@@ -194,9 +193,6 @@ let default_job =
     j_source = "";
     j_inputs = [ "" ];
     j_policy = Pipeline.Strict;
-    (* Full is the historical behaviour, so requests from clients that
-       predate the field keep their exact semantics. *)
-    j_profile_mode = Impact_profile.Coverage.Full;
     (* Off by default: clients that predate the field keep the exact
        non-speculative pipeline. *)
     j_devirt = false;
@@ -253,13 +249,13 @@ let parse_job j =
     | _ ->
       Error (serve_error "engine is retired; only \"threaded\" is accepted")
   in
-  let* profile_mode =
+  (* The retired profile_mode field, the same way: earlier clients
+     sent "full" on every frame. *)
+  let* () =
     match Sink.mem "profile_mode" j with
-    | Sink.Null -> Ok Impact_profile.Coverage.Full
-    | Sink.String s -> (
-      match Impact_profile.Coverage.mode_of_string s with
-      | Some m -> Ok m
-      | None -> Error (serve_error "unknown profile_mode %S" s))
+    | Sink.Null -> Ok ()
+    | Sink.String s when s = Impact_profile.Coverage.(mode_name Full) -> Ok ()
+    | Sink.String s -> Error (serve_error "unknown profile_mode %S" s)
     | _ -> Error (serve_error "profile_mode must be a string")
   in
   let* devirt =
@@ -294,7 +290,6 @@ let parse_job j =
       j_source = source;
       j_inputs = inputs;
       j_policy = policy;
-      j_profile_mode = profile_mode;
       j_devirt = devirt;
       j_devirt_threshold = devirt_threshold;
       j_timeout_s = timeout_s;
@@ -350,8 +345,6 @@ let job_fields job =
           (match job.j_policy with
           | Pipeline.Strict -> "strict"
           | Pipeline.Degrade -> "degrade") );
-      ( "profile_mode",
-        Sink.String (Impact_profile.Coverage.mode_name job.j_profile_mode) );
     ]
   @ (if not job.j_devirt then []
      else

@@ -62,12 +62,6 @@ type job = {
   j_source : string;
   j_inputs : string list;  (** default [[""]] *)
   j_policy : Impact_harness.Pipeline.policy;  (** default [Strict] *)
-  j_profile_mode : Impact_profile.Coverage.mode;
-      (** wire field [profile_mode], ["full"] or ["min"]
-          ({!Impact_profile.Coverage.mode_name}); absent (requests from
-          clients predating the field) defaults to [Full] — the
-          historical behaviour; any other value, the retired
-          ["sampled"] included, is a typed [serve] error *)
   j_devirt : bool;
       (** wire field [devirt]; absent defaults to [false] — requests
           from clients predating the field keep the exact
@@ -92,12 +86,15 @@ type request = { rq_id : int; rq_kind : kind }
 
 val kind_name : kind -> string
 
-(** All defaults: empty source, [[""]] inputs, [Strict], [Threaded],
-    [Full] profiling, no devirtualization, no budgets, no fault. *)
+(** All defaults: empty source, [[""]] inputs, [Strict], no
+    devirtualization, no budgets, no fault. *)
 val default_job : job
 
 (** [parse_request j] validates the version field and every parameter;
-    any violation is a typed [Serve] error carrying the reason. *)
+    any violation is a typed [Serve] error carrying the reason.  Two
+    retired fields are still accepted with the one value earlier
+    clients sent: [engine] as ["threaded"] and [profile_mode] as
+    ["full"]; any other value is a [Serve] error. *)
 val parse_request :
   Impact_obs.Sink.json -> (request, Impact_support.Ierr.t) result
 

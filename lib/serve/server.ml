@@ -93,9 +93,11 @@ type t = {
   seq : int Atomic.t;  (* request ordinals, for flight samples *)
   ctr : counters;
   hist_all : Histogram.t;
-  (* Latency per (kind × profile mode), labelled "compile:min",
-     "profile:full", … — created on first use so the stats payload only
-     carries labels that actually served traffic. *)
+  (* Latency per request kind, labelled "compile:full", "profile:full",
+     … (the ":full" suffix is the one profiling mode's name, kept
+     because stats readers look labels up by it) — created on first use
+     so the stats payload only carries labels that actually served
+     traffic. *)
   hist_mu : Mutex.t;
   hist_kinds : (string, Histogram.t) Hashtbl.t;
   flight : Flight.t;
@@ -161,7 +163,7 @@ let compile_result_json (r : Pipeline.result) =
     ]
     @ devirt)
 
-let profile_json (p : Profile.t) ~(coverage : Profiler.coverage) ~nruns =
+let profile_json (p : Profile.t) ~nruns =
   Sink.Obj
     [
       ("avg_ils", Sink.Float p.Profile.avg_ils);
@@ -171,11 +173,6 @@ let profile_json (p : Profile.t) ~(coverage : Profiler.coverage) ~nruns =
       ("avg_ext_calls", Sink.Float p.Profile.avg_ext_calls);
       ("avg_max_stack", Sink.Float p.Profile.avg_max_stack);
       ("nruns", Sink.Int nruns);
-      ( "profile_mode",
-        Sink.String
-          (Impact_profile.Coverage.mode_name coverage.Profiler.effective) );
-      ("total_sites", Sink.Int coverage.Profiler.total_sites);
-      ("counted_sites", Sink.Int coverage.Profiler.counted_sites);
     ]
 
 (* The job body proper.  Anything escaping is classified into the typed
@@ -241,8 +238,7 @@ let execute_work t ~req_label (kind : Protocol.kind) :
             let r =
               Pipeline.run ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
                 ~config:(config_of_job job) ?cache:t.cfg.cache
-                ?budget:(budget_of_job job)
-                ~profile_mode:job.Protocol.j_profile_mode bench
+                ?budget:(budget_of_job job) bench
             in
             compile_result_json r))
   | Protocol.Profile job ->
@@ -253,15 +249,13 @@ let execute_work t ~req_label (kind : Protocol.kind) :
                   Lower.lower_source job.Protocol.j_source)
             in
             ignore (Impact_opt.Driver.pre_inline prog);
-            let { Profiler.profile; coverage; _ } =
+            let { Profiler.profile; _ } =
               Errors.guard Ierr.Profile_run (fun () ->
                   Profiler.profile ~obs:t.cfg.obs
-                    ?budget:(budget_of_job job) ~keep_outputs:false
-                    ~mode:job.Protocol.j_profile_mode prog
+                    ?budget:(budget_of_job job) ~keep_outputs:false prog
                     ~inputs:job.Protocol.j_inputs)
             in
-            profile_json profile ~coverage
-              ~nruns:(List.length job.Protocol.j_inputs)))
+            profile_json profile ~nruns:(List.length job.Protocol.j_inputs)))
   | Protocol.Report (bench_name, job) ->
     run_guarded (fun () ->
         with_fault job (fun () ->
@@ -278,8 +272,7 @@ let execute_work t ~req_label (kind : Protocol.kind) :
             let r =
               Pipeline.run ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
                 ~config:(config_of_job job) ?cache:t.cfg.cache
-                ?budget:(budget_of_job job)
-                ~profile_mode:job.Protocol.j_profile_mode bench
+                ?budget:(budget_of_job job) bench
             in
             Report.to_json [ r ]))
 
@@ -335,13 +328,11 @@ let stats_json t =
       ])
 
 let hist_label (kind : Protocol.kind) =
-  let labelled job =
-    Printf.sprintf "%s:%s" (Protocol.kind_name kind)
-      (Impact_profile.Coverage.mode_name job.Protocol.j_profile_mode)
-  in
   match kind with
-  | Protocol.Compile job | Protocol.Profile job | Protocol.Report (_, job) ->
-    Some (labelled job)
+  | Protocol.Compile _ | Protocol.Profile _ | Protocol.Report _ ->
+    Some
+      (Printf.sprintf "%s:%s" (Protocol.kind_name kind)
+         Impact_profile.Coverage.(mode_name Full))
   | Protocol.Ping | Protocol.Stats | Protocol.Shutdown -> None
 
 let hist_for t kind =

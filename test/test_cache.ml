@@ -534,38 +534,6 @@ let test_invalidation_precision () =
       ("front", 0, 1); ("profile", 0, 2); ("classify", 0, 2); ("inline", 0, 1);
     ]
 
-(* The instrumentation mode is part of the profile-stage key: switching
-   modes over a warm store must recompute exactly the profile entries
-   and nothing else.  Downstream stages are keyed on the profile's
-   content, and a [Min] profile is byte-identical to a [Full] one, so
-   classification and selection still hit — the precision cut-off the
-   whitespace test pins, one layer up. *)
-let test_profile_mode_is_stale () =
-  let dir = tmp_dir () in
-  let cache = Cache.create dir in
-  let bench = Suite.find "cmp" in
-  let full = Pipeline.run ~cache bench in
-  let obs = Obs.create (Sink.memory ()) in
-  let min =
-    Pipeline.run ~obs ~cache ~profile_mode:Impact_profile.Coverage.Min bench
-  in
-  check_stages obs
-    [
-      ("front", 1, 0); ("profile", 0, 2); ("classify", 2, 0); ("inline", 1, 0);
-    ];
-  Alcotest.(check string) "min-keyed rerun is byte-identical" (fingerprint full)
-    (fingerprint min);
-  (* The min entries are now warm in the same store, alongside the full
-     ones: a second min-mode run does no stage work at all. *)
-  let obs = Obs.create (Sink.memory ()) in
-  let _ =
-    Pipeline.run ~obs ~cache ~profile_mode:Impact_profile.Coverage.Min bench
-  in
-  Alcotest.(check int) "warm min rerun misses nothing" 0
-    (counter obs "cache.miss");
-  Alcotest.(check int) "warm min rerun hits every stage" 6
-    (counter obs "cache.hit")
-
 (* ------------------------------------------------------------------ *)
 (* On-disk corruption through the full pipeline                        *)
 (* ------------------------------------------------------------------ *)
@@ -676,8 +644,6 @@ let tests =
       test_warm_suite_report;
     Alcotest.test_case "invalidation is stage-precise" `Quick
       test_invalidation_precision;
-    Alcotest.test_case "profile mode is part of the stage key" `Quick
-      test_profile_mode_is_stale;
     Alcotest.test_case "pipeline survives a fully corrupt cache" `Quick
       test_pipeline_survives_corruption;
     QCheck_alcotest.to_alcotest prop_keys;

@@ -319,27 +319,41 @@ let test_atomic_writer_discards_on_failure () =
   Alcotest.(check string) "content installed" "whole record" line
 
 (* Stale-profile detection: a checksum recorded for different IL is a
-   typed error, and a v1 header (no checksum) still loads. *)
+   typed error, and a v1 header (no checksum) still loads.  The headers
+   that recorded a profiling mode still load when it is "full" (v3, v4)
+   or unrecorded (v4 "-"); test_profile_modes.ml pins the refusal of
+   the retired modes. *)
 let test_stale_and_legacy_profiles () =
   let p = sample_profile () in
-  let s = Profile_io.to_string ~checksum:"0123456789abcdef0123456789abcdef" p in
+  let ck = "0123456789abcdef0123456789abcdef" in
+  let s = Profile_io.to_string ~checksum:ck p in
   (match Profile_io.of_string ~expect_checksum:"feedfacefeedfacefeedfacefeedface" s with
   | Ok _ -> Alcotest.fail "stale profile accepted"
   | Error e ->
     Alcotest.(check string) "stale is profile-io" "profile-io"
       (Ierr.stage_name e.Ierr.stage));
-  (match Profile_io.of_string ~expect_checksum:"0123456789abcdef0123456789abcdef" s with
+  (match Profile_io.of_string ~expect_checksum:ck s with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "matching checksum rejected: %s" (Ierr.to_string e));
-  let v1 =
-    (* Rewrite the v2 header into the legacy one. *)
+  let with_header header =
     match String.index_opt s '\n' with
-    | Some i -> "impact-profile 1" ^ String.sub s i (String.length s - i)
+    | Some i -> header ^ String.sub s i (String.length s - i)
     | None -> Alcotest.fail "unexpected serialisation"
   in
-  match Profile_io.of_string ~expect_checksum:"anything" v1 with
-  | Ok p' -> Alcotest.(check int) "v1 loads" p.Profile.nruns p'.Profile.nruns
-  | Error e -> Alcotest.failf "v1 profile rejected: %s" (Ierr.to_string e)
+  (* A v1 header records no checksum, so it passes any expected one. *)
+  List.iter
+    (fun (header, expect_checksum) ->
+      match Profile_io.of_string ~expect_checksum (with_header header) with
+      | Ok p' ->
+        Alcotest.(check int) (header ^ " loads") p.Profile.nruns p'.Profile.nruns
+      | Error e -> Alcotest.failf "%s rejected: %s" header (Ierr.to_string e))
+    [
+      ("impact-profile 1", "anything");
+      ("impact-profile v2 " ^ ck, ck);
+      ("impact-profile v3 " ^ ck ^ " full", ck);
+      ("impact-profile v4 " ^ ck ^ " full", ck);
+      ("impact-profile v4 " ^ ck ^ " -", ck);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Suite isolation                                                     *)

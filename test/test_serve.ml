@@ -342,33 +342,53 @@ let test_fuzz_frames () =
       Alcotest.(check bool) "malformed traffic was counted" true
         (int_field (Sink.mem "requests" stats) "malformed" > 0))
 
-(* The retired [sampled] profiling mode: a request naming it is refused
-   on the wire with a typed serve error naming the value, and the same
-   connection goes on to profile under a mode that exists. *)
+(* The retired profiling modes: a request naming [sampled] or [min] is
+   refused on the wire with a typed serve error naming the value, and
+   the same connection goes on to profile.  ["full"], which earlier
+   clients sent on every frame, and an absent field are accepted, and a
+   client no longer sends the field. *)
 let test_retired_profile_mode () =
+  let frame ~id mode =
+    raw_frame
+      (Printf.sprintf
+         "{\"v\":1,\"id\":%d,\"kind\":\"profile\",\"source\":\"int \
+          main(){return 0;}\",\"profile_mode\":\"%s\"}\n"
+         id mode)
+  in
   with_server (fun t ->
       with_client t (fun c ->
-          Client.send_raw c
-            (raw_frame
-               "{\"v\":1,\"id\":1,\"kind\":\"profile\",\"source\":\"int \
-                main(){return 0;}\",\"profile_mode\":\"sampled\"}\n");
+          List.iteri
+            (fun i mode ->
+              Client.send_raw c (frame ~id:(i + 1) mode);
+              match Client.read_response c with
+              | Ok (Error e) ->
+                Alcotest.(check string) (mode ^ ": typed serve error") "serve"
+                  (Ierr.stage_name e.Ierr.stage);
+                Alcotest.(check string) (mode ^ ": names the refused mode")
+                  (Printf.sprintf "unknown profile_mode %S" mode)
+                  e.Ierr.msg
+              | _ -> Alcotest.failf "%s profile mode accepted" mode)
+            [ "sampled"; "min" ];
+          Client.send_raw c (frame ~id:3 "full");
           (match Client.read_response c with
-          | Ok (Error e) ->
-            Alcotest.(check string) "typed serve error" "serve"
-              (Ierr.stage_name e.Ierr.stage);
-            Alcotest.(check string) "names the refused mode"
-              "unknown profile_mode \"sampled\"" e.Ierr.msg
-          | _ -> Alcotest.fail "sampled profile mode accepted");
+          | Ok (Ok p) ->
+            Alcotest.(check bool) "\"full\" is profiled" true
+              (Sink.mem "nruns" p = Sink.Int 1)
+          | _ -> Alcotest.fail "\"full\" profile mode refused");
           let job =
             { Protocol.default_job with
               Protocol.j_source = tick_src;
-              j_inputs = [ "ab" ];
-              j_profile_mode = Impact_profile.Coverage.Min }
+              j_inputs = [ "ab" ] }
           in
           let p = ok_or_fail (Client.request c (Protocol.Profile job)) in
-          match Sink.mem "profile_mode" p with
-          | Sink.String m -> Alcotest.(check string) "min still served" "min" m
-          | _ -> Alcotest.fail "profile reply lacks its mode"))
+          Alcotest.(check bool) "absent field is profiled" true
+            (Sink.mem "nruns" p = Sink.Int 1)));
+  let j =
+    Protocol.request_to_json
+      { Protocol.rq_id = 1; rq_kind = Protocol.Profile Protocol.default_job }
+  in
+  Alcotest.(check bool) "clients no longer send profile_mode" true
+    (Sink.mem "profile_mode" j = Sink.Null)
 
 let test_interleaved_clients () =
   with_server ~domains:2 (fun t ->
