@@ -11,27 +11,47 @@ type json =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The first byte of [s] at or after [i] that JSON writes escaped, or
+   [String.length s].  This runs once per byte written, and comparisons
+   compile to a faster loop here than a [match] over byte ranges. *)
+let rec next_escaped s i =
+  if i < String.length s then
+    let c = String.unsafe_get s i in
+    if c >= ' ' && c <> '"' && c <> '\\' then next_escaped s (i + 1) else i
+  else i
+
+let hex_digits = "0123456789abcdef"
+
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let rec run i =
+    let j = next_escaped s i in
+    Buffer.add_substring buf s i (j - i);
+    if j < String.length s then begin
+      (match String.unsafe_get s j with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+        Buffer.add_char buf hex_digits.[Char.code c land 0xf]);
+      run (j + 1)
+    end
+  in
+  run 0;
   Buffer.add_char buf '"'
 
+(* JSON has no spelling for a non-finite number; [null] keeps the line
+   parseable. *)
 let float_to_string x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
   else Printf.sprintf "%.17g" x
 
-let rec write buf = function
+let rec json_to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
@@ -42,7 +62,7 @@ let rec write buf = function
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_char buf ',';
-        write buf item)
+        json_to_buffer buf item)
       items;
     Buffer.add_char buf ']'
   | Obj fields ->
@@ -52,13 +72,13 @@ let rec write buf = function
         if i > 0 then Buffer.add_char buf ',';
         escape_string buf k;
         Buffer.add_char buf ':';
-        write buf v)
+        json_to_buffer buf v)
       fields;
     Buffer.add_char buf '}'
 
 let json_to_string j =
   let buf = Buffer.create 256 in
-  write buf j;
+  json_to_buffer buf j;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -96,54 +116,103 @@ let parse_literal p word value =
   end
   else fail "invalid literal at %d" p.pos
 
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+let unescape = function
+  | 'n' -> '\n'
+  | 'r' -> '\r'
+  | 't' -> '\t'
+  | 'b' -> '\b'
+  | 'f' -> '\012'
+  | c -> c
+
+(* The first quote or backslash in [s] at or after [i] and below [stop],
+   or [stop]. *)
+let rec next_special s stop i =
+  if i < stop then
+    let c = String.unsafe_get s i in
+    if c <> '"' && c <> '\\' then next_special s stop (i + 1) else i
+  else stop
+
+(* A literal with escapes, whose first backslash is at [first].  Its raw
+   text ends at the first quote no escape takes, or at the end of input;
+   no escape decodes longer than it is written, so that extent sizes the
+   result.  Decoding then goes left to right like a byte-at-a-time
+   reader, so the first malformed escape is the one reported, at the
+   same position. *)
+let parse_escaped p start first =
+  let src = p.src in
+  let n = String.length src in
+  let rec extent i =
+    let j = next_special src n i in
+    if j < n && String.unsafe_get src j = '\\' then extent (j + 2) else j
+  in
+  let stop = extent first in
+  let out = Bytes.create (stop - start) in
+  (* Below [stop], every quote belongs to an escape, so a run ends at a
+     backslash or at [stop]. *)
+  let rec run i o =
+    let j = next_special src stop i in
+    Bytes.blit_string src i out o (j - i);
+    let o = o + (j - i) in
+    if j < stop then escape j o
+    else begin
+      if stop = n then fail "unterminated string at %d" n;
+      p.pos <- stop + 1;
+      Bytes.sub_string out 0 o
+    end
+  and escape i o =
+    let e = i + 1 in
+    match if e < n then String.unsafe_get src e else '\000' with
+    | ('"' | '\\' | '/' | 'n' | 'r' | 't' | 'b' | 'f') as c ->
+      Bytes.unsafe_set out o (unescape c);
+      run (e + 1) (o + 1)
+    | 'u' ->
+      let h = e + 1 in
+      if h + 4 > n then fail "bad \\u escape at %d" h;
+      let d0 = hex_value src.[h] and d1 = hex_value src.[h + 1]
+      and d2 = hex_value src.[h + 2] and d3 = hex_value src.[h + 3] in
+      if d0 lor d1 lor d2 lor d3 < 0 then fail "bad \\u escape at %d" h;
+      let code = (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3 in
+      (* The emitter only escapes control characters this way; decode
+         the basic plane as UTF-8 so foreign traces still load. *)
+      let set k c = Bytes.unsafe_set out (o + k) (Char.unsafe_chr c) in
+      if code < 0x80 then begin
+        set 0 code;
+        run (h + 4) (o + 1)
+      end
+      else if code < 0x800 then begin
+        set 0 (0xc0 lor (code lsr 6));
+        set 1 (0x80 lor (code land 0x3f));
+        run (h + 4) (o + 2)
+      end
+      else begin
+        set 0 (0xe0 lor (code lsr 12));
+        set 1 (0x80 lor ((code lsr 6) land 0x3f));
+        set 2 (0x80 lor (code land 0x3f));
+        run (h + 4) (o + 3)
+      end
+    | _ -> fail "bad escape at %d" e
+  in
+  Bytes.blit_string src start out 0 (first - start);
+  escape first (first - start)
+
+(* A literal without escapes, the common case, is one [String.sub]. *)
 let parse_string p =
   expect p '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek p with
-    | None -> fail "unterminated string at %d" p.pos
-    | Some '"' -> advance p
-    | Some '\\' ->
-      advance p;
-      (match peek p with
-      | Some '"' -> Buffer.add_char buf '"'; advance p
-      | Some '\\' -> Buffer.add_char buf '\\'; advance p
-      | Some '/' -> Buffer.add_char buf '/'; advance p
-      | Some 'n' -> Buffer.add_char buf '\n'; advance p
-      | Some 'r' -> Buffer.add_char buf '\r'; advance p
-      | Some 't' -> Buffer.add_char buf '\t'; advance p
-      | Some 'b' -> Buffer.add_char buf '\b'; advance p
-      | Some 'f' -> Buffer.add_char buf '\012'; advance p
-      | Some 'u' ->
-        advance p;
-        if p.pos + 4 > String.length p.src then fail "bad \\u escape at %d" p.pos;
-        let hex = String.sub p.src p.pos 4 in
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with _ -> fail "bad \\u escape at %d" p.pos
-        in
-        p.pos <- p.pos + 4;
-        (* The emitter only escapes control characters this way; decode
-           the basic plane as UTF-8 so foreign traces still load. *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-        end
-      | _ -> fail "bad escape at %d" p.pos);
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
-      advance p;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
+  let src = p.src and start = p.pos in
+  let n = String.length src in
+  let i = next_special src n start in
+  if i = n then fail "unterminated string at %d" n
+  else if String.unsafe_get src i = '"' then begin
+    p.pos <- i + 1;
+    String.sub src start (i - start)
+  end
+  else parse_escaped p start i
 
 let parse_number p =
   let start = p.pos in

@@ -25,9 +25,13 @@ type json =
 
 (** [json_to_string j] is the compact (single-line) rendering.  Floats
     are printed with enough digits to round-trip; a float that would
-    print without ['.'], ['e'] or ['n'] gets a trailing [".0"] so it
-    re-parses as a float. *)
+    print without ['.'] or ['e'] gets a trailing [".0"] so it re-parses
+    as a float.  A NaN or an infinity, which JSON cannot spell, is
+    rendered [null]. *)
 val json_to_string : json -> string
+
+(** [json_to_buffer buf j] appends [json_to_string j] to [buf]. *)
+val json_to_buffer : Buffer.t -> json -> unit
 
 exception Parse_error of string
 

@@ -41,12 +41,14 @@ let max_frame_bytes = 8 * 1024 * 1024
 type frame_error =
   | Closed  (** clean EOF at a frame boundary *)
   | Truncated  (** EOF mid-frame: the peer vanished mid-request *)
+  | Empty  (** length prefix 0, shorter than any frame's '\n' *)
   | Oversized of int  (** length prefix beyond [max_frame_bytes] *)
   | Bad_json of string  (** framing intact, payload unparseable *)
 
 let frame_error_to_string = function
   | Closed -> "connection closed"
   | Truncated -> "truncated frame"
+  | Empty -> "empty frame (length prefix 0)"
   | Oversized n ->
     Printf.sprintf "oversized frame (%d bytes > %d limit)" n max_frame_bytes
   | Bad_json msg -> Printf.sprintf "invalid JSON payload: %s" msg
@@ -70,13 +72,9 @@ let read_frame fd =
   | `Eof 0 -> Error Closed
   | `Eof _ -> Error Truncated
   | `Ok -> (
-    let n =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
-    in
-    if n = 0 || n > max_frame_bytes then Error (Oversized n)
+    let n = Int32.to_int (Bytes.get_int32_be hdr 0) land 0xffff_ffff in
+    if n = 0 then Error Empty
+    else if n > max_frame_bytes then Error (Oversized n)
     else
       let payload = Bytes.create n in
       match really_read fd payload n with
@@ -86,24 +84,24 @@ let read_frame fd =
         | json -> Ok json
         | exception Sink.Parse_error msg -> Error (Bad_json msg)))
 
-(* A frame is written with a single [Unix.write] attempt loop so
+(* A frame is rendered into one buffer, behind four bytes kept for its
+   length, and written with a single [Unix.write] attempt loop so
    concurrent writers on *different* connections never interleave; one
    connection has one writer (its handler thread) by construction. *)
 let write_frame fd json =
-  let body = Sink.json_to_string json ^ "\n" in
-  let n = String.length body in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "\000\000\000\000";
+  Sink.json_to_buffer buf json;
+  Buffer.add_char buf '\n';
+  let frame = Buffer.to_bytes buf in
+  let total = Bytes.length frame in
+  let n = total - 4 in
   if n > max_frame_bytes then
     invalid_arg "Protocol.write_frame: frame exceeds max_frame_bytes";
-  let buf = Bytes.create (4 + n) in
-  Bytes.set buf 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (n land 0xff));
-  Bytes.blit_string body 0 buf 4 n;
-  let total = 4 + n in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
   let rec go off =
     if off < total then
-      match Unix.write fd buf off (total - off) with
+      match Unix.write fd frame off (total - off) with
       | k -> go (off + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in

@@ -15,13 +15,15 @@ val max_frame_bytes : int
 
 (** How reading a frame can fail.  [Closed] is a clean EOF between
     frames; [Truncated] an EOF inside one (a mid-request disconnect);
-    [Oversized] a length prefix the reader refuses to trust (the stream
+    [Empty] a length prefix of 0 and [Oversized] one beyond
+    {!max_frame_bytes}, prefixes the reader refuses to trust (the stream
     cannot be resynchronised afterwards); [Bad_json] a complete frame
     whose payload does not parse (framing is still intact — the
     connection can continue). *)
 type frame_error =
   | Closed
   | Truncated
+  | Empty
   | Oversized of int
   | Bad_json of string
 

@@ -434,9 +434,10 @@ let request_shutdown t = Atomic.set t.shutdown_flag true
 
 (* The handler loop.  Protocol-level failures follow the frame-error
    taxonomy: invalid JSON in a complete frame is answered with a typed
-   error and the connection continues (framing is intact); an oversized
-   prefix is answered and the connection closed (framing lost); a
-   truncated frame or EOF closes silently (no one is listening). *)
+   error and the connection continues (framing is intact); an empty or
+   oversized prefix is answered and the connection closed (framing
+   lost); a truncated frame or EOF closes silently (no one is
+   listening). *)
 let handle_connection t ~conn_id fd =
   let send json =
     match Protocol.write_frame fd json with
@@ -446,7 +447,7 @@ let handle_connection t ~conn_id fd =
   let rec loop () =
     match Protocol.read_frame fd with
     | Error Protocol.Closed | Error Protocol.Truncated -> ()
-    | Error (Protocol.Oversized _ as fe) ->
+    | Error ((Protocol.Empty | Protocol.Oversized _) as fe) ->
       Atomic.incr t.ctr.c_malformed;
       ignore
         (send

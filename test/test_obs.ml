@@ -206,15 +206,243 @@ let test_jsonl_roundtrip () =
   (* The float that happens to be integral must come back a float. *)
   let dec = List.find (fun e -> e.Sink.ev_kind = "decision") back in
   checkb "integral float stays a float" true (attr "whole" dec = Sink.Float 3.0);
-  checkb "int stays an int" true (attr "site" dec = Sink.Int 7)
+  checkb "int stays an int" true (attr "site" dec = Sink.Int 7);
+  (* JSON cannot spell a non-finite float; it is written [null], so the
+     line still parses. *)
+  let odd = Sink.List [ Sink.Float Float.nan; Sink.Float Float.infinity;
+                        Sink.Float Float.neg_infinity ] in
+  checks "non-finite floats render null" "[null,null,null]" (Sink.json_to_string odd);
+  checkb "and parse back as null" true
+    (Sink.json_of_string (Sink.json_to_string odd)
+     = Sink.List [ Sink.Null; Sink.Null; Sink.Null ])
 
 let test_json_parse_errors () =
   List.iter
-    (fun s ->
+    (fun (s, msg) ->
       match Sink.json_of_string s with
-      | exception Sink.Parse_error _ -> ()
+      | exception Sink.Parse_error m -> checks (Printf.sprintf "error for %S" s) msg m
       | _ -> Alcotest.failf "parser accepted %S" s)
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
+    [
+      ("", "unexpected end of input");
+      ("{", "expected '\"' at 1, found end of input");
+      ("[1,]", "unexpected character ']' at 3");
+      ("{\"a\":}", "unexpected character '}' at 5");
+      ("tru", "invalid literal at 0");
+      ("1 2", "trailing garbage at 2");
+      ("\"unterminated", "unterminated string at 13");
+      (* A [\u] escape takes exactly four hex digits. *)
+      ("\"\\u1_2f\"", "bad \\u escape at 3");
+      ("\"\\u00_1\"", "bad \\u escape at 3");
+      ("nan", "invalid literal at 0");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* JSON string codec vs a per-byte reference                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-byte string codec that Sink's run-copying one replaced, kept
+   verbatim as the oracle.  It still reads [\u] digits with
+   [int_of_string], which also takes '_'; the generated bad [\u] escapes
+   below avoid '_', and "json parse errors" pins that case. *)
+module Per_byte = struct
+  let fail fmt = Printf.ksprintf (fun msg -> raise (Sink.Parse_error msg)) fmt
+
+  let escape_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  type parser_state = { src : string; mutable pos : int }
+
+  let peek p = if p.pos < String.length p.src then Some p.src.[p.pos] else None
+
+  let advance p = p.pos <- p.pos + 1
+
+  let expect p c =
+    match peek p with
+    | Some c' when c' = c -> advance p
+    | Some c' -> fail "expected '%c' at %d, found '%c'" c p.pos c'
+    | None -> fail "expected '%c' at %d, found end of input" c p.pos
+
+  let parse_string p =
+    expect p '"';
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      match peek p with
+      | None -> fail "unterminated string at %d" p.pos
+      | Some '"' -> advance p
+      | Some '\\' ->
+        advance p;
+        (match peek p with
+        | Some '"' -> Buffer.add_char buf '"'; advance p
+        | Some '\\' -> Buffer.add_char buf '\\'; advance p
+        | Some '/' -> Buffer.add_char buf '/'; advance p
+        | Some 'n' -> Buffer.add_char buf '\n'; advance p
+        | Some 'r' -> Buffer.add_char buf '\r'; advance p
+        | Some 't' -> Buffer.add_char buf '\t'; advance p
+        | Some 'b' -> Buffer.add_char buf '\b'; advance p
+        | Some 'f' -> Buffer.add_char buf '\012'; advance p
+        | Some 'u' ->
+          advance p;
+          if p.pos + 4 > String.length p.src then fail "bad \\u escape at %d" p.pos;
+          let hex = String.sub p.src p.pos 4 in
+          let code =
+            try int_of_string ("0x" ^ hex)
+            with _ -> fail "bad \\u escape at %d" p.pos
+          in
+          p.pos <- p.pos + 4;
+          if code < 0x80 then Buffer.add_char buf (Char.chr code)
+          else if code < 0x800 then begin
+            Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+          end
+          else begin
+            Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
+            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+          end
+        | _ -> fail "bad escape at %d" p.pos);
+        loop ()
+      | Some c ->
+        Buffer.add_char buf c;
+        advance p;
+        loop ()
+    in
+    loop ();
+    Buffer.contents buf
+
+  let encode s =
+    let buf = Buffer.create 16 in
+    escape_string buf s;
+    Buffer.contents buf
+
+  (* [lit] is one string literal and nothing after it. *)
+  let decode lit =
+    let p = { src = lit; pos = 0 } in
+    match parse_string p with
+    | s -> if p.pos = String.length lit then Ok s else Error "trailing garbage"
+    | exception Sink.Parse_error msg -> Error msg
+end
+
+let decode lit =
+  match Sink.json_of_string lit with
+  | Sink.String s -> Ok s
+  | _ -> Error "not a string"
+  | exception Sink.Parse_error msg -> Error msg
+
+(* The bytes that take an escape, mixed into byte strings made of any of
+   the 256 byte values, long unescaped runs, escapes first, last and
+   adjacent, and now and then more than 64 KiB. *)
+let escaped_byte = QCheck.Gen.oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\b'; '\012'; '\031' ]
+
+let gen_bytes =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (3, string_size ~gen:char (int_bound 6));
+        (2, string_size ~gen:escaped_byte (int_range 1 3));
+        (2, map2 String.make (int_range 1 300) printable);
+      ]
+  in
+  let edge = string_size ~gen:escaped_byte (int_bound 2) in
+  let body = map (String.concat "") (list_size (int_bound 12) piece) in
+  let framed = map3 (fun a b c -> a ^ b ^ c) edge body edge in
+  frequency
+    [
+      (12, framed);
+      (1, map2 (fun a b -> a ^ String.make 65_537 'r' ^ b) framed framed);
+      (1, return (String.init 256 Char.chr));
+    ]
+
+let print_bytes s =
+  if String.length s > 200 then Printf.sprintf "<%d bytes>" (String.length s)
+  else Printf.sprintf "%S" s
+
+let arb_bytes = QCheck.make gen_bytes ~print:print_bytes
+
+let prop_codec_matches_reference =
+  QCheck.Test.make ~count:400 ~name:"json string codec matches the per-byte one"
+    arb_bytes (fun s ->
+      let lit = Sink.json_to_string (Sink.String s) in
+      lit = Per_byte.encode s
+      && Sink.json_of_string lit = Sink.String s
+      && decode lit = Per_byte.decode lit)
+
+(* Malformed literals: a well-formed prefix and suffix around one fault,
+   so the fault is the first error either codec meets. *)
+let gen_malformed =
+  let open QCheck.Gen in
+  let body =
+    map (fun s -> let l = Per_byte.encode s in String.sub l 1 (String.length l - 2)) gen_bytes
+  in
+  let hex = oneofl (List.of_seq (String.to_seq "0123456789abcdefABCDEF")) in
+  let not_hex = map (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' | '_' -> 'g' | c -> c) char in
+  let bad_u =
+    (* four digits, one of them not hex *)
+    map3 (fun digits k c -> "\\u" ^ String.mapi (fun i d -> if i = k then c else d) digits)
+      (string_size ~gen:hex (return 4)) (int_bound 3) not_hex
+  in
+  let bad_escape =
+    map (fun c -> if String.contains "\"\\/bfnrtu" c then "\\q" else "\\" ^ String.make 1 c) char
+  in
+  let short_u = map (fun d -> "\\u" ^ d) (string_size ~gen:hex (int_bound 3)) in
+  oneof
+    [
+      map (fun b -> "\"" ^ b) body;
+      map (fun b -> "\"" ^ b ^ "\\") body;
+      map3 (fun a f b -> "\"" ^ a ^ f ^ b ^ "\"") body bad_escape body;
+      map3 (fun a f b -> "\"" ^ a ^ f ^ b ^ "\"") body bad_u body;
+      map2 (fun a f -> "\"" ^ a ^ f) body short_u;
+    ]
+
+let prop_malformed_like_reference =
+  QCheck.Test.make ~count:400 ~name:"malformed json strings fail like the per-byte one"
+    (QCheck.make gen_malformed ~print:print_bytes)
+    (fun lit ->
+      match (decode lit, Per_byte.decode lit) with
+      | Error m, Error m' -> m = m'
+      | _ -> false)
+
+(* Allocated words, not time: a codec that allocates per byte again
+   fails here whatever the machine's speed.  On OCaml 5 the minor count
+   of [Gc.counters] is exact only right after a minor collection, so
+   one is forced on both sides: otherwise whatever the earlier tests
+   left in the minor heap is counted too, up to a whole minor heap. *)
+let allocated_words f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (r, words () -. w0)
+
+let test_codec_allocation () =
+  let n = 1 lsl 20 in
+  let s =
+    String.init n (fun i -> if i mod 80 = 79 then '\n' else Char.chr (Char.code 'a' + (i mod 26)))
+  in
+  let lit, enc = allocated_words (fun () -> Sink.json_to_string (Sink.String s)) in
+  let back, dec = allocated_words (fun () -> Sink.json_of_string lit) in
+  checkb "1 MiB string round-trips" true (back = Sink.String s);
+  let per_byte w = w /. float_of_int n in
+  checkb (Printf.sprintf "decoding allocates %.3f words/byte (<= 0.5)" (per_byte dec))
+    true (per_byte dec <= 0.5);
+  checkb (Printf.sprintf "encoding allocates %.3f words/byte (<= 0.75)" (per_byte enc))
+    true (per_byte enc <= 0.75)
 
 (* ------------------------------------------------------------------ *)
 (* Decision log vs the selector                                        *)
@@ -361,6 +589,9 @@ let tests =
     Alcotest.test_case "span closed on raise" `Quick test_span_closed_on_raise;
     Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
+    QCheck_alcotest.to_alcotest prop_codec_matches_reference;
+    QCheck_alcotest.to_alcotest prop_malformed_like_reference;
+    Alcotest.test_case "json codec allocation per byte" `Quick test_codec_allocation;
     Alcotest.test_case "decision log complete" `Quick test_decision_log_complete;
     Alcotest.test_case "metrics match interpreter counters" `Quick
       test_metrics_match_counters;

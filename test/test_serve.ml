@@ -306,12 +306,19 @@ let test_fuzz_frames () =
           match Client.read_response c with
           | Error (Protocol.Closed | Protocol.Truncated) -> ()
           | _ -> Alcotest.fail "connection must close after oversized prefix");
-      (* 3. Zero-length frame is unframeable too. *)
+      (* 3. Zero-length frame is unframeable too, and says so. *)
       with_client t (fun c ->
           Client.send_raw c "\x00\x00\x00\x00";
-          match Client.read_response c with
-          | Ok (Error _) -> ()
+          (match Client.read_response c with
+          | Ok (Error e) ->
+            Alcotest.(check string) "empty frame is typed" "serve"
+              (Ierr.stage_name e.Ierr.stage);
+            Alcotest.(check string) "empty frame message"
+              "empty frame (length prefix 0)" e.Ierr.msg
           | _ -> Alcotest.fail "no typed error for zero-length frame");
+          match Client.read_response c with
+          | Error (Protocol.Closed | Protocol.Truncated) -> ()
+          | _ -> Alcotest.fail "connection must close after an empty frame");
       (* 4. Invalid JSON in a well-formed frame: typed error, and the
          SAME connection keeps working (framing intact). *)
       with_client t (fun c ->
