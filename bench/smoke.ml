@@ -12,7 +12,6 @@
 
 module Pipeline = Impact_harness.Pipeline
 module Suite = Impact_bench_progs.Suite
-module Obs = Impact_obs.Obs
 module Sink = Impact_obs.Sink
 module Callgraph = Impact_callgraph.Callgraph
 module Inliner = Impact_core.Inliner
@@ -35,24 +34,11 @@ let () =
     try Suite.find !bench_name with Not_found -> fail "unknown benchmark '%s'" !bench_name
   in
   (* 1. Run the pipeline with a JSONL sink. *)
-  let trace_tmp = Impact_support.Atomic_io.tmp_path !trace_file in
-  let oc = open_out trace_tmp in
-  (* A pipeline failure must not leave the .tmp trace behind. *)
   let r =
-    match
-      let obs = Obs.create (Sink.jsonl oc) in
-      let r = Pipeline.run ~obs bench in
-      Obs.finish obs;
-      r
-    with
-    | r ->
-      close_out oc;
-      Sys.rename trace_tmp !trace_file;
-      r
-    | exception e ->
-      close_out_noerr oc;
-      (try Sys.remove trace_tmp with Sys_error _ -> ());
-      raise e
+    Impact_harness.Obs_out.with_obs ~format:`Jsonl ~trace:(Some !trace_file)
+      ~metrics_out:None
+      ~on_broken:(fun e -> fail "%s" (Impact_support.Ierr.to_string e))
+      (fun obs -> Pipeline.run ~obs bench)
   in
   (* 2. Re-parse every line: the trace must be valid JSONL. *)
   let ic = open_in !trace_file in

@@ -101,59 +101,18 @@ let metrics_out_arg =
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:"Write the final counter/gauge snapshot as JSON to $(docv)")
 
-(* The trace stream goes to [trace ^ ".tmp"] and is renamed into place
-   only after the run succeeded with a healthy sink, so a crash or a
-   mid-run write failure never leaves a partial artifact behind.  The
-   chrome format needs the whole event list at once (span begin/end
-   pairing), so it buffers in a memory sink and converts at the end —
-   same atomicity, via Trace_export.write_chrome. *)
+(* A broken trace sink fails a strict run and is reported by a degraded
+   one; either way no partial trace is left behind. *)
 let with_obs ?(policy = Pipeline.Strict) ?(trace_format = `Jsonl) ~trace
     ~metrics_out f =
-  match (trace, metrics_out) with
-  | None, None -> f Obs.null
-  | _ ->
-    let jsonl_trace =
-      match trace_format with `Jsonl -> trace | `Chrome -> None
-    in
-    let tmp = Option.map Atomic_io.tmp_path jsonl_trace in
-    let oc =
-      guarded Ierr.Artifact (fun () -> Option.map open_out_bin tmp)
-    in
-    let sink =
-      match oc with Some oc -> Sink.jsonl oc | None -> Sink.memory ()
-    in
-    let obs = Obs.create sink in
-    let discard () =
-      Option.iter close_out_noerr oc;
-      Option.iter (fun t -> try Sys.remove t with Sys_error _ -> ()) tmp
-    in
-    (match f obs with
-    | exception e ->
-      discard ();
-      raise e
-    | v ->
-      guarded Ierr.Artifact (fun () -> Obs.finish ?metrics_out obs);
-      (match Sink.broken sink with
-      | None ->
-        Option.iter close_out_noerr oc;
-        Option.iter
-          (fun t -> guarded Ierr.Artifact (fun () ->
-               Sys.rename t (Option.get jsonl_trace)))
-          tmp;
-        (match (trace, trace_format) with
-        | Some path, `Chrome ->
-          guarded Ierr.Artifact (fun () ->
-              Impact_obs.Trace_export.write_chrome path (Sink.events sink))
-        | _ -> ())
-      | Some e -> (
-        discard ();
-        let err = Errors.classify Ierr.Artifact e in
-        match policy with
-        | Pipeline.Strict -> raise (Ierr.Error err)
-        | Pipeline.Degrade ->
-          Printf.eprintf "impactc: warning: trace discarded: %s\n"
-            (Ierr.to_string err)));
-      v)
+  Impact_harness.Obs_out.with_obs ~format:trace_format ~trace ~metrics_out
+    ~on_broken:(fun err ->
+      match policy with
+      | Pipeline.Strict -> raise (Ierr.Error err)
+      | Pipeline.Degrade ->
+        Printf.eprintf "impactc: warning: trace discarded: %s\n"
+          (Ierr.to_string err))
+    f
 
 let input_arg =
   Arg.(

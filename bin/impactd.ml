@@ -19,9 +19,8 @@
 
 module Server = Impact_serve.Server
 module Cache = Impact_harness.Cache
-module Obs = Impact_obs.Obs
-module Sink = Impact_obs.Sink
-module Atomic_io = Impact_support.Atomic_io
+module Ierr = Impact_support.Ierr
+module Errors = Impact_harness.Errors
 open Cmdliner
 
 let socket_arg =
@@ -92,66 +91,53 @@ let allow_faults_arg =
 let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No startup banner")
 
+(* Startup failures (an unbindable socket, a cache directory that cannot
+   be created, an unwritable trace) are one line, [impactd: <stage>
+   error: ...], and exit with the error's code. *)
 let serve socket cache_dir domains max_pending trace trace_format metrics_out
     allow_faults quiet =
-  (* Sink wiring mirrors impactc's with_obs, adapted to a daemon: the
-     chrome format needs the whole event list (span pairing), so it
-     buffers in memory; jsonl streams to FILE.tmp, renamed at clean
-     shutdown. *)
-  let jsonl_trace = match trace_format with `Jsonl -> trace | `Chrome -> None in
-  let tmp = Option.map Atomic_io.tmp_path jsonl_trace in
-  let oc = Option.map open_out_bin tmp in
-  let need_obs = trace <> None || metrics_out <> None in
-  let sink =
-    match oc with
-    | Some oc -> Sink.jsonl oc
-    | None -> if need_obs then Sink.memory () else Sink.null
-  in
-  let obs = if need_obs then Obs.create sink else Obs.null in
-  let cfg =
-    {
-      Server.socket_path = socket;
-      domains;
-      max_pending;
-      cache = Option.map (fun dir -> Cache.create dir) cache_dir;
-      obs;
-      allow_faults;
-    }
-  in
-  let t = Server.start cfg in
-  if not quiet then begin
-    Printf.printf "impactd: listening on %s (%s domains, max-pending %d%s)\n"
-      socket
-      (match domains with Some n -> string_of_int n | None -> "auto")
-      max_pending
-      (match cache_dir with Some d -> ", cache " ^ d | None -> "");
-    flush stdout
-  end;
-  let on_signal _ = Server.request_shutdown t in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Server.wait t;
-  if not quiet then begin
-    print_endline "impactd: shutting down";
-    flush stdout
-  end;
-  Server.stop t;
-  Obs.finish ?metrics_out obs;
-  (match Sink.broken sink with
-  | Some e ->
-    Option.iter close_out_noerr oc;
-    Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) tmp;
-    Printf.eprintf "impactd: warning: trace discarded: %s\n"
-      (Printexc.to_string e)
-  | None ->
-    Option.iter close_out_noerr oc;
-    Option.iter
-      (fun p -> Sys.rename p (Option.get jsonl_trace))
-      tmp;
-    (match (trace, trace_format) with
-    | Some path, `Chrome ->
-      Impact_obs.Trace_export.write_chrome path (Sink.events sink)
-    | _ -> ()))
+  try
+    Impact_harness.Obs_out.with_obs ~format:trace_format ~trace ~metrics_out
+      ~on_broken:(fun err ->
+        Printf.eprintf "impactd: warning: trace discarded: %s\n"
+          (Ierr.to_string err))
+      (fun obs ->
+        let cache =
+          Option.map
+            (fun dir -> Errors.guard Ierr.Cache (fun () -> Cache.create dir))
+            cache_dir
+        in
+        let cfg =
+          {
+            Server.socket_path = socket;
+            domains;
+            max_pending;
+            cache;
+            obs;
+            allow_faults;
+          }
+        in
+        let t = Errors.guard Ierr.Serve (fun () -> Server.start cfg) in
+        if not quiet then begin
+          Printf.printf "impactd: listening on %s (%s domains, max-pending %d%s)\n"
+            socket
+            (match domains with Some n -> string_of_int n | None -> "auto")
+            max_pending
+            (match cache_dir with Some d -> ", cache " ^ d | None -> "");
+          flush stdout
+        end;
+        let on_signal _ = Server.request_shutdown t in
+        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+        Server.wait t;
+        if not quiet then begin
+          print_endline "impactd: shutting down";
+          flush stdout
+        end;
+        Server.stop t)
+  with Ierr.Error e ->
+    Printf.eprintf "impactd: %s\n" (Ierr.to_string e);
+    exit (Ierr.exit_code e)
 
 let cmd =
   let doc = "inline-expansion compile service over a Unix-domain socket" in

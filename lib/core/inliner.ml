@@ -2,6 +2,10 @@ module Il = Impact_il.Il
 module Callgraph = Impact_callgraph.Callgraph
 module Reach = Impact_callgraph.Reach
 
+(* Each pass below that rewrites the program is checked as it finishes,
+   so a miscompile is reported by the pass that made it. *)
+let verify pass prog = Impact_il.Il_check.verify ~stage:Impact_support.Ierr.Expand ~pass prog
+
 type report = {
   program : Il.program;
   graph : Callgraph.t;
@@ -51,6 +55,7 @@ let run ?(obs = Impact_obs.Obs.null) ?(config = Config.default)
               decisions;
             Obs.gauge_int obs "devirt.sites" (List.length decisions)
           end;
+          verify "devirt" prog;
           (decisions, profile))
   in
   let graph =
@@ -73,8 +78,12 @@ let run ?(obs = Impact_obs.Obs.null) ?(config = Config.default)
   let selection = Obs.span obs "select" (fun () -> Select.select ~obs graph config linear) in
   let expansion =
     Obs.span obs "expand" (fun () ->
-        Expand.expand_all ~obs ?on_caller_error:on_expand_error prog linear
-          selection)
+        let expansion =
+          Expand.expand_all ~obs ?on_caller_error:on_expand_error prog linear
+            selection
+        in
+        verify "expand" prog;
+        expansion)
   in
   (* Conservative function-level dead-code elimination.  With external
      calls present this removes nothing (every function stays reachable
@@ -82,7 +91,9 @@ let run ?(obs = Impact_obs.Obs.null) ?(config = Config.default)
   let dead_removed =
     Obs.span obs "dce" (fun () ->
         let graph_after = Callgraph.build prog profile in
-        Reach.eliminate graph_after)
+        let removed = Reach.eliminate graph_after in
+        verify "dce" prog;
+        removed)
   in
   let size_after = Il.program_code_size prog in
   if Obs.enabled obs then begin
@@ -103,14 +114,3 @@ let run ?(obs = Impact_obs.Obs.null) ?(config = Config.default)
     size_after;
     dead_removed;
   }
-
-let expanded_sites report =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (site, _, _) -> Hashtbl.replace tbl site ())
-    report.expansion.Expand.expansions;
-  tbl
-
-let eliminated_weight report =
-  List.fold_left
-    (fun acc (d : Select.decision) -> acc +. d.Select.d_weight)
-    0. report.selection.Select.decisions

@@ -30,7 +30,10 @@ type report = {
     stage (devirt, callgraph, classify, linearize, select, expand, dce)
     runs in its own span, and the selector's decision log, per-site
     devirt speculation instants and size gauges flow through the
-    sink. *)
+    sink.  The program is checked ({!Impact_il.Il_check.verify}) as
+    devirt, expand and dce each finish.
+    @raise Impact_support.Ierr.Error of stage [Expand], naming the pass,
+      when one of them leaves ill-formed IL *)
 val run :
   ?obs:Impact_obs.Obs.t ->
   ?config:Config.t ->
@@ -38,12 +41,3 @@ val run :
   Impact_il.Il.program ->
   Impact_profile.Profile.t ->
   report
-
-(** [expanded_sites report] is the set of original site ids that were
-    physically expanded. *)
-val expanded_sites : report -> (Impact_il.Il.site_id, unit) Hashtbl.t
-
-(** [eliminated_weight report] is the expected number of dynamic calls
-    removed per run, according to the profile (the sum of the expanded
-    arcs' weights). *)
-val eliminated_weight : report -> float

@@ -56,6 +56,11 @@ let classify stage exn : Ierr.t =
   | Fault.Injected p ->
     make (Printf.sprintf "injected fault at %s" (Fault.point_name p))
   | Sys_error msg -> make (Printf.sprintf "i/o error: %s" msg)
+  | Unix.Unix_error (err, fn, arg) ->
+    make
+      (Printf.sprintf "i/o error: %s%s: %s" fn
+         (if arg = "" then "" else " " ^ arg)
+         (Unix.error_message err))
   | Invalid_argument msg -> make (Printf.sprintf "invalid argument: %s" msg)
   | Failure msg -> make msg
   | exn -> make (Printexc.to_string exn)

@@ -1,5 +1,6 @@
 module Il = Impact_il.Il
 module Lower = Impact_il.Lower
+module Il_check = Impact_il.Il_check
 module Machine = Impact_interp.Machine
 module Profiler = Impact_profile.Profiler
 module Profile = Impact_profile.Profile
@@ -95,6 +96,14 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
   let step err ?attrs name f =
     Errors.guard err (fun () -> Obs.span obs ?attrs name f)
   in
+  (* A step that rewrites [prog] in place, checked as it finishes.  A
+     stored artifact was checked when it was computed, so a cache hit
+     runs no check. *)
+  let rewrite name pass prog =
+    step Ierr.Lower name (fun () ->
+        ignore (pass prog);
+        Il_check.verify ~stage:Ierr.Lower ~pass:name prog)
+  in
   let stage_attrs name = [ ("stage", Impact_obs.Sink.String name) ] in
   (* The one place the stage cache is read or written.  Without a cache
      (or for an uncacheable stage) [compute] simply runs: no key, and so
@@ -169,14 +178,16 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
             let tast =
               step Ierr.Sema "sema" (fun () -> Impact_cfront.Sema.check ast)
             in
-            let prog = step Ierr.Lower "lower" (fun () -> Lower.lower tast) in
+            let prog =
+              step Ierr.Lower "lower" (fun () ->
+                  let prog = Lower.lower tast in
+                  Il_check.verify ~stage:Ierr.Lower ~pass:"lower" prog;
+                  prog)
+            in
             Obs.gauge_int obs "il.size_lowered" (Il.program_code_size prog);
             (* The paper's setup: constant folding and jump optimisation
                run before inline expansion. *)
-            if pre_opt then
-              ignore
-                (step Ierr.Lower "pre_opt" (fun () ->
-                     Impact_opt.Driver.pre_inline prog));
+            if pre_opt then rewrite "pre_opt" Impact_opt.Driver.pre_inline prog;
             prog)
       in
       Obs.gauge_int obs "il.size_pre_inline" (Il.program_code_size prog);
@@ -360,9 +371,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
                   run_inliner { config with Config.devirt = false })
             in
             if post_cleanup then
-              ignore
-                (step Ierr.Lower "post_opt" (fun () ->
-                     Impact_opt.Driver.post_inline_cleanup r.Inliner.program));
+              rewrite "post_opt" Impact_opt.Driver.post_inline_cleanup
+                r.Inliner.program;
             r)
       in
       Obs.gauge_int obs "il.size_post_inline"

@@ -69,7 +69,10 @@ type result = {
     pre-inline optimisation pass when measuring a raw lowering.
     [jobs] sets the number of domains for the two profiling passes; it
     leaves the result unchanged.  [budget] bounds every profiling run
-    ({!Impact_interp.Rt.budget}).
+    ({!Impact_interp.Rt.budget}).  The program is checked
+    ({!Impact_il.Il_check.verify}) as lower, pre_opt and post_opt
+    finish, a violation being a [Lower] error that names the pass, and
+    inside {!Impact_core.Inliner.run} as devirt, expand and dce finish.
 
     [cache] makes the run incremental: each expensive stage — front end
     (keyed by source text), the two profiling passes (keyed by the

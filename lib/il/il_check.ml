@@ -1,116 +1,124 @@
-let check_func (prog : Il.program) (f : Il.func) errors =
-  let err fmt =
-    Printf.ksprintf (fun msg -> errors := Printf.sprintf "%s: %s" f.Il.name msg :: !errors) fmt
-  in
-  let defined = Hashtbl.create 16 in
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Il.Label l ->
-        if l < 0 || l >= f.Il.nlabels then err "label L%d out of range" l;
-        if Hashtbl.mem defined l then err "label L%d defined twice" l;
-        Hashtbl.add defined l ()
-      | _ -> ())
-    f.Il.body;
-  let check_reg r = if r < 0 || r >= f.Il.nregs then err "register r%d out of range" r in
-  let check_op = function
-    | Il.Reg r -> check_reg r
-    | Il.Imm _ -> ()
-  in
-  let check_target l =
-    if not (Hashtbl.mem defined l) then err "branch to undefined label L%d" l
-  in
-  let check_args args = List.iter check_op args in
-  let check_ret = function
-    | Some r -> check_reg r
-    | None -> ()
-  in
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Il.Label _ -> ()
-      | Il.Mov (r, op) | Il.Un (_, r, op) | Il.Load (_, r, op) ->
-        check_reg r;
-        check_op op
-      | Il.Bin (_, r, a, b) ->
-        check_reg r;
-        check_op a;
-        check_op b
-      | Il.Store (_, addr, v) ->
-        check_op addr;
-        check_op v
-      | Il.Lea_frame (r, off) ->
-        check_reg r;
-        if off < 0 || off >= max f.Il.frame_size 1 then
-          err "frame offset %d outside frame of %d bytes" off f.Il.frame_size
-      | Il.Lea_global (r, g) ->
-        check_reg r;
-        if g < 0 || g >= Array.length prog.Il.globals then err "bad global id %d" g
-      | Il.Lea_string (r, s) ->
-        check_reg r;
-        if s < 0 || s >= Array.length prog.Il.strings then err "bad string id %d" s
-      | Il.Lea_func (r, fid) ->
-        check_reg r;
-        if fid < 0 || fid >= Array.length prog.Il.funcs then err "bad fid %d" fid
-      | Il.Call (_, callee, args, ret) ->
-        if callee < 0 || callee >= Array.length prog.Il.funcs then
-          err "call to bad fid %d" callee
-        else begin
-          let cf = prog.Il.funcs.(callee) in
-          if not cf.Il.alive then err "call to dead function %s" cf.Il.name;
-          if List.length args <> cf.Il.nparams then
-            err "call to %s with %d args, expected %d" cf.Il.name (List.length args)
-              cf.Il.nparams
-        end;
-        check_args args;
-        check_ret ret
-      | Il.Call_ext (_, _, args, ret) ->
-        check_args args;
-        check_ret ret
-      | Il.Call_ind (_, target, args, ret) ->
-        check_op target;
-        check_args args;
-        check_ret ret
-      | Il.Ret (Some op) -> check_op op
-      | Il.Ret None -> ()
-      | Il.Jump l -> check_target l
-      | Il.Bnz (op, l) ->
-        check_op op;
-        check_target l
-      | Il.Switch (op, table, default) ->
-        check_op op;
-        Array.iter (fun (_, l) -> check_target l) table;
-        check_target default)
-    f.Il.body
+module Ierr = Impact_support.Ierr
 
+type kind =
+  | Bad_register of int
+  | Undefined_label of int
+  | Duplicate_label of int
+  | Label_out_of_range of int
+  | Bad_frame_offset of int
+  | Bad_global of int
+  | Bad_string of int
+  | Bad_function of int
+  | Bad_arity of { callee : string; nargs : int; nparams : int }
+  | Dead_callee of string
+  | Bad_site of int
+  | Duplicate_site of int
+  | Bad_main of int
+
+type violation = { func : string; index : int; kind : kind }
+
+let describe = function
+  | Bad_register r -> Printf.sprintf "no register %d" r
+  | Undefined_label l -> Printf.sprintf "no label L%d" l
+  | Duplicate_label l -> Printf.sprintf "label L%d defined twice" l
+  | Label_out_of_range l -> Printf.sprintf "label L%d out of range" l
+  | Bad_frame_offset off -> Printf.sprintf "frame offset %d outside the frame" off
+  | Bad_global g -> Printf.sprintf "no global %d" g
+  | Bad_string s -> Printf.sprintf "no string %d" s
+  | Bad_function fid -> Printf.sprintf "no function %d" fid
+  | Bad_arity { callee; nargs; nparams } ->
+    Printf.sprintf "call to %s with %d args, expected %d" callee nargs nparams
+  | Dead_callee name -> Printf.sprintf "call to dead function %s" name
+  | Bad_site s -> Printf.sprintf "no call site %d" s
+  | Duplicate_site s -> Printf.sprintf "duplicate site id %d" s
+  | Bad_main m -> Printf.sprintf "main (function %d) out of range" m
+
+let to_string v =
+  if v.index < 0 then describe v.kind
+  else Printf.sprintf "in %s at instruction %d: %s" v.func v.index (describe v.kind)
+
+(* Dead functions.  The threaded decoder decodes main, every direct
+   callee of a function it decodes, alive or dead, and the alive targets
+   of indirect calls.  Every rule therefore covers dead functions too: a
+   dead body keeps the IL it had when it died, and its site ids share
+   the program's one numbering.  The exception is the rule against
+   direct calls to dead functions, which covers alive functions and
+   main only, since a dead function may still call ones that died with
+   it.  With that rule holding, the decoder reaches no dead function but
+   main, so every function it decodes is covered by every rule. *)
 let check (prog : Il.program) =
-  let errors = ref [] in
+  let found = ref [] in
+  let nfuncs = Array.length prog.Il.funcs in
+  let in_range n i = i >= 0 && i < n in
+  if not (in_range nfuncs prog.Il.main) then
+    found := [ { func = ""; index = -1; kind = Bad_main prog.Il.main } ];
   let sites = Hashtbl.create 256 in
-  Array.iter
-    (fun (f : Il.func) ->
-      if f.Il.alive then begin
-        check_func prog f errors;
-        List.iter
-          (fun (s : Il.site) ->
-            if Hashtbl.mem sites s.Il.s_id then
-              errors :=
-                Printf.sprintf "%s: duplicate site id %d" f.Il.name s.Il.s_id :: !errors
-            else Hashtbl.add sites s.Il.s_id ();
-            if s.Il.s_id >= prog.Il.next_site then
-              errors :=
-                Printf.sprintf "%s: site id %d >= next_site %d" f.Il.name s.Il.s_id
-                  prog.Il.next_site
-                :: !errors)
-          (Il.sites_of f)
-      end)
+  Array.iteri
+    (fun fid (f : Il.func) ->
+      let first_def = Hashtbl.create 16 in
+      Array.iteri
+        (fun i -> function
+          | Il.Label l when not (Hashtbl.mem first_def l) -> Hashtbl.add first_def l i
+          | _ -> ())
+        f.Il.body;
+      let entered = f.Il.alive || fid = prog.Il.main in
+      let index = ref 0 in
+      let bad kind = found := { func = f.Il.name; index = !index; kind } :: !found in
+      let reg r = if not (in_range f.Il.nregs r) then bad (Bad_register r) in
+      let op = function Il.Reg r -> reg r | Il.Imm _ -> () in
+      let target l = if not (Hashtbl.mem first_def l) then bad (Undefined_label l) in
+      let id n i kind = if not (in_range n i) then bad kind in
+      let call site args ret =
+        if not (in_range prog.Il.next_site site) then bad (Bad_site site)
+        else if Hashtbl.mem sites site then bad (Duplicate_site site)
+        else Hashtbl.add sites site ();
+        List.iter op args;
+        Option.iter reg ret
+      in
+      Array.iteri
+        (fun i instr ->
+          index := i;
+          match instr with
+          | Il.Label l ->
+            id f.Il.nlabels l (Label_out_of_range l);
+            if Hashtbl.find first_def l <> i then bad (Duplicate_label l)
+          | Il.Mov (r, o) | Il.Un (_, r, o) | Il.Load (_, r, o) -> reg r; op o
+          | Il.Bin (_, r, a, b) -> reg r; op a; op b
+          | Il.Store (_, a, v) -> op a; op v
+          | Il.Lea_frame (r, off) ->
+            reg r;
+            id (max f.Il.frame_size 1) off (Bad_frame_offset off)
+          | Il.Lea_global (r, g) -> reg r; id (Array.length prog.Il.globals) g (Bad_global g)
+          | Il.Lea_string (r, s) -> reg r; id (Array.length prog.Il.strings) s (Bad_string s)
+          | Il.Lea_func (r, callee) -> reg r; id nfuncs callee (Bad_function callee)
+          | Il.Call (site, callee, args, ret) ->
+            (if not (in_range nfuncs callee) then bad (Bad_function callee)
+             else
+               let cf = prog.Il.funcs.(callee) in
+               if entered && not cf.Il.alive then bad (Dead_callee cf.Il.name);
+               let nargs = List.length args in
+               if nargs <> cf.Il.nparams then
+                 bad (Bad_arity { callee = cf.Il.name; nargs; nparams = cf.Il.nparams }));
+            call site args ret
+          | Il.Call_ext (site, _, args, ret) -> call site args ret
+          | Il.Call_ind (site, t, args, ret) -> op t; call site args ret
+          | Il.Ret o -> Option.iter op o
+          | Il.Jump l -> target l
+          | Il.Bnz (o, l) -> op o; target l
+          | Il.Switch (o, table, default) ->
+            op o;
+            Array.iter (fun (_, l) -> target l) table;
+            target default)
+        f.Il.body)
     prog.Il.funcs;
-  if prog.Il.main < 0 || prog.Il.main >= Array.length prog.Il.funcs then
-    errors := "main fid out of range" :: !errors;
-  match !errors with
-  | [] -> Ok ()
-  | errs -> Error (List.rev errs)
+  List.rev !found
+
+let verify ~stage ~pass prog =
+  match check prog with
+  | [] -> ()
+  | v :: _ -> Ierr.error stage "ill-formed IL after %s: %s" pass (to_string v)
 
 let check_exn prog =
   match check prog with
-  | Ok () -> ()
-  | Error errs -> failwith ("ill-formed IL:\n" ^ String.concat "\n" errs)
+  | [] -> ()
+  | vs -> failwith ("ill-formed IL:\n" ^ String.concat "\n" (List.map to_string vs))

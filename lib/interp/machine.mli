@@ -49,7 +49,7 @@ exception Out_of_fuel
 exception Deadline_exceeded
 
 (** Raised by the threaded engine, before it runs anything, on a program
-    with an out-of-range reference ({!Rt.Invalid_il}). *)
+    {!Impact_il.Il_check} rejects ({!Rt.Invalid_il}). *)
 exception Invalid_il of string
 
 (** The result of one run. *)

@@ -21,7 +21,7 @@ exception Deadline_exceeded
 exception Program_exit of int
 
 (** Raised by the threaded engine, before it runs anything, on a program
-    with an out-of-range reference: ["invalid IL in f: ..."]. *)
+    {!Impact_il.Il_check} rejects: ["invalid IL in f: ..."]. *)
 exception Invalid_il of string
 
 (** [trap fmt ...] raises {!Trap} with a formatted message. *)

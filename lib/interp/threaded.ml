@@ -44,13 +44,13 @@
 
    Unchecked array accesses: the register file, code array, and
    site-count accesses in the closures use [Array.unsafe_get]/[set].
-   This is sound because {!validate} admits a program only after
-   verifying, per function, that every mentioned register index is
-   within that function's IL registers, every jump target label is
-   defined in the body (so no decoded pc is ever -1 or past the
-   sentinel), and every call-site id is within the program's site-count
-   array; anything else is refused with {!Rt.Invalid_il} before it
-   runs. *)
+   This is sound because {!validate} admits only a program that
+   {!Impact_il.Il_check} accepts in every function the decoder can
+   reach: every mentioned register index is within that function's IL
+   registers, every jump target label is defined in the body (so no
+   decoded pc is ever -1 or past the sentinel), and every call-site id
+   is within the program's site-count array; anything else is refused
+   with {!Rt.Invalid_il} before it runs. *)
 
 module Il = Impact_il.Il
 
@@ -117,68 +117,17 @@ let[@inline] get (regs : int array) o =
 (* Validation and constant slots                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The decoder resolves global/string/function references and call
-   targets eagerly and elides the bounds checks justified above, so it
-   refuses a program unless every static reference is in range — in
-   practice, everything the IL validator accepts.  Each check below
-   holds or raises {!Rt.Invalid_il} naming the function and the bad
-   reference. *)
-let validate (prog : Il.program) =
-  let nfuncs = Array.length prog.Il.funcs in
-  let nglobals = Array.length prog.Il.globals in
-  let nstrings = Array.length prog.Il.strings in
-  let nsites = max prog.Il.next_site 1 in
-  let func_ok (f : Il.func) =
-    let at = "invalid IL in " ^ f.Il.name ^ ": " in
-    let bad k = Printf.ksprintf (fun m -> raise (Rt.Invalid_il (at ^ m))) k in
-    let has what n i = (i >= 0 && i < n) || bad "no %s %d" what i in
-    let reg_ok = has "register" (max f.Il.nregs 1) in
-    let operand_ok = function
-      | Il.Reg r -> reg_ok r
-      | Il.Imm _ -> true
-    in
-    let ret_ok = function None -> true | Some r -> reg_ok r in
-    let site_ok = has "call site" nsites in
-    let defined = Hashtbl.create 16 in
-    Array.iter
-      (function
-        | Il.Label l -> Hashtbl.replace defined l ()
-        | _ -> ())
-      f.Il.body;
-    let label_ok l = l >= 0 && Hashtbl.mem defined l || bad "no label L%d" l in
-    let instr_ok = function
-      | Il.Label _ -> true
-      | Il.Mov (r, o) | Il.Un (_, r, o) | Il.Load (_, r, o) ->
-        reg_ok r && operand_ok o
-      | Il.Bin (_, r, x, y) -> reg_ok r && operand_ok x && operand_ok y
-      | Il.Store (_, x, y) -> operand_ok x && operand_ok y
-      | Il.Lea_frame (r, _) -> reg_ok r
-      | Il.Lea_global (r, g) -> reg_ok r && has "global" nglobals g
-      | Il.Lea_string (r, s) -> reg_ok r && has "string" nstrings s
-      | Il.Lea_func (r, fid) -> reg_ok r && has "function" nfuncs fid
-      | Il.Jump l -> label_ok l
-      | Il.Bnz (o, l) -> operand_ok o && label_ok l
-      | Il.Switch (o, table, default) ->
-        operand_ok o && label_ok default
-        && Array.for_all (fun (_, l) -> label_ok l) table
-      | Il.Call (site, callee, args, ret) ->
-        site_ok site && has "function" nfuncs callee
-        && List.for_all operand_ok args
-        && ret_ok ret
-      | Il.Call_ext (site, _, args, ret) ->
-        site_ok site && List.for_all operand_ok args && ret_ok ret
-      | Il.Call_ind (site, target, args, ret) ->
-        site_ok site && operand_ok target
-        && List.for_all operand_ok args
-        && ret_ok ret
-      | Il.Ret (Some o) -> operand_ok o
-      | Il.Ret None -> true
-    in
-    Array.for_all instr_ok f.Il.body
-  in
-  if prog.Il.main < 0 || prog.Il.main >= nfuncs then
-    raise (Rt.Invalid_il "invalid IL: main out of range");
-  ignore (Array.for_all func_ok prog.Il.funcs)
+(* The decoder resolves references eagerly and elides the bounds checks
+   justified above, so it refuses any program {!Impact_il.Il_check}
+   rejects, naming the first violation's function. *)
+let validate prog =
+  match Impact_il.Il_check.check prog with
+  | [] -> ()
+  | { func; kind; _ } :: _ ->
+    let at = if func = "" then "" else " in " ^ func in
+    raise
+      (Rt.Invalid_il
+         (Printf.sprintf "invalid IL%s: %s" at (Impact_il.Il_check.describe kind)))
 
 (* [map_operands g i] applies [g] to every operand [i] reads through
    {!enc}; a [Mov]'s immediate is stored as it is. *)

@@ -35,10 +35,10 @@ val cache : unit -> cache
     [?cache] additionally reuses decoded code, and the program is
     validated once per fresh decode table.
 
-    @raise Rt.Invalid_il before running anything, if a register, label,
-      call site, function, global or string reference is out of range
-      (these checks are what make the decoder's unchecked accesses
-      sound)
+    @raise Rt.Invalid_il before running anything, if
+      {!Impact_il.Il_check} rejects [prog] (its rules are what make the
+      decoder's unchecked accesses sound); the message names the first
+      violation's function, ["invalid IL in f: no label L7"]
     @raise Rt.Trap on runtime errors
     @raise Rt.Out_of_fuel if the budget is exhausted
     @raise Rt.Deadline_exceeded if the wall-clock budget is exhausted *)

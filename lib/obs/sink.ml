@@ -377,15 +377,12 @@ type t =
   | S_null
   | S_memory of { mu : Mutex.t; mutable events : event list; mutable err : exn option }
   | S_jsonl of { mu : Mutex.t; oc : out_channel; mutable err : exn option }
-  | S_custom of { mu : Mutex.t; f : event -> unit; mutable err : exn option }
 
 let null = S_null
 
 let memory () = S_memory { mu = Mutex.create (); events = []; err = None }
 
 let jsonl oc = S_jsonl { mu = Mutex.create (); oc; err = None }
-
-let custom f = S_custom { mu = Mutex.create (); f; err = None }
 
 let enabled = function S_null -> false | _ -> true
 
@@ -405,24 +402,18 @@ let emit t ev =
           output_string j.oc line;
           output_char j.oc '\n')
     with e -> Mutex.protect j.mu (fun () -> if j.err = None then j.err <- Some e))
-  | S_custom c -> (
-    try
-      Impact_support.Fault.hit Impact_support.Fault.Sink_write;
-      Mutex.protect c.mu (fun () -> c.f ev)
-    with e -> Mutex.protect c.mu (fun () -> if c.err = None then c.err <- Some e))
 
 let events = function
   | S_memory m -> Mutex.protect m.mu (fun () -> List.rev m.events)
-  | S_null | S_jsonl _ | S_custom _ -> []
+  | S_null | S_jsonl _ -> []
 
 let broken = function
   | S_null -> None
   | S_memory m -> Mutex.protect m.mu (fun () -> m.err)
   | S_jsonl j -> Mutex.protect j.mu (fun () -> j.err)
-  | S_custom c -> Mutex.protect c.mu (fun () -> c.err)
 
 let close = function
   | S_jsonl j -> (
     try Mutex.protect j.mu (fun () -> flush j.oc)
     with e -> Mutex.protect j.mu (fun () -> if j.err = None then j.err <- Some e))
-  | S_null | S_memory _ | S_custom _ -> ()
+  | S_null | S_memory _ -> ()

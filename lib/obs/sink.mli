@@ -83,9 +83,6 @@ val memory : unit -> t
     close it after {!close}. *)
 val jsonl : out_channel -> t
 
-(** [custom f] calls [f] on every event. *)
-val custom : (event -> unit) -> t
-
 val enabled : t -> bool
 
 val emit : t -> event -> unit

@@ -517,9 +517,9 @@ let start cfg =
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path)
-   with e ->
+   with Unix.Unix_error (err, fn, _) ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
+     raise (Unix.Unix_error (err, fn, cfg.socket_path)));
   Unix.listen listen_fd 128;
   let t =
     {

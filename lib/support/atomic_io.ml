@@ -10,13 +10,16 @@ let tmp_path path = path ^ ".tmp"
 let with_file path write =
   let tmp = tmp_path path in
   let oc = open_out tmp in
-  (match write oc with
-  | () -> ()
+  match
+    let v = write oc in
+    close_out oc;
+    Sys.rename tmp path;
+    v
+  with
+  | v -> v
   | exception e ->
     close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  close_out oc;
-  Sys.rename tmp path
+    raise e
 
 let write_string path contents = with_file path (fun oc -> output_string oc contents)

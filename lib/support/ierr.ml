@@ -113,6 +113,13 @@ let to_string t =
   | Some loc -> Printf.sprintf "%s error at %s: %s" (stage_name t.stage) loc t.msg
   | None -> Printf.sprintf "%s error: %s" (stage_name t.stage) t.msg
 
+(* An error that escapes every handler (a test, a bench executable)
+   still prints its stage and message. *)
+let () =
+  Printexc.register_printer (function
+    | Error t -> Some ("Ierr.Error: " ^ to_string t)
+    | _ -> None)
+
 (* Wrap an arbitrary exception as an internal error of [stage].  The
    harness layer ({!Impact_harness}) installs richer classification for
    the exceptions it knows (front-end locations, interpreter traps); this

@@ -33,9 +33,11 @@ let test_compile_and_validate () =
     (fun (b : Benchmark.t) ->
       let prog = compile_bench b in
       match Impact_il.Il_check.check prog with
-      | Ok () -> ()
-      | Error errs ->
-        Alcotest.fail (b.Benchmark.name ^ ": " ^ String.concat "; " errs))
+      | [] -> ()
+      | errs ->
+        Alcotest.fail
+          (b.Benchmark.name ^ ": "
+          ^ String.concat "; " (List.map Impact_il.Il_check.to_string errs)))
     Suite.all
 
 let test_runs_clean () =

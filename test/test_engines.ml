@@ -108,7 +108,14 @@ let func ?(nparams = 0) ?(nregs = 1) ?(nlabels = 0) fid name body =
     alive = true;
   }
 
-let program ?(globals = [||]) ?(next_site = 0) funcs =
+(* [next_site] is one past the largest site id the bodies use, as the
+   IL checker requires. *)
+let program ?(globals = [||]) funcs =
+  let next_site =
+    Array.fold_left
+      (fun n f -> List.fold_left (fun n s -> max n (s.Il.s_id + 1)) n (Il.sites_of f))
+      0 funcs
+  in
   {
     Il.funcs;
     globals;
@@ -325,7 +332,7 @@ int main() {
        constant slot; the second activation reuses the first's pooled
        register file, whose slot must survive. *)
     ( "wide call arguments",
-      program ~next_site:2
+      program
         [|
           func ~nregs:2 0 "main"
             [|

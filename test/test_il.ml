@@ -89,44 +89,145 @@ let test_validator_accepts_lowered () =
   List.iter
     (fun src ->
       match Il_check.check (compile src) with
-      | Ok () -> ()
-      | Error errs -> Alcotest.fail (String.concat "; " errs))
+      | [] -> ()
+      | errs -> Alcotest.fail (String.concat "; " (List.map Il_check.to_string errs)))
     [
       sample;
       "int main() { return 0; }";
       "int main() { switch (1) { case 1: return 1; } return 0; }";
     ]
 
+(* One row per violation kind: each corrupts the sample program and
+   names every violation the checker must report, by function,
+   instruction index and kind, in the order it reports them. *)
 let test_validator_rejects_corruption () =
-  let expect_bad mutate =
-    let prog = compile sample in
-    mutate prog;
-    match Il_check.check prog with
-    | Error _ -> ()
-    | Ok () -> Alcotest.fail "validator accepted a corrupted program"
+  let find p name = Option.get (Il.find_func p name) in
+  let main p = p.Il.funcs.(p.Il.main) in
+  (* [append f instrs] adds [instrs] to [f]'s body and returns the
+     index of the first. *)
+  let append (f : Il.func) instrs =
+    let at = Array.length f.Il.body in
+    f.Il.body <- Array.append f.Il.body instrs;
+    at
   in
-  (* Register out of range. *)
-  expect_bad (fun prog ->
-      let f = prog.Il.funcs.(prog.Il.main) in
-      f.Il.body <- Array.append f.Il.body [| Il.Mov (9999, Il.Imm 0) |]);
-  (* Branch to an undefined label. *)
-  expect_bad (fun prog ->
-      let f = prog.Il.funcs.(prog.Il.main) in
-      f.Il.nlabels <- f.Il.nlabels + 1;
-      f.Il.body <- Array.append f.Il.body [| Il.Jump (f.Il.nlabels - 1) |]);
-  (* Duplicate site id. *)
-  expect_bad (fun prog ->
-      let f = prog.Il.funcs.(prog.Il.main) in
-      match Il.sites_of f with
-      | s :: _ -> f.Il.body <- Array.append f.Il.body [| f.Il.body.(s.Il.s_index) |]
-      | [] -> Alcotest.fail "sample should have sites");
-  (* Wrong arity. *)
-  expect_bad (fun prog ->
-      let f = prog.Il.funcs.(prog.Il.main) in
-      let helper = Option.get (Il.find_func prog "helper") in
-      f.Il.body <-
-        Array.append f.Il.body
-          [| Il.Call (prog.Il.next_site - 1 + 1000, helper.Il.fid, [ Il.Imm 1 ], None) |])
+  let at (f : Il.func) index kind = { Il_check.func = f.Il.name; index; kind } in
+  let one f instrs kind = [ at f (append f instrs) kind ] in
+  let fresh_label (f : Il.func) =
+    f.Il.nlabels <- f.Il.nlabels + 1;
+    f.Il.nlabels - 1
+  in
+  (* The index of [caller]'s direct call to [callee]. *)
+  let call_to (caller : Il.func) (callee : Il.func) =
+    (List.find
+       (fun (s : Il.site) -> s.Il.s_kind = Il.To_user callee.Il.fid)
+       (Il.sites_of caller))
+      .Il.s_index
+  in
+  let rows =
+    [
+      ( "register out of range",
+        fun p -> (p, one (main p) [| Il.Mov (9999, Il.Imm 0) |] (Il_check.Bad_register 9999)) );
+      ( "branch to an undefined label",
+        fun p ->
+          let f = main p in
+          let l = fresh_label f in
+          (p, one f [| Il.Jump l |] (Il_check.Undefined_label l)) );
+      ( "label defined twice",
+        fun p ->
+          let f = main p in
+          let l = fresh_label f in
+          (p, [ at f (append f [| Il.Label l; Il.Label l |] + 1) (Il_check.Duplicate_label l) ]) );
+      ( "label not below nlabels",
+        fun p ->
+          let f = main p in
+          let l = f.Il.nlabels in
+          (p, one f [| Il.Label l |] (Il_check.Label_out_of_range l)) );
+      ( "frame offset outside the frame",
+        fun p ->
+          let f = main p in
+          let off = max f.Il.frame_size 1 in
+          (p, one f [| Il.Lea_frame (0, off) |] (Il_check.Bad_frame_offset off)) );
+      ( "global id out of range",
+        fun p ->
+          let g = Array.length p.Il.globals in
+          (p, one (main p) [| Il.Lea_global (0, g) |] (Il_check.Bad_global g)) );
+      ( "string id out of range",
+        fun p ->
+          let s = Array.length p.Il.strings in
+          (p, one (main p) [| Il.Lea_string (0, s) |] (Il_check.Bad_string s)) );
+      ( "function id out of range",
+        fun p ->
+          let n = Array.length p.Il.funcs in
+          (p, one (main p) [| Il.Lea_func (0, n) |] (Il_check.Bad_function n)) );
+      ( "wrong arity",
+        fun p ->
+          let helper = find p "helper" in
+          let site = p.Il.next_site in
+          p.Il.next_site <- site + 1;
+          ( p,
+            one (main p)
+              [| Il.Call (site, helper.Il.fid, [ Il.Imm 1 ], None) |]
+              (Il_check.Bad_arity { callee = "helper"; nargs = 1; nparams = 2 }) ) );
+      ( "direct call to a dead function",
+        fun p ->
+          let through = find p "through" in
+          through.Il.alive <- false;
+          (p, [ at (main p) (call_to (main p) through) (Il_check.Dead_callee "through") ]) );
+      (* The decoder still decodes a dead function that main calls
+         directly, so its body stays under every rule. *)
+      ( "dead function the decoder can reach",
+        fun p ->
+          let through = find p "through" in
+          through.Il.alive <- false;
+          ( p,
+            one through [| Il.Mov (9999, Il.Imm 0) |] (Il_check.Bad_register 9999)
+            @ [ at (main p) (call_to (main p) through) (Il_check.Dead_callee "through") ] ) );
+      ( "negative site id",
+        fun p ->
+          (p, one (main p) [| Il.Call_ext (-1, "getchar", [], None) |] (Il_check.Bad_site (-1))) );
+      ( "site id not below next_site",
+        fun p ->
+          let s = p.Il.next_site in
+          (p, one (main p) [| Il.Call_ext (s, "getchar", [], None) |] (Il_check.Bad_site s)) );
+      ( "duplicate site id",
+        fun p ->
+          let f = main p in
+          let s = List.hd (Il.sites_of f) in
+          (p, one f [| f.Il.body.(s.Il.s_index) |] (Il_check.Duplicate_site s.Il.s_id)) );
+      ( "main out of range",
+        fun p ->
+          let n = Array.length p.Il.funcs in
+          ( { p with Il.main = n },
+            [ { Il_check.func = ""; index = -1; kind = Il_check.Bad_main n } ] ) );
+    ]
+  in
+  let violation =
+    Alcotest.testable (fun fmt v -> Format.pp_print_string fmt (Il_check.to_string v)) ( = )
+  in
+  List.iter
+    (fun (name, corrupt) ->
+      let prog, expected = corrupt (compile sample) in
+      Alcotest.(check (list violation)) name expected (Il_check.check prog))
+    rows
+
+(* The pass-boundary check: silent on well-formed IL, otherwise one typed
+   error of the caller's stage naming the pass, function and
+   instruction. *)
+let test_verify_names_the_pass () =
+  let module Ierr = Impact_support.Ierr in
+  let prog = compile sample in
+  Il_check.verify ~stage:Ierr.Lower ~pass:"pre_opt" prog;
+  let f = prog.Il.funcs.(prog.Il.main) in
+  let at = Array.length f.Il.body in
+  f.Il.body <- Array.append f.Il.body [| Il.Jump 99 |];
+  match Il_check.verify ~stage:Ierr.Lower ~pass:"pre_opt" prog with
+  | () -> Alcotest.fail "an undefined label passed the check"
+  | exception Ierr.Error e ->
+    Alcotest.(check string) "typed error of the given stage"
+      (Printf.sprintf
+         "lower error: ill-formed IL after pre_opt: in main at instruction %d: no label L99"
+         at)
+      (Ierr.to_string e)
 
 let test_register_variables () =
   (* A scalar whose address is never taken must not touch memory. *)
@@ -157,6 +258,7 @@ let tests =
     Alcotest.test_case "stack usage" `Quick test_stack_usage_grows_with_frame;
     Alcotest.test_case "validator accepts lowered IL" `Quick test_validator_accepts_lowered;
     Alcotest.test_case "validator rejects corruption" `Quick test_validator_rejects_corruption;
+    Alcotest.test_case "boundary check names the pass" `Quick test_verify_names_the_pass;
     Alcotest.test_case "scalars live in registers" `Quick test_register_variables;
     Alcotest.test_case "address-taken locals get frame slots" `Quick
       test_addr_taken_goes_to_frame;

@@ -25,8 +25,10 @@ let run prog =
 let compiles_and_validates src =
   let prog = Testutil.compile src in
   match Impact_il.Il_check.check prog with
-  | Ok () -> true
-  | Error errs -> QCheck.Test.fail_reportf "invalid IL: %s" (String.concat "; " errs)
+  | [] -> true
+  | errs ->
+    QCheck.Test.fail_reportf "invalid IL: %s"
+      (String.concat "; " (List.map Impact_il.Il_check.to_string errs))
 
 let pass_preserves pass src =
   let prog = Testutil.compile src in

@@ -502,6 +502,47 @@ int main() { int c, s = 0; while ((c = getchar()) != -1) s = tock(s); return s &
             (Sink.json_to_string baseline)
             (Sink.json_to_string after)))
 
+(* impactd's startup failures are one typed line and exit 5, and leave
+   no socket and no trace, final or temporary, behind. *)
+let test_daemon_startup_errors () =
+  let impactd =
+    Filename.concat
+      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
+      "impactd.exe"
+  in
+  let dir = tmp_dir () in
+  Sys.mkdir dir 0o755;
+  let missing = Filename.concat dir "missing" in
+  let socket = tmp_socket () in
+  let trace = Filename.concat dir "t.jsonl" in
+  let err = Filename.concat dir "stderr" in
+  List.iter
+    (fun (name, args, stage) ->
+      let code =
+        Sys.command
+          (Filename.quote_command impactd ~stdout:Filename.null ~stderr:err
+             ("-q" :: args))
+      in
+      Alcotest.(check int) (name ^ ": exit code") 5 code;
+      let prefix = "impactd: " ^ stage ^ " error: " in
+      (match String.split_on_char '\n' (In_channel.with_open_bin err In_channel.input_all) with
+      | [ line; "" ] when String.starts_with ~prefix line -> ()
+      | _ -> Alcotest.failf "%s: stderr is not one %S line" name prefix);
+      List.iter
+        (fun path ->
+          Alcotest.(check bool) (name ^ ": no " ^ path) false (Sys.file_exists path))
+        [ socket; trace; Impact_support.Atomic_io.tmp_path trace ])
+    [
+      ( "unwritable --trace",
+        [ "-s"; socket; "--trace"; Filename.concat missing "t.jsonl" ],
+        "artifact" );
+      ( "unbindable --socket",
+        [ "-s"; Filename.concat missing "x.sock"; "--trace"; trace ],
+        "serve" );
+    ];
+  Sys.remove err;
+  Sys.rmdir dir
+
 let tests =
   [
     Alcotest.test_case "frame roundtrip and EOF taxonomy" `Quick test_frame_roundtrip;
@@ -525,4 +566,6 @@ let tests =
       test_fault_requires_optin;
     Alcotest.test_case "faulted request A does not perturb request B" `Quick
       test_faulted_request_does_not_leak;
+    Alcotest.test_case "impactd startup failures are typed" `Quick
+      test_daemon_startup_errors;
   ]
