@@ -75,4 +75,6 @@ let publish t obs =
   Obs.gauge_int obs "cache.evictions" s.Cstore.evictions;
   Obs.gauge_int obs "cache.store_failures" s.Cstore.store_failures;
   Obs.gauge_int obs "cache.entries" (Cstore.entry_count t.store);
-  Obs.gauge_int obs "cache.bytes" (Cstore.total_bytes t.store)
+  Obs.gauge_int obs "cache.bytes" (Cstore.total_bytes t.store);
+  Obs.gauge_int obs "cache.bytes_written" s.Cstore.bytes_written;
+  Obs.gauge_int obs "cstore.index_bytes_written" s.Cstore.index_bytes_written

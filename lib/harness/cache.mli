@@ -44,5 +44,8 @@ val find : t -> Impact_obs.Obs.t -> stage:string -> key:string -> 'a option
 val put : t -> Impact_obs.Obs.t -> stage:string -> key:string -> 'a -> unit
 
 (** [publish t obs] gauges end-of-run store state ([cache.evictions],
-    [cache.store_failures], [cache.entries], [cache.bytes]). *)
+    [cache.store_failures], [cache.entries], [cache.bytes]) and the
+    bytes the store has written since it was opened: entry files as
+    [cache.bytes_written], [INDEX] appends and compactions as
+    [cstore.index_bytes_written]. *)
 val publish : t -> Impact_obs.Obs.t -> unit

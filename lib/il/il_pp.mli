@@ -1,16 +1,7 @@
 (** Textual rendering of IL programs for dumps, tests and the CLI. *)
 
-(** [string_of_operand op] is ["r7"] or ["42"]. *)
-val string_of_operand : Il.operand -> string
-
-(** [string_of_instr prog i] renders one instruction. *)
-val string_of_instr : Il.program -> Il.instr -> string
-
-(** [pp_func fmt prog f] prints a function with header and body. *)
-val pp_func : Format.formatter -> Il.program -> Il.func -> unit
-
-(** [pp_program fmt prog] prints all live functions and globals. *)
-val pp_program : Format.formatter -> Il.program -> unit
-
-(** [dump prog] is the program rendered to a string. *)
+(** [dump prog] is the program rendered to a string: its globals, its
+    string literals, then every live function with a header line and one
+    line per instruction.  [Profile_io.program_checksum] is the MD5 of
+    these bytes, so the rendering is part of the persisted checksums. *)
 val dump : Il.program -> string

@@ -1,12 +1,15 @@
 module Il = Impact_il.Il
 
-(* The label's final destination after collapsing jump chains. *)
+(* The label's final destination after collapsing jump chains.  A label
+   outside [0, nlabels) is left as it is, so the pass boundary check
+   names it instead of an array access failing here. *)
 let resolve_chains (f : Il.func) =
+  let in_range l = l >= 0 && l < f.Il.nlabels in
   let at_label = Array.make (max f.Il.nlabels 1) (-1) in
   Array.iteri
     (fun idx instr ->
       match instr with
-      | Il.Label l -> at_label.(l) <- idx
+      | Il.Label l when in_range l -> at_label.(l) <- idx
       | _ -> ())
     f.Il.body;
   (* First real instruction at or after index i. *)
@@ -19,7 +22,8 @@ let resolve_chains (f : Il.func) =
   in
   let final = Array.make (max f.Il.nlabels 1) (-1) in
   let rec target l seen =
-    if final.(l) >= 0 then final.(l)
+    if not (in_range l) then l
+    else if final.(l) >= 0 then final.(l)
     else if List.mem l seen then l (* jump cycle (infinite loop): stop *)
     else begin
       let t =

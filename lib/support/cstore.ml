@@ -15,11 +15,21 @@
    store repairs it.  Writes go through {!Atomic_io} (temp + rename):
    either the complete entry lands or nothing does.
 
-   Recency is tracked by a monotonic in-process tick per entry,
-   persisted to an INDEX file on every store/evict; when the payload
-   bytes in the store exceed [max_bytes], least-recently-used entries
-   are evicted (never the one just stored).  Index and recency
-   bookkeeping take the store mutex; warm-path payload I/O and
+   Recency is tracked by a monotonic in-process tick per entry and
+   persisted to INDEX, an append-only journal of "<tick> <file>" lines:
+   each store appends, in one write, the line of the entry it wrote and
+   of every entry hit since the previous append.  Replaying the journal
+   (a later line for a file wins) gives every entry its latest persisted
+   tick.  Eviction does not touch the journal; its stale lines go at the
+   next compaction, one whole rewrite, which [create] runs when INDEX is
+   missing, has a bad header or a torn last line, and which runs
+   whenever the journal holds more than twice as many lines as there are
+   live entries, so it stays bounded in a long-lived process.  When the
+   payload bytes in the store exceed [max_bytes], least-recently-used
+   entries are evicted (never the one just stored).
+
+   Index and recency bookkeeping take the store mutex, and so does a
+   store's entry write plus its append; warm-path payload I/O and
    verification run outside it (entries are immutable, writes are
    atomic renames), so concurrent warm lookups proceed in parallel and
    one store may be shared by parallel suite runs ({!Pool} domains) or
@@ -39,12 +49,15 @@ type stats = {
   mutable stores : int;
   mutable store_failures : int;
   mutable evictions : int;
+  mutable bytes_written : int;  (* entry files, headers included *)
+  mutable index_bytes_written : int;  (* journal appends and compactions *)
 }
 
 type entry = {
   e_file : string;        (* basename inside [dir] *)
   mutable e_tick : int;   (* last-access ordinal, for LRU *)
   e_bytes : int;          (* whole-file size, counted against the budget *)
+  mutable e_pending : bool;  (* hit since the last append: its line is owed *)
 }
 
 type t = {
@@ -54,6 +67,8 @@ type t = {
   mutable tick : int;
   entries : (string, entry) Hashtbl.t;
   mutable total_bytes : int;
+  mutable pending : entry list;  (* hit since the last append, newest first *)
+  mutable index_lines : int;  (* lines after the INDEX header *)
   stats : stats;
   mutable last_error : Ierr.t option;
 }
@@ -109,47 +124,112 @@ let file_size path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> in_channel_length ic)
 
 (* ------------------------------------------------------------------ *)
-(* Index persistence                                                   *)
+(* The INDEX journal                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The INDEX records access order across process restarts:
-   "impact-cache-index v1" then one "<tick> <file>" line per entry.
-   It is advisory — a missing or stale index only degrades the LRU
-   ordering (unknown entries start at tick 0), never correctness, since
-   every entry file self-verifies. *)
+(* INDEX is "impact-cache-index v1", then "<tick> <file>" lines.  It is
+   advisory: a missing, stale or damaged journal only degrades the LRU
+   ordering (entries it does not name start at tick 0), never
+   correctness, since every entry file self-verifies. *)
 
+let index_magic = "impact-cache-index v1"
+
+let index_path t = Filename.concat t.dir index_file
+
+let add_line buf e =
+  Buffer.add_string buf (string_of_int e.e_tick);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf e.e_file;
+  Buffer.add_char buf '\n'
+
+(* Past this, stale lines (evicted entries, superseded ticks) would make
+   up more than half of the journal. *)
+let overgrown t = t.index_lines > 2 * Hashtbl.length t.entries
+
+(* The only full writer: every live entry's line, in tick order, which
+   also settles the lines owed to entries hit since the last append. *)
 let save_index_locked t =
-  let lines =
-    Hashtbl.fold (fun _ e acc -> (e.e_tick, e.e_file) :: acc) t.entries []
-    |> List.sort compare
-    |> List.map (fun (tick, file) -> Printf.sprintf "%d %s" tick file)
+  let live =
+    Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
+    |> List.sort (fun a b -> compare (a.e_tick, a.e_file) (b.e_tick, b.e_file))
   in
-  try
-    Atomic_io.write_string
-      (Filename.concat t.dir index_file)
-      ("impact-cache-index v1\n" ^ String.concat "\n" lines ^ "\n")
-  with e -> t.last_error <- Some (typed_of_exn e)
+  let buf = Buffer.create (64 * (List.length live + 1)) in
+  Buffer.add_string buf index_magic;
+  Buffer.add_char buf '\n';
+  List.iter (add_line buf) live;
+  List.iter (fun e -> e.e_pending <- false) t.pending;
+  t.pending <- [];
+  t.index_lines <- List.length live;
+  match Atomic_io.write_string (index_path t) (Buffer.contents buf) with
+  | () -> t.stats.index_bytes_written <- t.stats.index_bytes_written + Buffer.length buf
+  | exception e -> t.last_error <- Some (typed_of_exn e)
 
-let load_index dir =
-  let path = Filename.concat dir index_file in
-  match read_file path with
-  | exception _ -> []
+(* Appends, with one [Unix.write_substring], the line of [stored] after
+   those of the entries hit since the previous append that are still
+   live.  A failed append may leave a torn line, so it falls back to a
+   compaction. *)
+let append_locked t stored =
+  let buf = Buffer.create 256 in
+  let lines = ref 0 in
+  let owe e =
+    incr lines;
+    add_line buf e
+  in
+  List.iter
+    (fun e ->
+      e.e_pending <- false;
+      match Hashtbl.find_opt t.entries e.e_file with
+      | Some cur when cur == e -> owe e
+      | Some _ | None -> ())
+    (List.rev t.pending);
+  t.pending <- [];
+  owe stored;
+  match
+    let fd = Unix.openfile (index_path t) [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> ignore (Unix.write_substring fd (Buffer.contents buf) 0 (Buffer.length buf)))
+  with
+  | () ->
+    t.stats.index_bytes_written <- t.stats.index_bytes_written + Buffer.length buf;
+    t.index_lines <- t.index_lines + !lines;
+    if overgrown t then save_index_locked t
+  | exception e ->
+    t.last_error <- Some (typed_of_exn e);
+    save_index_locked t
+
+type journal = {
+  ticks : (string, int) Hashtbl.t;  (* file -> tick of its last line *)
+  lines : int;
+  sound : bool;  (* present, with its header and no torn last line *)
+}
+
+(* Malformed lines are counted but skipped; a torn last line (no final
+   newline) is neither. *)
+let replay dir =
+  let ticks = Hashtbl.create 64 in
+  let record line =
+    match String.index_opt line ' ' with
+    | Some i when i + 1 < String.length line -> (
+      match int_of_string_opt (String.sub line 0 i) with
+      | Some tick when tick >= 0 ->
+        Hashtbl.replace ticks (String.sub line (i + 1) (String.length line - i - 1)) tick
+      | Some _ | None -> ())
+    | Some _ | None -> ()
+  in
+  let rec go lines = function
+    | line :: (_ :: _ as more) ->
+      record line;
+      go (lines + 1) more
+    | [ tail ] -> { ticks; lines; sound = tail = "" }
+    | [] -> { ticks; lines; sound = false }
+  in
+  match read_file (Filename.concat dir index_file) with
+  | exception _ -> { ticks; lines = 0; sound = false }
   | s -> (
     match String.split_on_char '\n' s with
-    | "impact-cache-index v1" :: rest ->
-      List.filter_map
-        (fun line ->
-          match String.index_opt line ' ' with
-          | Some i -> (
-            let tick = String.sub line 0 i in
-            let file = String.sub line (i + 1) (String.length line - i - 1) in
-            match int_of_string_opt tick with
-            | Some tick when file <> "" -> Some (file, tick)
-            | _ -> None)
-          | None -> None)
-        rest
-    | _ -> []
-  )
+    | magic :: rest when magic = index_magic -> go 0 rest
+    | _ -> { ticks; lines = 0; sound = false })
 
 let create ?(max_bytes = 256 * 1024 * 1024) dir =
   mkdir_p dir;
@@ -161,6 +241,8 @@ let create ?(max_bytes = 256 * 1024 * 1024) dir =
       tick = 0;
       entries = Hashtbl.create 64;
       total_bytes = 0;
+      pending = [];
+      index_lines = 0;
       stats =
         {
           hits = 0;
@@ -169,11 +251,13 @@ let create ?(max_bytes = 256 * 1024 * 1024) dir =
           stores = 0;
           store_failures = 0;
           evictions = 0;
+          bytes_written = 0;
+          index_bytes_written = 0;
         };
       last_error = None;
     }
   in
-  let ticks = load_index dir in
+  let journal = replay dir in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f suffix)
@@ -184,13 +268,14 @@ let create ?(max_bytes = 256 * 1024 * 1024) dir =
       match file_size (Filename.concat dir file) with
       | exception _ -> ()
       | bytes ->
-        let tick =
-          match List.assoc_opt file ticks with Some n -> n | None -> 0
-        in
-        Hashtbl.replace t.entries file { e_file = file; e_tick = tick; e_bytes = bytes };
+        let tick = Option.value ~default:0 (Hashtbl.find_opt journal.ticks file) in
+        Hashtbl.replace t.entries file
+          { e_file = file; e_tick = tick; e_bytes = bytes; e_pending = false };
         t.total_bytes <- t.total_bytes + bytes;
         if tick >= t.tick then t.tick <- tick + 1)
     files;
+  t.index_lines <- journal.lines;
+  if not journal.sound || overgrown t then save_index_locked t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -268,6 +353,10 @@ let find t ~stage ~key =
       Mutex.protect t.mu (fun () ->
           t.tick <- t.tick + 1;
           e.e_tick <- t.tick;
+          if not e.e_pending then begin
+            e.e_pending <- true;
+            t.pending <- e :: t.pending
+          end;
           t.stats.hits <- t.stats.hits + 1);
       Hit payload
     | exception exn ->
@@ -312,18 +401,22 @@ let rec evict_locked t ~keep =
 
 (* Best-effort: a failed store (disk full, injected fault) is counted
    and remembered, never raised — the caller computed the artifact
-   anyway and loses only reuse, not work. *)
+   anyway and loses only reuse, not work.  The digest and header are
+   computed before taking the lock, which then covers the entry write
+   and one journal append. *)
 let store t ~stage ~key payload =
+  let file = entry_file ~stage ~key in
+  let header =
+    Printf.sprintf "%s %s %s %s %d\n" magic stage key
+      (Digest.to_hex (Digest.string payload))
+      (String.length payload)
+  in
   Mutex.protect t.mu (fun () ->
-      let file = entry_file ~stage ~key in
-      let content =
-        Printf.sprintf "%s %s %s %s %d\n%s" magic stage key
-          (Digest.to_hex (Digest.string payload))
-          (String.length payload) payload
-      in
       match
         Fault.hit Fault.Cache_write;
-        Atomic_io.write_string (Filename.concat t.dir file) content
+        Atomic_io.with_file (Filename.concat t.dir file) (fun oc ->
+            output_string oc header;
+            output_string oc payload)
       with
       | exception e ->
         t.stats.store_failures <- t.stats.store_failures + 1;
@@ -333,14 +426,15 @@ let store t ~stage ~key payload =
         (match Hashtbl.find_opt t.entries file with
         | Some old -> t.total_bytes <- t.total_bytes - old.e_bytes
         | None -> ());
-        let bytes = String.length content in
+        let bytes = String.length header + String.length payload in
         t.tick <- t.tick + 1;
-        Hashtbl.replace t.entries file
-          { e_file = file; e_tick = t.tick; e_bytes = bytes };
+        let e = { e_file = file; e_tick = t.tick; e_bytes = bytes; e_pending = false } in
+        Hashtbl.replace t.entries file e;
         t.total_bytes <- t.total_bytes + bytes;
         t.stats.stores <- t.stats.stores + 1;
+        t.stats.bytes_written <- t.stats.bytes_written + bytes;
         evict_locked t ~keep:file;
-        save_index_locked t)
+        append_locked t e)
 
 let stats t = t.stats
 

@@ -150,6 +150,104 @@ let test_eviction () =
   | Cstore.Miss -> ()
   | _ -> Alcotest.fail "LRU entry survived"
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let file_size path = String.length (read_file path)
+
+(* The files named by INDEX journal lines, which must all be
+   "<tick> <file>". *)
+let journal_files text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         match String.index_opt l ' ' with
+         | Some i when int_of_string_opt (String.sub l 0 i) <> None ->
+           String.sub l (i + 1) (String.length l - i - 1)
+         | _ -> Alcotest.failf "malformed journal line %S" l)
+
+(* The files a whole INDEX names, after its header. *)
+let index_files dir =
+  let text = read_file (Filename.concat dir "INDEX") in
+  let header = "impact-cache-index v1\n" in
+  let n = String.length header in
+  Alcotest.(check string) "INDEX header" header (String.sub text 0 (min n (String.length text)));
+  journal_files (String.sub text n (String.length text - n))
+
+(* Outside compaction a store writes its entry file and appends to INDEX
+   one line for the entry it stored plus one for each entry hit since
+   the previous append: INDEX grows by exactly those lines, and the
+   stats count exactly the bytes of the entry and of the lines.  A store
+   that rewrote the whole index would fail every round. *)
+let test_store_appends_one_line () =
+  let dir = tmp_dir () in
+  let s = Cstore.create dir in
+  let index = Filename.concat dir "INDEX" in
+  let key i = Printf.sprintf "k%02d" i in
+  let file i = "t-" ^ key i ^ ".ice" in
+  for i = 0 to 19 do
+    Cstore.store s ~stage:"t" ~key:(key i) (String.make (100 + i) 'x')
+  done;
+  let hit i =
+    match Cstore.find s ~stage:"t" ~key:(key i) with
+    | Cstore.Hit _ -> ()
+    | _ -> Alcotest.failf "%s missing" (key i)
+  in
+  for r = 0 to 9 do
+    let st = Cstore.stats s in
+    let before = read_file index in
+    let index0 = st.Cstore.index_bytes_written and entries0 = st.Cstore.bytes_written in
+    let a = r and b = r + 5 in
+    (* [a] is hit twice and owes one line.  Every third round re-stores
+       [b], whose store line then supersedes its hit line. *)
+    hit a;
+    hit b;
+    hit a;
+    let stored = if r mod 3 = 2 then b else 20 + r in
+    Cstore.store s ~stage:"t" ~key:(key stored) (Printf.sprintf "round %d" r);
+    let after = read_file index in
+    let grown = String.length after - String.length before in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: INDEX only appended to" r)
+      true
+      (grown > 0 && String.sub after 0 (String.length before) = before);
+    let tail = String.sub after (String.length before) grown in
+    Alcotest.(check (list string))
+      (Printf.sprintf "round %d: one line per entry hit or stored" r)
+      (List.sort_uniq compare [ file a; file b; file stored ])
+      (List.sort compare (journal_files tail));
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: index bytes counted" r)
+      grown
+      (st.Cstore.index_bytes_written - index0);
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: entry bytes counted" r)
+      (file_size (Filename.concat dir (file stored)))
+      (st.Cstore.bytes_written - entries0)
+  done;
+  (* A sound journal within twice the live entries is not compacted on
+     reopen, and replays to the same entries. *)
+  let live = Cstore.entry_count s in
+  let reopened = Cstore.create dir in
+  Alcotest.(check int) "reopen writes no index" 0
+    (Cstore.stats reopened).Cstore.index_bytes_written;
+  Alcotest.(check int) "reopen sees every entry" live (Cstore.entry_count reopened);
+  Alcotest.(check (list string)) "journal lines name only entries" (entry_files dir)
+    (List.sort_uniq compare (index_files dir));
+  (* Re-storing one entry only appends, until the journal would hold
+     more than twice as many lines as there are entries: then it is
+     rewritten with one line per entry. *)
+  let lines () = List.length (index_files dir) in
+  let rec restore prev n =
+    Cstore.store s ~stage:"t" ~key:(key 0) "again";
+    let now = lines () in
+    if now > prev && n < 2 * live then restore now (n + 1) else prev
+  in
+  let longest = restore (lines ()) 0 in
+  Alcotest.(check int) "journal grows to twice the entries" (2 * live) longest;
+  Alcotest.(check (list string)) "then is compacted to one line per entry"
+    (entry_files dir)
+    (List.sort compare (index_files dir))
+
 (* Keys over arbitrary byte strings, empty parts and empty lists
    included.  The pipeline's form, whose shared trailing parts (the
    profiling inputs) arrive pre-digested, is [Cache.key] of the same
@@ -604,8 +702,9 @@ let test_concurrent_warm_hits () =
     (ndomains * rounds) s.Cstore.hits;
   Alcotest.(check int) "no misses" 0 s.Cstore.misses;
   Alcotest.(check int) "no corruption" 0 s.Cstore.corrupt;
-  (* Mixed readers and writers: concurrent stores to fresh keys must
-     not perturb concurrent warm hits on existing ones. *)
+  (* Mixed readers and writers: two writers storing the same fresh keys,
+     in opposite orders, must not perturb concurrent warm hits on
+     existing entries, nor each other's stores and journal appends. *)
   let bad2 = Atomic.make 0 in
   let reader d =
     for r = 0 to rounds - 1 do
@@ -615,18 +714,48 @@ let test_concurrent_warm_hits () =
       | Cstore.Miss | Cstore.Corrupt _ -> Atomic.incr bad2
     done
   in
-  let writer () =
-    for r = 0 to rounds - 1 do
-      Cstore.store store ~stage:"hammer" ~key:(Printf.sprintf "w%d" r)
-        (string_of_int r)
+  let wpayload r = Printf.sprintf "written-%d-%s" r (String.make (17 * r) 'w') in
+  let writer w () =
+    for n = 0 to rounds - 1 do
+      let r = if w = 0 then n else rounds - 1 - n in
+      Cstore.store store ~stage:"hammer" ~key:(Printf.sprintf "w%d" r) (wpayload r)
     done
   in
+  let nreaders = ndomains - 1 in
   let ds =
-    Domain.spawn writer :: List.init (ndomains - 1) (fun d -> Domain.spawn (fun () -> reader d))
+    Domain.spawn (writer 0) :: Domain.spawn (writer 1)
+    :: List.init nreaders (fun d -> Domain.spawn (fun () -> reader d))
   in
   List.iter Domain.join ds;
   Alcotest.(check int) "hits stay byte-identical under concurrent stores" 0
-    (Atomic.get bad2)
+    (Atomic.get bad2);
+  Alcotest.(check int) "every lookup a hit" ((ndomains + nreaders) * rounds) s.Cstore.hits;
+  Alcotest.(check (list int)) "no misses, corruption or failed stores" [ 0; 0; 0 ]
+    [ s.Cstore.misses; s.Cstore.corrupt; s.Cstore.store_failures ];
+  Alcotest.(check int) "every store counted" (nkeys + (2 * rounds)) s.Cstore.stores;
+  (* Every [k] entry was stored once and every [w] entry twice. *)
+  let size key = file_size (Filename.concat dir ("hammer-" ^ key ^ ".ice")) in
+  let sum n f = List.fold_left ( + ) 0 (List.init n f) in
+  Alcotest.(check int) "entry bytes written counted exactly"
+    (sum nkeys (fun i -> size (Printf.sprintf "k%d" i))
+    + (2 * sum rounds (fun r -> size (Printf.sprintf "w%d" r))))
+    s.Cstore.bytes_written;
+  (* A fresh handle replays the journal the writers appended to without
+     compacting it, and hits every entry byte-identically. *)
+  let fresh = Cstore.create dir in
+  Alcotest.(check (list string)) "journal lines name only entries" (entry_files dir)
+    (List.sort_uniq compare (index_files dir));
+  Alcotest.(check int) "reopen writes no index" 0
+    (Cstore.stats fresh).Cstore.index_bytes_written;
+  let check_hit key expected =
+    match Cstore.find fresh ~stage:"hammer" ~key with
+    | Cstore.Hit p -> Alcotest.(check bool) ("reopened " ^ key) true (p = expected)
+    | Cstore.Miss | Cstore.Corrupt _ -> Alcotest.failf "reopened %s missing" key
+  in
+  List.iter (fun i -> check_hit (Printf.sprintf "k%d" i) (payload i)) (List.init nkeys Fun.id);
+  List.iter (fun r -> check_hit (Printf.sprintf "w%d" r) (wpayload r)) (List.init rounds Fun.id);
+  Alcotest.(check int) "fresh handle: every lookup a hit" (nkeys + rounds)
+    (Cstore.stats fresh).Cstore.hits
 
 let tests =
   [
@@ -636,6 +765,8 @@ let tests =
     Alcotest.test_case "corrupt entries are typed misses" `Quick
       test_corruption_is_a_miss;
     Alcotest.test_case "LRU eviction under a byte budget" `Quick test_eviction;
+    Alcotest.test_case "a store appends one journal line per entry" `Quick
+      test_store_appends_one_line;
     Alcotest.test_case "warm rerun is byte-identical, all hits" `Quick
       test_warm_run_identical;
     Alcotest.test_case "stage keys rebuild from their parts" `Quick

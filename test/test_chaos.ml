@@ -540,6 +540,111 @@ let test_cache_write_fault_is_transparent () =
     stats.Impact_support.Cstore.misses;
   Alcotest.(check int) "no corrupt entries" 0 stats.Impact_support.Cstore.corrupt
 
+(* INDEX journal damage.  The journal is advisory: whatever happens to
+   it, a reopened store hits every entry byte-identically, and its next
+   append starts on a line of its own (a torn last line, a bad header or
+   a missing INDEX makes [create] compact the journal first): every
+   line of the journal is then a record naming an entry, or a damaged
+   line that was there before. *)
+
+module Cstore = Impact_support.Cstore
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let journal_payload i = Printf.sprintf "entry %d %s" i (String.make (37 * i) 'e')
+
+let journal_key i = Printf.sprintf "k%d" i
+
+let cache_journal_damage damage () =
+  let dir = cache_tmp_dir () in
+  let index = Filename.concat dir "INDEX" in
+  let s = Cstore.create dir in
+  for i = 0 to 5 do
+    Cstore.store s ~stage:"t" ~key:(journal_key i) (journal_payload i)
+  done;
+  (* A hit, so the last append carries an owed hit line too. *)
+  ignore (Cstore.find s ~stage:"t" ~key:(journal_key 2));
+  Cstore.store s ~stage:"t" ~key:(journal_key 6) (journal_payload 6);
+  let damaged = damage (read_file index) in
+  (match damaged with
+  | Some text -> write_file index text
+  | None -> Sys.remove index);
+  let s = Cstore.create dir in
+  for i = 0 to 6 do
+    match Cstore.find s ~stage:"t" ~key:(journal_key i) with
+    | Cstore.Hit p -> Alcotest.(check string) (journal_key i) (journal_payload i) p
+    | Cstore.Miss | Cstore.Corrupt _ -> Alcotest.failf "%s lost" (journal_key i)
+  done;
+  Cstore.store s ~stage:"t" ~key:(journal_key 7) (journal_payload 7);
+  let text = read_file index in
+  let lines = String.split_on_char '\n' text in
+  Alcotest.(check string) "header" "impact-cache-index v1" (List.hd lines);
+  Alcotest.(check bool) "INDEX ends a line" true (text.[String.length text - 1] = '\n');
+  let names file l =
+    match String.index_opt l ' ' with
+    | Some i ->
+      int_of_string_opt (String.sub l 0 i) <> None
+      && String.sub l (i + 1) (String.length l - i - 1) = file
+    | None -> false
+  in
+  let entry l = List.exists (fun i -> names ("t-" ^ journal_key i ^ ".ice") l) (List.init 8 Fun.id) in
+  let was_there l =
+    match damaged with
+    | Some text -> List.mem l (String.split_on_char '\n' text)
+    | None -> false
+  in
+  Alcotest.(check bool) "the next append has a line of its own" true
+    (List.exists (names "t-k7.ice") lines);
+  List.iter
+    (fun l ->
+      if not (l = "" || entry l || was_there l) then
+        Alcotest.failf "journal line %S names no entry" l)
+    (List.tl lines)
+
+let journal_damage =
+  let after_header text = String.index text '\n' + 1 in
+  let insert extra text =
+    let i = after_header text in
+    String.sub text 0 i ^ extra ^ String.sub text i (String.length text - i)
+  in
+  let last_line text =
+    let lines = String.split_on_char '\n' text in
+    List.nth lines (List.length lines - 2) ^ "\n"
+  in
+  let body text = String.sub text (after_header text) (String.length text - after_header text) in
+  [
+    ("torn last line", fun text -> Some (String.sub text 0 (String.length text - 3)));
+    ("garbage line", fun text -> Some (insert "not a journal line\nx t-k1.ice\n" text));
+    ("duplicated line", fun text -> Some (insert (last_line text) text ^ last_line text));
+    ("bad header", fun text -> Some ("impact-cache-index v0\n" ^ body text));
+    ("missing INDEX", fun _ -> None);
+  ]
+
+(* Recency is in the journal, hit lines included: after a reopen the
+   store evicts the entry least recently used before it closed. *)
+let test_lru_survives_reopen () =
+  let dir = cache_tmp_dir () in
+  let put s k = Cstore.store s ~stage:"t" ~key:k (String.make 1000 'x') in
+  let found s k =
+    match Cstore.find s ~stage:"t" ~key:k with
+    | Cstore.Hit _ -> true
+    | Cstore.Miss | Cstore.Corrupt _ -> false
+  in
+  let s = Cstore.create dir in
+  List.iter (put s) [ "A"; "B"; "C" ];
+  Alcotest.(check bool) "A hit" true (found s "A");
+  put s "D";
+  let entry = Cstore.total_bytes s / 4 in
+  (* Room for four entries: the next store evicts one. *)
+  let s = Cstore.create ~max_bytes:((4 * entry) + (entry / 2)) dir in
+  put s "E";
+  Alcotest.(check int) "one eviction" 1 (Cstore.stats s).Cstore.evictions;
+  Alcotest.(check (list bool)) "B evicted; A, C, D and E kept"
+    [ false; true; true; true; true ]
+    (List.map (found s) [ "B"; "A"; "C"; "D"; "E" ])
+
 (* The Degrade re-profile path.  With one job the pool passes its
    worker-start point once per sweep, so a fault armed for the second
    pass kills only the re-profile: the pre-inline profile is clean and
@@ -601,9 +706,15 @@ let tests =
       test_cache_read_fault_is_transparent;
     Alcotest.test_case "cache write fault is transparent" `Quick
       test_cache_write_fault_is_transparent;
+    Alcotest.test_case "cache LRU order survives a reopen" `Quick
+      test_lru_survives_reopen;
     Alcotest.test_case "degrade: re-profile failure is noted, not stored"
       `Quick test_degrade_reprofile_failure;
     Alcotest.test_case "front-end failures keep stage, location, message"
       `Quick test_front_end_errors;
   ]
+  @ List.map
+      (fun (name, damage) ->
+        Alcotest.test_case ("cache journal: " ^ name) `Quick (cache_journal_damage damage))
+      journal_damage
   @ List.map QCheck_alcotest.to_alcotest [ prop_mutated_profiles_never_raise ]

@@ -145,6 +145,45 @@ let test_jump_opt_constant_branches () =
   let _, code = Testutil.run_prog prog in
   Alcotest.(check int) "constant branch folded correctly" 5 code
 
+(* A branch to a label outside [0, nlabels), or a label defined there, is
+   left for the pre_opt boundary check, which names the pass and the
+   label: run as [Pipeline.run]'s pre_opt step runs it, jump_opt must
+   not fail first on an array access that names no pass. *)
+let test_jump_opt_leaves_out_of_range_labels () =
+  let module Ierr = Impact_support.Ierr in
+  List.iter
+    (fun (case, plant, expected) ->
+      let prog =
+        Testutil.compile
+          "int main() { int i, s = 0; for (i = 0; i < 3; i++) s += i; return s; }"
+      in
+      let main = prog.Il.funcs.(prog.Il.main) in
+      let n = main.Il.nlabels in
+      main.Il.body <- Array.append (plant n) main.Il.body;
+      match
+        Impact_harness.Errors.guard Ierr.Lower (fun () ->
+            ignore (Driver.pre_inline prog);
+            Impact_il.Il_check.verify ~stage:Ierr.Lower ~pass:"pre_opt" prog)
+      with
+      | () -> Alcotest.failf "%s: ill-formed IL passed the check" case
+      | exception Ierr.Error e ->
+        Alcotest.(check string) case (expected n) (Ierr.to_string e))
+    [
+      ( "jump to L<nlabels>",
+        (fun n -> [| Il.Jump n |]),
+        Printf.sprintf
+          "lower error: ill-formed IL after pre_opt: in main at instruction 0: no label L%d" );
+      ( "jump to L-1",
+        (fun _ -> [| Il.Jump (-1) |]),
+        fun _ ->
+          "lower error: ill-formed IL after pre_opt: in main at instruction 0: no label L-1" );
+      ( "label L<nlabels> defined",
+        (fun n -> [| Il.Bnz (Il.Reg 0, n); Il.Label n |]),
+        Printf.sprintf
+          "lower error: ill-formed IL after pre_opt: in main at instruction 1: label L%d out \
+           of range" );
+    ]
+
 let tests =
   [
     Alcotest.test_case "all passes preserve semantics" `Quick
@@ -158,4 +197,6 @@ let tests =
       test_jump_opt_shrinks_inlined_code;
     Alcotest.test_case "jump_opt folds constant branches" `Quick
       test_jump_opt_constant_branches;
+    Alcotest.test_case "jump_opt leaves out-of-range labels to the check" `Quick
+      test_jump_opt_leaves_out_of_range_labels;
   ]
