@@ -1,10 +1,10 @@
 (* bench/scaling — the domain-scaling harness on its own.
 
-   Sweeps the profiling suite across jobs=1/2/4 with the flight
-   recorder attached (see Impact_harness.Perf.scaling_sweep): per-level
-   wall clock, queue-vs-run time and GC deltas, an unclamped diagnostic
-   level with the literal top job count, and the flight-recorder
-   verdict explaining the curve.  Writes the sweep as a standalone
+   Sweeps the profiling suite across jobs=1/2/4 with the pool probe
+   feeding an Obs registry (see Impact_harness.Perf.scaling_sweep):
+   per-level wall clock, queue-vs-run time and GC deltas, an unclamped
+   diagnostic level with the literal top job count, and the verdict
+   (Perf.diagnose) explaining the curve.  Writes the sweep as a standalone
    BENCH_scaling.json and fails when the jobs=4 vs jobs=1 speedup falls
    below IMPACT_SCALING_FLOOR (default 1.0: asking for more parallelism
    must never cost wall time).
@@ -57,10 +57,10 @@ let () =
         "scaling: %d job(s) -> %d domain(s): %.0f ms (queue %.1f ms, run %.1f \
          ms, %d minor / %d major gc)\n"
         l.Perf.sl_jobs l.Perf.sl_effective_jobs l.Perf.sl_wall_ms
-        l.Perf.sl_flight.Impact_obs.Flight.f_queue_ms
-        l.Perf.sl_flight.Impact_obs.Flight.f_run_ms
-        l.Perf.sl_flight.Impact_obs.Flight.f_minor_collections
-        l.Perf.sl_flight.Impact_obs.Flight.f_major_collections)
+        l.Perf.sl_flight.Impact_obs.Obs.f_queue_ms
+        l.Perf.sl_flight.Impact_obs.Obs.f_run_ms
+        l.Perf.sl_flight.Impact_obs.Obs.f_minor_collections
+        l.Perf.sl_flight.Impact_obs.Obs.f_major_collections)
     sc.Perf.sc_levels;
   Printf.printf "scaling: unclamped diagnostic, %d domain(s): %.0f ms\n"
     sc.Perf.sc_unclamped.Perf.sl_jobs sc.Perf.sc_unclamped.Perf.sl_wall_ms;

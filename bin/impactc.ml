@@ -140,10 +140,19 @@ let jobs_arg =
           "Fan independent profiling runs across $(docv) domains (default 1; \
            results are deterministic regardless of $(docv))")
 
+(* A float flag validated by the check its knob's definition provides,
+   so the CLI refuses exactly what the wire refuses (a usage error). *)
+let checked_float check =
+  Arg.conv
+    ( (fun s ->
+        Result.bind (Arg.conv_parser Arg.float s) (fun x ->
+            Result.map_error (fun msg -> `Msg msg) (check x))),
+      Arg.conv_printer Arg.float )
+
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (checked_float Impact_interp.Rt.check_timeout_s)) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:"Wall-clock budget per profiling run (default: none)")
 
@@ -166,7 +175,9 @@ let devirt_arg =
 let devirt_threshold_arg =
   Arg.(
     value
-    & opt float Config.default.Config.devirt_threshold
+    & opt
+        (checked_float Config.check_devirt_threshold)
+        Config.default.Config.devirt_threshold
     & info [ "devirt-threshold" ] ~docv:"SHARE"
         ~doc:
           "Minimum share of a site's recorded indirect calls the dominant \

@@ -38,6 +38,9 @@ let default =
     devirt_threshold = 0.8;
   }
 
+let check_devirt_threshold x =
+  if x > 0. && x <= 1. then Ok x else Error "must be a number in (0, 1]"
+
 let heuristic_name = function
   | Profile_guided -> "profile_guided"
   | Static_leaf -> "static_leaf"

@@ -51,6 +51,12 @@ type t = {
     profile-guided selection. *)
 val default : t
 
+(** [check_devirt_threshold x] is [Ok x] when [x] is a share in (0, 1],
+    the range [devirt_threshold] accepts, and otherwise an [Error]
+    saying so.  Every surface that sets the knob (the CLI flag, the wire
+    field) validates through it. *)
+val check_devirt_threshold : float -> (float, string) result
+
 val heuristic_name : heuristic -> string
 val linearization_name : linearization -> string
 

@@ -19,13 +19,12 @@ let with_obs (type a) ~format ~trace ~metrics_out ~on_broken (f : Obs.t -> a) : 
       match (trace, format) with
       | Some path, `Jsonl ->
         Impact_support.Atomic_io.with_file path (fun oc -> run (Sink.jsonl oc))
-      | _ ->
+      | Some path, `Chrome ->
         let sink = Sink.memory () in
         let v = run sink in
-        Option.iter
-          (fun path -> Impact_obs.Trace_export.write_chrome path (Sink.events sink))
-          trace;
+        Impact_obs.Trace_export.write_chrome path (Sink.events sink);
         v
+      | None, _ -> run (Sink.discard ())
     with
     | v -> v
     | exception Failed (e, bt) -> Printexc.raise_with_backtrace e bt

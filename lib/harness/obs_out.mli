@@ -5,7 +5,9 @@
 (** [with_obs ~format ~trace ~metrics_out ~on_broken f] is [f obs]; with
     no file asked for, [obs] is {!Impact_obs.Obs.null}.  A [`Jsonl]
     trace streams through {!Impact_support.Atomic_io.with_file}, a
-    [`Chrome] one is buffered and written at the end.  If [f] raises,
+    [`Chrome] one is buffered and written at the end, and a metrics file
+    without a trace counts over {!Impact_obs.Sink.discard}, keeping no
+    event.  If [f] raises,
     its exception passes through unchanged and no trace is written.  If
     the sink broke, the trace is discarded and [on_broken] gets the
     typed artifact error: raising it fails the run, returning keeps

@@ -9,8 +9,8 @@ module Obs = Impact_obs.Obs
 module Metrics = Impact_obs.Metrics
 module Trace = Impact_obs.Trace
 
-(* Domain scaling: a flight-recorded profiling sweep of the whole suite
-   per job count.
+(* Domain scaling: a profiling sweep of the whole suite per job count,
+   each pool task recorded through the pool probe into an Obs registry.
 
    Sharding is coarse on purpose: one pool task = one benchmark program
    with {e all} its inputs, run end-to-end by whichever domain picks it
@@ -18,13 +18,11 @@ module Trace = Impact_obs.Trace
    earlier flat (program, input) sharding handed ~70 tiny tasks to the
    pool and measured mostly cross-domain minor-GC barrier stalls. *)
 
-module Flight = Impact_obs.Flight
-
 type scaling_level = {
   sl_jobs : int;
   sl_effective_jobs : int;
   sl_wall_ms : float;
-  sl_flight : Flight.summary;
+  sl_flight : Obs.flight;
 }
 
 type scaling = {
@@ -45,10 +43,10 @@ let scaling_tasks () =
     Impact_bench_progs.Suite.all
 
 let sweep_level ~clamp ~jobs tasks =
-  let flight = Flight.create () in
+  let obs = Obs.create (Sink.discard ()) in
   let t0 = Unix.gettimeofday () in
   let totals =
-    Pool.map_list ~jobs ~clamp ~probe:(Flight.probe flight)
+    Pool.map_list ~jobs ~clamp ~probe:(Obs.probe obs "scaling.task")
       (fun (prog, inputs) ->
         let cache = Impact_interp.Threaded.cache () in
         List.fold_left
@@ -65,8 +63,57 @@ let sweep_level ~clamp ~jobs tasks =
     sl_effective_jobs =
       (if clamp then min jobs (max 1 (Pool.default_jobs ())) else jobs);
     sl_wall_ms = wall_ms;
-    sl_flight = Flight.summarize flight;
+    sl_flight = Obs.flight obs "scaling.task";
   }
+
+(* Compare a multi-domain sweep against its single-domain baseline over
+   the same tasks and name the dominant pathology.  The diagnosis keys
+   on what actually grows: the same work triggering more minor
+   collections and a longer aggregate run time under more domains is
+   the cross-domain minor-GC barrier signature (every collection stops
+   every domain); aggregate run time growing without GC growth points
+   at plain time-slicing; queue wait dominating points at submission or
+   sharding imbalance. *)
+let diagnose ~(baseline : Obs.flight) (s : Obs.flight) =
+  if s.f_tasks = 0 || baseline.f_tasks = 0 then
+    "no samples recorded; nothing to diagnose"
+  else begin
+    let pct part whole = if whole > 0. then 100. *. part /. whole else 0. in
+    let run_growth =
+      if baseline.f_run_ms > 0. then s.f_run_ms /. baseline.f_run_ms else 1.
+    in
+    let gc_growth =
+      if baseline.f_minor_collections > 0 then
+        float_of_int s.f_minor_collections
+        /. float_of_int baseline.f_minor_collections
+      else if s.f_minor_collections > 0 then infinity
+      else 1.
+    in
+    let queue_share = pct s.f_queue_ms (s.f_queue_ms +. s.f_run_ms) in
+    if run_growth > 1.2 && gc_growth > 1.2 then
+      Printf.sprintf
+        "minor-GC contention: %d domains ran the same tasks %.1fx slower in \
+         aggregate with %.1fx the minor collections (%d vs %d) — every minor \
+         collection is a stop-the-world barrier across all domains"
+        s.f_domains run_growth gc_growth s.f_minor_collections
+        baseline.f_minor_collections
+    else if run_growth > 1.2 then
+      Printf.sprintf
+        "core oversubscription: aggregate task run time grew %.1fx across %d \
+         domains without matching GC growth — domains are time-slicing cores"
+        run_growth s.f_domains
+    else if queue_share > 50. then
+      Printf.sprintf
+        "queueing dominates: %.0f%% of task wall time is queue wait across %d \
+         domains — sharding is too fine or submission too slow"
+        queue_share s.f_domains
+    else
+      Printf.sprintf
+        "scaling healthy: aggregate run time %.2fx baseline across %d \
+         domains, queue wait %.0f%%, minor collections %d vs %d"
+        run_growth s.f_domains queue_share s.f_minor_collections
+        baseline.f_minor_collections
+  end
 
 (* The smallest {e effective} domain count whose best wall clock is
    within [epsilon] of the overall best.  Levels sharing an effective
@@ -96,7 +143,8 @@ let recommended_of_levels ?(epsilon = 0.05) levels =
          (fun (_, w) -> w <= best *. (1. +. epsilon))
          (List.sort compare groups))
 
-let scaling_sweep ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
+let scaling_sweep ?(job_counts = [ 1; 2; 4 ]) () =
+  let max_attempts = 3 in
   let tasks = scaling_tasks () in
   let job_counts = match job_counts with [] -> [ 1 ] | js -> js in
   let lo = List.fold_left min max_int job_counts in
@@ -139,7 +187,7 @@ let scaling_sweep ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
   in
   let levels, attempts = attempt 1 [] in
   (* Unclamped diagnostic: what [hi] literal domains actually cost on
-     this machine, with the flight recorder watching.  Its verdict
+     this machine, with the pool probe watching.  Its verdict
      against the clamped jobs=lo baseline is the recorded explanation of
      why the pool clamps. *)
   let unclamped = sweep_level ~clamp:false ~jobs:hi tasks in
@@ -148,7 +196,7 @@ let scaling_sweep ?(job_counts = [ 1; 2; 4 ]) ?(max_attempts = 3) () =
     sc_levels = levels;
     sc_attempts = attempts;
     sc_unclamped = unclamped;
-    sc_verdict = Flight.diagnose ~baseline unclamped.sl_flight;
+    sc_verdict = diagnose ~baseline unclamped.sl_flight;
     sc_recommended = recommended_of_levels levels;
     sc_recommended_runtime = Pool.default_jobs ();
   }
@@ -267,7 +315,7 @@ type devirt_row = {
   da_outputs_match : bool;  (** devirted program verified against inputs *)
 }
 
-let devirt_ablation ?(threshold = Config.default.Config.devirt_threshold) () =
+let devirt_ablation () =
   let module Classify = Impact_core.Classify in
   let module Stats = Impact_support.Stats in
   let ptr_mix (r : Pipeline.result) =
@@ -280,10 +328,7 @@ let devirt_ablation ?(threshold = Config.default.Config.devirt_threshold) () =
       let p_off, pct_off = ptr_mix off in
       if p_off <= 0. then None
       else begin
-        let config =
-          { Config.default with Config.devirt = true; devirt_threshold = threshold }
-        in
-        let on = Pipeline.run ~config b in
+        let on = Pipeline.run ~config:{ Config.default with Config.devirt = true } b in
         let p_on, pct_on = ptr_mix on in
         Some
           {
@@ -323,7 +368,7 @@ let scaling_to_json sc =
          ("effective_jobs", Sink.Int l.sl_effective_jobs);
        ]
       @
-      match Flight.summary_to_json l.sl_flight with
+      match Obs.flight_to_json l.sl_flight with
       | Sink.Obj fields -> fields
       | other -> [ ("flight", other) ])
   in

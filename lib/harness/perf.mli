@@ -7,21 +7,29 @@
     ({!cache_cold_warm}) give every span's self time, per benchmark. *)
 
 (** One level of the domain-scaling sweep: the requested and effective
-    (post-clamp) job counts, the wall clock, and the flight-recorder
-    aggregate over every task of the level.  When the sweep took
-    several attempts, [sl_wall_ms] and [sl_flight] come from the
-    level's fastest attempt. *)
+    (post-clamp) job counts, the wall clock, and the summed telemetry of
+    every task of the level, which the pool probe recorded into the
+    level's own {!Impact_obs.Obs} registry.  When the sweep took several
+    attempts, [sl_wall_ms] and [sl_flight] come from the level's fastest
+    attempt. *)
 type scaling_level = {
   sl_jobs : int;
   sl_effective_jobs : int;
   sl_wall_ms : float;
-  sl_flight : Impact_obs.Flight.summary;
+  sl_flight : Impact_obs.Obs.flight;
 }
+
+(** [diagnose ~baseline s] is a one-sentence verdict on sweep [s]
+    relative to the single-domain [baseline] over the same tasks:
+    minor-GC contention (aggregate run time and minor collections both
+    grew), core oversubscription (run time grew without GC growth),
+    queueing (queue wait dominates), or healthy. *)
+val diagnose : baseline:Impact_obs.Obs.flight -> Impact_obs.Obs.flight -> string
 
 (** The full sweep: the clamped levels, how many measurement passes the
     inversion-retry loop took ([sc_attempts], 1 when the first pass was
     already monotone), an {e unclamped} diagnostic level run with the
-    literal highest job count, the {!Impact_obs.Flight.diagnose} verdict
+    literal highest job count, the {!diagnose} verdict
     of that diagnostic against the lowest clamped level, and two
     recommendations: [sc_recommended] measured from the curve (smallest
     effective domain count within 5% of the best wall clock — levels
@@ -37,24 +45,20 @@ type scaling = {
   sc_recommended_runtime : int;
 }
 
-(** [scaling_sweep ?job_counts ?max_attempts ()] sweeps the
-    suite once per job count (default [[1; 2; 4]]) with the flight
-    recorder attached.  One pool task is one benchmark program with all
-    its inputs — coarse sharding, the same unit {!Pipeline.run_suite}
-    fans out — run under a per-task decode cache.  Because the clamped
-    levels execute near-identical work on a small machine, an inverted
-    curve (highest jobs slower than lowest) is re-measured up to
-    [max_attempts] times (default 3) before being published. *)
-val scaling_sweep :
-  ?job_counts:int list ->
-  ?max_attempts:int ->
-  unit ->
-  scaling
+(** [scaling_sweep ?job_counts ()] sweeps the suite once per job count
+    (default [[1; 2; 4]]) with the pool probe feeding an Obs registry.
+    One pool task is one benchmark program with all its inputs — coarse
+    sharding, the same unit {!Pipeline.run_suite} fans out — run under a
+    per-task decode cache.  Because the clamped levels execute
+    near-identical work on a small machine, an inverted curve (highest
+    jobs slower than lowest) is re-measured, up to three passes in all,
+    before being published. *)
+val scaling_sweep : ?job_counts:int list -> unit -> scaling
 
 (** [scaling_to_json sc] is the sweep as the BENCH_scaling.json
     document: [recommended_domains] (measured), [recommended_domains_runtime],
     [profile_sweep_jobs], [profile_jobs_wall_ms], and the ["scaling"]
-    object (per-level wall clock + flight telemetry, retry count,
+    object (per-level wall clock + task telemetry, retry count,
     hi-vs-lo speedup, unclamped diagnostic, verdict). *)
 val scaling_to_json : scaling -> Impact_obs.Sink.json
 
@@ -110,10 +114,10 @@ type devirt_row = {
   da_outputs_match : bool;  (** devirted program verified against inputs *)
 }
 
-(** [devirt_ablation ?threshold ()] measures every suite benchmark that
-    carries a post-inline pointer residual; benchmarks without indirect
-    calls are skipped. *)
-val devirt_ablation : ?threshold:float -> unit -> devirt_row list
+(** [devirt_ablation ()] measures every suite benchmark that carries a
+    post-inline pointer residual, at the default devirt threshold;
+    benchmarks without indirect calls are skipped. *)
+val devirt_ablation : unit -> devirt_row list
 
 val devirt_to_json : devirt_row list -> Impact_obs.Sink.json
 

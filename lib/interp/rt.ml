@@ -36,6 +36,8 @@ let no_budget = { timeout_s = 0.; max_output = 0 }
 
 let budget ?(timeout_s = 0.) ?(max_output = 0) () = { timeout_s; max_output }
 
+let check_timeout_s x = if x > 0. then Ok x else Error "must be a positive number"
+
 type outcome = {
   exit_code : int;
   output : string;

@@ -39,6 +39,12 @@ val no_budget : budget
 
 val budget : ?timeout_s:float -> ?max_output:int -> unit -> budget
 
+(** [check_timeout_s x] is [Ok x] when [x] can be asked for as a
+    [timeout_s]: a positive number of seconds (0, "unlimited", is what
+    asking for none gives).  Every surface that sets the knob (the CLI
+    flag, the wire field) validates through it. *)
+val check_timeout_s : float -> (float, string) result
+
 (** The result of one run.  [output_digest] is the MD5 of [output],
     still valid when a caller drops the output text itself (see
     {!Impact_profile.Profiler.profile}'s [keep_outputs]). *)

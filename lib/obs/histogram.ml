@@ -1,40 +1,27 @@
-(* Fixed-bucket latency histograms with per-domain shards.
+(* Fixed-bucket latency histograms.
 
    Bucket boundaries are fixed at creation (log-spaced by default), so
-   two snapshots of the same histogram — or of two histograms created
-   with the same bounds — merge by adding counts element-wise; no
-   rebinning, and merge is associative and commutative on the integer
-   counts (the float [sum] accumulates in merge order, so it is exact
-   only up to float addition).
+   two snapshots of histograms created with the same bounds merge by
+   adding counts element-wise; no rebinning, and merge is associative
+   and commutative on the integer counts (the float [sum] accumulates
+   in merge order, so it is exact only up to float addition).
 
-   Concurrency follows {!Metrics}: each domain owns one shard found
-   through a DLS slot; [observe] bumps plain [int array] slots with no
-   lock, [snapshot] takes each shard's mutex to read a consistent
-   frame.  Bumping racing a read is a word-sized plain access — no
-   tearing — and a [Domain.join] before snapshotting makes counts
-   exact. *)
+   A histogram has one writer at a time: {!Metrics} keeps one per name
+   in each domain's shard and observes under that shard's mutex, then
+   merges the shards' snapshots when read. *)
 
 type bounds = float array
 (* Upper bounds of each finite bucket, strictly increasing; one extra
    overflow bucket catches everything above the last bound. *)
 
-type shard = {
-  smu : Mutex.t;
+type t = {
+  bounds : bounds;
   counts : int array;  (* length = Array.length bounds + 1 *)
   mutable sum : float;
   mutable count : int;
   mutable min_v : float;
   mutable max_v : float;
 }
-
-type t =
-  | Disabled
-  | H of {
-      bounds : bounds;
-      mu : Mutex.t;  (* guards [shards] *)
-      mutable shards : shard list;
-      slot : shard option ref Domain.DLS.key;
-    }
 
 type snapshot = {
   s_bounds : bounds;
@@ -68,17 +55,14 @@ let validate_bounds bounds =
 
 let create ?(bounds = latency_ms_bounds) () =
   validate_bounds bounds;
-  H
-    {
-      bounds = Array.copy bounds;
-      mu = Mutex.create ();
-      shards = [];
-      slot = Domain.DLS.new_key (fun () -> ref None);
-    }
-
-let disabled = Disabled
-
-let enabled = function Disabled -> false | H _ -> true
+  {
+    bounds = Array.copy bounds;
+    counts = Array.make (Array.length bounds + 1) 0;
+    sum = 0.;
+    count = 0;
+    min_v = infinity;
+    max_v = neg_infinity;
+  }
 
 (* [bucket_index bounds v] is the index of the bucket holding [v]:
    the first bucket whose upper bound is >= v, or the overflow bucket.
@@ -97,69 +81,23 @@ let bucket_index (bounds : bounds) v =
   done;
   !found
 
-let my_shard ~bounds ~mu ~slot t_shards_set =
-  let cell = Domain.DLS.get slot in
-  match !cell with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        smu = Mutex.create ();
-        counts = Array.make (Array.length bounds + 1) 0;
-        sum = 0.;
-        count = 0;
-        min_v = infinity;
-        max_v = neg_infinity;
-      }
-    in
-    Mutex.protect mu (fun () -> t_shards_set s);
-    cell := Some s;
-    s
-
 let observe t v =
-  match t with
-  | Disabled -> ()
-  | H h ->
-    let s =
-      my_shard ~bounds:h.bounds ~mu:h.mu ~slot:h.slot (fun s ->
-          h.shards <- s :: h.shards)
-    in
-    let i = bucket_index h.bounds v in
-    s.counts.(i) <- s.counts.(i) + 1;
-    s.sum <- s.sum +. v;
-    s.count <- s.count + 1;
-    if v < s.min_v then s.min_v <- v;
-    if v > s.max_v then s.max_v <- v
-
-let empty_snapshot bounds =
-  {
-    s_bounds = bounds;
-    s_counts = Array.make (Array.length bounds + 1) 0;
-    s_count = 0;
-    s_sum = 0.;
-    s_min = infinity;
-    s_max = neg_infinity;
-  }
+  let i = bucket_index t.bounds v in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.sum <- t.sum +. v;
+  t.count <- t.count + 1;
+  if v < t.min_v then t.min_v <- v;
+  if v > t.max_v then t.max_v <- v
 
 let snapshot t =
-  match t with
-  | Disabled -> empty_snapshot [| 1. |]
-  | H h ->
-    let shards = Mutex.protect h.mu (fun () -> h.shards) in
-    let acc = empty_snapshot h.bounds in
-    let counts = acc.s_counts in
-    let count = ref 0 and sum = ref 0. in
-    let min_v = ref infinity and max_v = ref neg_infinity in
-    List.iter
-      (fun s ->
-        Mutex.protect s.smu (fun () ->
-            Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) s.counts;
-            count := !count + s.count;
-            sum := !sum +. s.sum;
-            if s.min_v < !min_v then min_v := s.min_v;
-            if s.max_v > !max_v then max_v := s.max_v))
-      shards;
-    { acc with s_count = !count; s_sum = !sum; s_min = !min_v; s_max = !max_v }
+  {
+    s_bounds = t.bounds;
+    s_counts = Array.copy t.counts;
+    s_count = t.count;
+    s_sum = t.sum;
+    s_min = t.min_v;
+    s_max = t.max_v;
+  }
 
 let merge a b =
   if a.s_bounds <> b.s_bounds then

@@ -2,11 +2,10 @@
 
     Bucket boundaries are fixed at creation, so snapshots of histograms
     sharing the same bounds merge by element-wise addition — {!merge}
-    is associative and commutative on the counts.  Recording is sharded
-    per domain ({!observe} takes no lock on the hot path; see
-    {!Metrics} for the concurrency argument) and {!disabled} makes
-    every operation a no-op, preserving the repository's
-    pay-only-when-observed discipline. *)
+    is associative and commutative on the counts.  A histogram has one
+    writer at a time; {!Metrics} keeps one per name in each domain's
+    shard, so recording from any domain or thread goes through
+    {!Metrics.observe}, and reading merges the shards' snapshots. *)
 
 (** Upper bounds of the finite buckets, strictly increasing.  Bucket
     [i] covers [(bounds.(i-1), bounds.(i)]] (upper-inclusive; the first
@@ -31,13 +30,8 @@ val latency_ms_bounds : bounds
     increasing. *)
 val create : ?bounds:bounds -> unit -> t
 
-(** Every operation on [disabled] is a no-op; {!observe} costs one
-    pattern match. *)
-val disabled : t
-
-val enabled : t -> bool
-
-(** [observe t v] records one value.  Callable from any domain. *)
+(** [observe t v] records one value.  Not synchronised: callers
+    serialise their writers. *)
 val observe : t -> float -> unit
 
 (** A merged, immutable frame of a histogram. *)
@@ -50,8 +44,7 @@ type snapshot = {
   s_max : float;  (** [neg_infinity] when empty *)
 }
 
-(** [snapshot t] merges every domain's shard.  Counts are exact once
-    the observing domains have joined. *)
+(** [snapshot t] is a copy of [t]'s current state. *)
 val snapshot : t -> snapshot
 
 (** [merge a b] adds two snapshots.

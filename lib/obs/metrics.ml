@@ -1,18 +1,26 @@
-(* Counters are sharded per domain: each domain owns a private counter
-   table (found through a domain-local-storage slot, registered with the
-   registry on first use) and bumps its own [int ref]s without taking
-   any lock on the hot path.  Readers — [snapshot], [counter_value],
-   [to_json] — merge every shard at query time.
+(* Counters and histograms are sharded per domain: each domain owns a
+   private shard (found through a domain-local-storage slot, registered
+   with the registry on first use).  Readers — [snapshot],
+   [counter_value], [histogram], [to_json] — merge every shard at query
+   time.
 
-   Soundness: a shard has exactly one writer, the domain it belongs to.
-   Structural changes (inserting a new counter name, which may resize
-   the [Hashtbl]) and reader folds both take the shard's mutex, so a
-   reader never iterates a table mid-resize.  Bumping an {e existing}
-   ref is a plain word-sized write racing only plain reads — no tearing
-   under the OCaml memory model — and a [Domain.join] before reading
-   (every {!Impact_support.Pool} map joins its workers) makes merged
-   totals exact.  Mid-run reads may observe a slightly stale count,
-   which is fine for monitoring.
+   Soundness: a shard's writers are the systhreads of the domain it
+   belongs to.  Structural changes (inserting a new counter or
+   histogram name, which may resize a [Hashtbl]) and reader folds take
+   the shard's mutex, so a reader never iterates a table mid-resize,
+   and an insert re-checks the name under that mutex, so two threads
+   racing on a fresh name both land in one ref.  Bumping an {e
+   existing} counter is a plain word-sized read-add-write with no
+   allocation in between, so no systhread switch or tearing can split
+   it, and it takes no lock; a [Domain.join] before reading (every
+   {!Impact_support.Pool} map joins its workers) makes merged totals
+   exact.  Mid-run reads may observe a slightly stale count, which is
+   fine for monitoring.  An observation updates several fields of a
+   histogram, so it always takes the shard's mutex.
+
+   Histograms come in two families that share names: spans (fed by
+   {!Obs.span} with each span's duration) and plain values (fed by
+   {!observe}).
 
    Gauges are last-write-wins across domains, so they keep the single
    mutex-protected table.  The disabled path stays lock-free. *)
@@ -20,6 +28,7 @@
 type shard = {
   smu : Mutex.t;
   tbl : (string, int ref) Hashtbl.t;
+  hists : (bool * string, Histogram.t) Hashtbl.t;  (* (is a span, name) *)
 }
 
 type t = {
@@ -51,7 +60,9 @@ let my_shard t =
   match !cell with
   | Some s -> s
   | None ->
-    let s = { smu = Mutex.create (); tbl = Hashtbl.create 16 } in
+    let s =
+      { smu = Mutex.create (); tbl = Hashtbl.create 16; hists = Hashtbl.create 16 }
+    in
     Mutex.protect t.mu (fun () -> t.shards <- s :: t.shards);
     cell := Some s;
     s
@@ -61,8 +72,28 @@ let incr t ?(by = 1) name =
     let s = my_shard t in
     match Hashtbl.find_opt s.tbl name with
     | Some r -> r := !r + by
-    | None -> Mutex.protect s.smu (fun () -> Hashtbl.replace s.tbl name (ref by))
+    | None ->
+      Mutex.protect s.smu (fun () ->
+          match Hashtbl.find_opt s.tbl name with
+          | Some r -> r := !r + by
+          | None -> Hashtbl.replace s.tbl name (ref by))
   end
+
+let observe_in t key v =
+  if enabled t then begin
+    let s = my_shard t in
+    Mutex.protect s.smu (fun () ->
+        match Hashtbl.find_opt s.hists key with
+        | Some h -> Histogram.observe h v
+        | None ->
+          let h = Histogram.create () in
+          Histogram.observe h v;
+          Hashtbl.replace s.hists key h)
+  end
+
+let observe t name v = observe_in t (false, name) v
+
+let observe_span t name ms = observe_in t (true, name) ms
 
 let gauge t name v =
   if enabled t then
@@ -98,6 +129,45 @@ let counter_value t name =
           | None -> total))
     0 shards
 
+(* Every histogram of one family, merged across shards: name ->
+   (snapshot, number of shards that hold it). *)
+let merged_histograms t ~span =
+  let shards = Mutex.protect t.mu (fun () -> t.shards) in
+  let acc = Hashtbl.create 32 in
+  List.iter
+    (fun s ->
+      Mutex.protect s.smu (fun () ->
+          Hashtbl.iter
+            (fun (is_span, name) h ->
+              if is_span = span then
+                let snap = Histogram.snapshot h in
+                Hashtbl.replace acc name
+                  (match Hashtbl.find_opt acc name with
+                  | Some (a, n) -> (Histogram.merge a snap, n + 1)
+                  | None -> (snap, 1)))
+            s.hists))
+    shards;
+  acc
+
+let empty = Histogram.snapshot (Histogram.create ())
+
+let histogram ?(span = false) t name =
+  Option.value ~default:(empty, 0)
+    (Hashtbl.find_opt (merged_histograms t ~span) name)
+
+let histogram_json t name = Histogram.snapshot_to_json (fst (histogram t name))
+
+let histograms_json ?(span = false) t ~prefix =
+  let n = String.length prefix in
+  Hashtbl.fold
+    (fun name (snap, _) acc ->
+      if String.starts_with ~prefix name then
+        (String.sub name n (String.length name - n), Histogram.snapshot_to_json snap)
+        :: acc
+      else acc)
+    (merged_histograms t ~span) []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 let sorted_bindings tbl value =
   Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -115,6 +185,8 @@ let to_json t =
       ( "gauges",
         Sink.Obj (Mutex.protect t.mu (fun () -> sorted_bindings t.gauges Fun.id))
       );
+      ("histograms", Sink.Obj (histograms_json t ~prefix:""));
+      ("spans", Sink.Obj (histograms_json ~span:true t ~prefix:""));
     ]
 
 let flush ?trace t =

@@ -361,11 +361,12 @@ let event_of_line s = event_of_json (json_of_string s)
 (* Sinks                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Every non-null sink carries a mutex: parallel profiling (see
+(* Every buffering sink carries a mutex: parallel profiling (see
    {!Impact_support.Pool}) funnels events from several domains into one
    sink, and interleaved JSONL lines or a torn event list must not be
    possible.  The null sink stays lock-free — the [enabled] check keeps
-   the disabled path at zero cost. *)
+   the disabled path at zero cost — and so does the discard sink, which
+   keeps nothing and so has nothing to tear. *)
 (* Sinks fail open: a write that raises (disk full, closed channel, an
    injected {!Impact_support.Fault.Sink_write} fault) records the first
    error and stops emitting instead of unwinding whatever pipeline stage
@@ -375,10 +376,13 @@ let event_of_line s = event_of_json (json_of_string s)
    degraded run reports it and keeps the result. *)
 type t =
   | S_null
+  | S_discard
   | S_memory of { mu : Mutex.t; mutable events : event list; mutable err : exn option }
   | S_jsonl of { mu : Mutex.t; oc : out_channel; mutable err : exn option }
 
 let null = S_null
+
+let discard () = S_discard
 
 let memory () = S_memory { mu = Mutex.create (); events = []; err = None }
 
@@ -386,9 +390,11 @@ let jsonl oc = S_jsonl { mu = Mutex.create (); oc; err = None }
 
 let enabled = function S_null -> false | _ -> true
 
+let keeps = function S_memory _ | S_jsonl _ -> true | S_null | S_discard -> false
+
 let emit t ev =
   match t with
-  | S_null -> ()
+  | S_null | S_discard -> ()
   | S_memory m -> (
     try
       Impact_support.Fault.hit Impact_support.Fault.Sink_write;
@@ -405,10 +411,10 @@ let emit t ev =
 
 let events = function
   | S_memory m -> Mutex.protect m.mu (fun () -> List.rev m.events)
-  | S_null | S_jsonl _ -> []
+  | S_null | S_discard | S_jsonl _ -> []
 
 let broken = function
-  | S_null -> None
+  | S_null | S_discard -> None
   | S_memory m -> Mutex.protect m.mu (fun () -> m.err)
   | S_jsonl j -> Mutex.protect j.mu (fun () -> j.err)
 
@@ -416,4 +422,4 @@ let close = function
   | S_jsonl j -> (
     try Mutex.protect j.mu (fun () -> flush j.oc)
     with e -> Mutex.protect j.mu (fun () -> if j.err = None then j.err <- Some e))
-  | S_null | S_memory _ -> ()
+  | S_null | S_discard | S_memory _ -> ()

@@ -4,8 +4,9 @@
     metric being reported, an inline decision being taken — is one
     {!event}.  Producers never format events themselves; they hand them
     to a {!t} and the sink decides what happens: nothing (the default),
-    buffering in memory (tests), or one JSON object per line on an
-    output channel (the [--trace] file format).
+    nothing while metrics still count (a metrics-only run, a daemon
+    without [--trace]), buffering in memory (tests), or one JSON object
+    per line on an output channel (the [--trace] file format).
 
     The module also carries the tiny JSON encoder/parser the rest of the
     repository uses for machine-readable output ({!Metrics.to_json},
@@ -75,6 +76,11 @@ type t
     instrumentation can skip building events entirely. *)
 val null : t
 
+(** [discard ()] is enabled, so instrumentation runs and an
+    {!Obs} context over it counts, but it keeps no event.  Like {!null}
+    it is no fault point: {!emit} on it can never break. *)
+val discard : unit -> t
+
 (** [memory ()] buffers events in order; read them back with {!events}. *)
 val memory : unit -> t
 
@@ -84,6 +90,10 @@ val memory : unit -> t
 val jsonl : out_channel -> t
 
 val enabled : t -> bool
+
+(** [keeps t] is [false] for {!null} and {!discard}, whose {!emit}
+    does nothing: producers need not build events for them. *)
+val keeps : t -> bool
 
 val emit : t -> event -> unit
 (** Sinks fail open: a write that raises (disk full, closed channel, an

@@ -7,17 +7,26 @@
 type t = {
   sink : Sink.t;
   clock : unit -> float;
+  on_span : string -> float -> unit;  (* each closed span's name and dur_ms *)
   origin : float;
   mu : Mutex.t;
   mutable next_id : int;
   stacks : (int, int list) Hashtbl.t;  (* domain id -> innermost-first *)
 }
 
-let create ?(clock = Unix.gettimeofday) sink =
+let create ?(clock = Unix.gettimeofday) ~on_span sink =
   let origin = if Sink.enabled sink then clock () else 0. in
-  { sink; clock; origin; mu = Mutex.create (); next_id = 1; stacks = Hashtbl.create 4 }
+  {
+    sink;
+    clock;
+    on_span;
+    origin;
+    mu = Mutex.create ();
+    next_id = 1;
+    stacks = Hashtbl.create 4;
+  }
 
-let null = create ~clock:(fun () -> 0.) Sink.null
+let null = create ~clock:(fun () -> 0.) ~on_span:(fun _ _ -> ()) Sink.null
 
 let sink t = t.sink
 
@@ -37,7 +46,7 @@ let current_span t =
 let now t = t.clock () -. t.origin
 
 let instant t ~kind ?(attrs = []) name =
-  if enabled t then
+  if Sink.keeps t.sink then
     Sink.emit t.sink
       {
         Sink.ev_ts = now t;
@@ -50,6 +59,12 @@ let instant t ~kind ?(attrs = []) name =
 
 let with_span t ?(attrs = []) name f =
   if not (enabled t) then f ()
+  else if not (Sink.keeps t.sink) then begin
+    (* No event will be kept, so no id, parent or stack is needed: the
+       span only times itself. *)
+    let t0 = now t in
+    Fun.protect ~finally:(fun () -> t.on_span name ((now t -. t0) *. 1000.)) f
+  end
   else begin
     let parent, id =
       Mutex.protect t.mu (fun () ->
@@ -76,6 +91,8 @@ let with_span t ?(attrs = []) name f =
             | top :: rest when top = id -> set_my_stack t rest
             | stack -> set_my_stack t (List.filter (fun s -> s <> id) stack));
         let t1 = now t in
+        let dur_ms = (t1 -. t0) *. 1000. in
+        t.on_span name dur_ms;
         Sink.emit t.sink
           {
             Sink.ev_ts = t1;
@@ -83,8 +100,7 @@ let with_span t ?(attrs = []) name f =
             ev_name = name;
             ev_span = id;
             ev_dom = (Domain.self () :> int);
-            ev_attrs =
-              [ ("parent", Sink.Int parent); ("dur_ms", Sink.Float ((t1 -. t0) *. 1000.)) ];
+            ev_attrs = [ ("parent", Sink.Int parent); ("dur_ms", Sink.Float dur_ms) ];
           })
       f
   end

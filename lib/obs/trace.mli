@@ -4,14 +4,19 @@
     [span_begin]/[span_end] pair around a computation, recording the
     parent span id and the wall-clock duration.  On the {!Sink.null}
     sink nothing is emitted, no event is built, and the clock is never
-    read — instrumented code pays one branch. *)
+    read — instrumented code pays one branch.  On a sink that keeps no
+    event ({!Sink.discard}) a span reads the clock twice for its
+    duration and builds nothing else. *)
 
 type t
 
-(** [create ?clock sink] is a tracer whose timestamps come from [clock]
-    (default [Unix.gettimeofday]), reported relative to the tracer's
-    creation instant. *)
-val create : ?clock:(unit -> float) -> Sink.t -> t
+(** [create ?clock ~on_span sink] is a tracer whose timestamps come
+    from [clock] (default [Unix.gettimeofday]), reported relative to the
+    tracer's creation instant.  [on_span name dur_ms] runs as each span
+    closes, with the ["dur_ms"] its [span_end] event carries ({!Obs}
+    feeds the span histograms with it). *)
+val create :
+  ?clock:(unit -> float) -> on_span:(string -> float -> unit) -> Sink.t -> t
 
 (** [null] is a tracer over {!Sink.null}. *)
 val null : t

@@ -8,8 +8,7 @@ type result = {
   failures : (int * exn) list;
 }
 
-let profile ?budget ?fuel ?obs ?engine ?(jobs = 1) ?clamp ?probe
-    ?(keep_outputs = true) ?(tolerant = false) ?on_retry
+let profile ?budget ?obs ?engine ?(jobs = 1) ?(keep_outputs = true) ?(tolerant = false) ?on_retry
     (prog : Impact_il.Il.program) ~inputs =
   if inputs = [] then invalid_arg "Profiler.profile: no inputs";
   (* One decode cache for the whole call: every input runs the same
@@ -17,7 +16,7 @@ let profile ?budget ?fuel ?obs ?engine ?(jobs = 1) ?clamp ?probe
      across the sweep (see {!Impact_interp.Threaded.cache}). *)
   let cache = Impact_interp.Threaded.cache () in
   let one input =
-    let o = Machine.run ?budget ?fuel ?obs ?engine ~cache prog ~input in
+    let o = Machine.run ?budget ?obs ?engine ~cache prog ~input in
     (* [output_digest] keeps output comparison possible after the text
        itself is dropped. *)
     if keep_outputs then o else { o with Machine.output = "" }
@@ -25,14 +24,13 @@ let profile ?budget ?fuel ?obs ?engine ?(jobs = 1) ?clamp ?probe
   (* The pool preserves input order, so the profile and the run list are
      identical whatever [jobs] is. *)
   let runs, failures =
-    if not tolerant then (Pool.map_list ~jobs ?clamp ?probe one inputs, [])
+    if not tolerant then (Pool.map_list ~jobs one inputs, [])
     else begin
       (* Degraded mode: every run yields a result; a failing run is
          retried once (deterministically, same domain) and then reported
          instead of raised, so one bad input cannot sink the profile. *)
       let outcomes =
-        Pool.map_list_results ~jobs ?clamp ?probe ~retry:true ?on_retry one
-          inputs
+        Pool.map_list_results ~jobs ~retry:true ?on_retry one inputs
       in
       let runs, failures, _ =
         List.fold_left

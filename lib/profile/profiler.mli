@@ -14,27 +14,22 @@ type result = {
   failures : (int * exn) list;
 }
 
-(** [profile ?budget ?fuel ?obs ?engine ?jobs ?keep_outputs ?tolerant
+(** [profile ?budget ?obs ?engine ?jobs ?keep_outputs ?tolerant
     prog ~inputs] runs [prog] once per input and averages, counting
     every function and every call site.  [obs] is handed to every
     {!Impact_interp.Machine.run} so run-level counters flow through the
     (mutex-protected) sink.
 
     @param budget per-run wall-clock deadline / output watermark,
-      forwarded to every run ({!Impact_interp.Rt.budget}); with fuel it
-      makes every run finite, so a hung run cannot wedge a worker
+      forwarded to every run ({!Impact_interp.Rt.budget}); with the
+      interpreter's default fuel it makes every run finite, so a hung
+      run cannot wedge a worker
     @param engine the oracle selector, forwarded to every run: tests
       and bench pass [Reference] to profile on the reference engine;
       production callers leave the default, the threaded engine
     @param jobs when > 1, runs execute on that many OCaml domains
       ({!Impact_support.Pool}); results keep input order, so the profile
       is identical for any job count (default 1)
-    @param clamp forwarded to the pool: by default the domain count is
-      clamped to the machine's recommended count; [~clamp:false] runs
-      the literal [jobs] (diagnostics only)
-    @param probe forwarded to the pool: observes one
-      {!Impact_support.Pool.task_sample} per completed run — see
-      {!Impact_obs.Flight}
     @param keep_outputs when false, each run's [output] text is dropped
       (the MD5 [output_digest] survives), so profiling over many inputs
       does not hold every output buffer live (default true)
@@ -49,12 +44,9 @@ type result = {
       if every run fails (tolerant: the first input's error). *)
 val profile :
   ?budget:Impact_interp.Rt.budget ->
-  ?fuel:int ->
   ?obs:Impact_obs.Obs.t ->
   ?engine:Impact_interp.Machine.engine ->
   ?jobs:int ->
-  ?clamp:bool ->
-  ?probe:Impact_support.Pool.probe ->
   ?keep_outputs:bool ->
   ?tolerant:bool ->
   ?on_retry:(int -> exn -> unit) ->

@@ -262,20 +262,19 @@ let parse_job j =
     | Sink.Bool b -> Ok b
     | _ -> Error (serve_error "devirt must be a boolean")
   in
-  let* devirt_threshold =
-    match Sink.mem "devirt_threshold" j with
-    | Sink.Null -> Ok Config.default.Config.devirt_threshold
-    | Sink.Float t when t > 0. && t <= 1. -> Ok t
-    | Sink.Int 1 -> Ok 1.
-    | _ -> Error (serve_error "devirt_threshold must be a number in (0, 1]")
-  in
-  let* timeout_s =
-    match Sink.mem "timeout_s" j with
+  (* A numeric knob, validated by the check its definition provides;
+     anything but a number fails that check as NaN. *)
+  let number key check =
+    match Sink.mem key j with
     | Sink.Null -> Ok None
-    | Sink.Float t when t > 0. -> Ok (Some t)
-    | Sink.Int t when t > 0 -> Ok (Some (float_of_int t))
-    | _ -> Error (serve_error "timeout_s must be a positive number")
+    | v -> (
+      let x = match v with Sink.Float x -> x | Sink.Int n -> float_of_int n | _ -> nan in
+      match check x with
+      | Ok x -> Ok (Some x)
+      | Error msg -> Error (serve_error "%s %s" key msg))
   in
+  let* devirt_threshold = number "devirt_threshold" Config.check_devirt_threshold in
+  let* timeout_s = number "timeout_s" Impact_interp.Rt.check_timeout_s in
   let* max_output =
     match Sink.mem "max_output" j with
     | Sink.Null -> Ok None
@@ -289,7 +288,8 @@ let parse_job j =
       j_inputs = inputs;
       j_policy = policy;
       j_devirt = devirt;
-      j_devirt_threshold = devirt_threshold;
+      j_devirt_threshold =
+        Option.value devirt_threshold ~default:Config.default.Config.devirt_threshold;
       j_timeout_s = timeout_s;
       j_max_output = max_output;
       j_fault = fault;

@@ -24,17 +24,19 @@
    without bound.  Ping/stats/shutdown bypass admission (they must work
    precisely when the daemon is saturated).
 
-   Every request is traced as a ["serve.request"] span on the worker
-   domain that ran it, latency lands in per-kind {!Histogram}s
-   (queue + run, measured from admission to response-ready), and a
-   synthetic {!Pool.task_sample} per request feeds a {!Flight}
-   recorder, so `--trace-format chrome` of a serving session opens in
-   Perfetto with one track per worker domain. *)
+   Telemetry has one store, the [obs] context's registry; the server
+   keeps none of its own.  Handed {!Obs.null}, it serves over a
+   discard-sink context, which counts without keeping events.  Request
+   outcomes are counters.  Each admitted request runs on its worker
+   domain as one ["serve.request"] task ({!Obs.task}: a span, its
+   queue wait and its domain's GC deltas), and its admission-to-response
+   latency lands in a histogram of its kind, so `stats` and the trace
+   read the same numbers, and `--trace-format chrome` of a serving
+   session opens in Perfetto with one track per worker domain. *)
 
 module Sink = Impact_obs.Sink
 module Obs = Impact_obs.Obs
-module Histogram = Impact_obs.Histogram
-module Flight = Impact_obs.Flight
+module Metrics = Impact_obs.Metrics
 module Ierr = Impact_support.Ierr
 module Fault = Impact_support.Fault
 module Pool = Impact_support.Pool
@@ -68,17 +70,9 @@ let default_config ~socket_path =
     allow_faults = false;
   }
 
-type counters = {
-  c_total : int Atomic.t;
-  c_ok : int Atomic.t;
-  c_error : int Atomic.t;
-  c_rejected : int Atomic.t;
-  c_malformed : int Atomic.t;
-  c_connections : int Atomic.t;
-}
-
 type t = {
   cfg : config;
+  obs : Obs.t;  (* [cfg.obs], or a discard-sink context for Obs.null *)
   listen_fd : Unix.file_descr;
   service : Pool.Service.t;
   mu : Mutex.t;
@@ -90,18 +84,24 @@ type t = {
   conn_fds : (int, Unix.file_descr) Hashtbl.t;
   mutable next_conn : int;
   t0 : float;
-  seq : int Atomic.t;  (* request ordinals, for flight samples *)
-  ctr : counters;
-  hist_all : Histogram.t;
-  (* Latency per request kind, labelled "compile:full", "profile:full",
-     … (the ":full" suffix is the one profiling mode's name, kept
-     because stats readers look labels up by it) — created on first use
-     so the stats payload only carries labels that actually served
-     traffic. *)
-  hist_mu : Mutex.t;
-  hist_kinds : (string, Histogram.t) Hashtbl.t;
-  flight : Flight.t;
 }
+
+(* The [requests] object of [stats]: each key and the counter behind it. *)
+let request_counters =
+  [
+    ("total", "serve.requests");
+    ("ok", "serve.ok");
+    ("error", "serve.errors");
+    ("rejected", "serve.rejected");
+    ("malformed", "serve.malformed");
+    ("connections", "serve.connections");
+  ]
+
+(* Admission-to-response latency: "serve.latency_ms" for every admitted
+   request and "serve.latency_ms.<kind>:full" per kind (the ":full"
+   suffix is the one profiling mode's name, kept because stats readers
+   look labels up by it). *)
+let latency = "serve.latency_ms"
 
 let overloaded_error t =
   Ierr.make ~severity:Ierr.Skippable ~recovery:Ierr.Retry_once Ierr.Serve
@@ -236,7 +236,7 @@ let execute_work t ~req_label (kind : Protocol.kind) :
               }
             in
             let r =
-              Pipeline.run ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
+              Pipeline.run ~obs:t.obs ~policy:job.Protocol.j_policy
                 ~config:(config_of_job job) ?cache:t.cfg.cache
                 ?budget:(budget_of_job job) bench
             in
@@ -251,7 +251,7 @@ let execute_work t ~req_label (kind : Protocol.kind) :
             ignore (Impact_opt.Driver.pre_inline prog);
             let { Profiler.profile; _ } =
               Errors.guard Ierr.Profile_run (fun () ->
-                  Profiler.profile ~obs:t.cfg.obs
+                  Profiler.profile ~obs:t.obs
                     ?budget:(budget_of_job job) ~keep_outputs:false prog
                     ~inputs:job.Protocol.j_inputs)
             in
@@ -270,7 +270,7 @@ let execute_work t ~req_label (kind : Protocol.kind) :
                         (String.concat ", " Suite.names)))
             in
             let r =
-              Pipeline.run ~obs:t.cfg.obs ~policy:job.Protocol.j_policy
+              Pipeline.run ~obs:t.obs ~policy:job.Protocol.j_policy
                 ~config:(config_of_job job) ?cache:t.cfg.cache
                 ?budget:(budget_of_job job) bench
             in
@@ -281,7 +281,7 @@ let execute_work t ~req_label (kind : Protocol.kind) :
 (* ------------------------------------------------------------------ *)
 
 let stats_json t =
-  let hist h = Histogram.snapshot_to_json (Histogram.snapshot h) in
+  let m = t.obs.Obs.metrics in
   Sink.Obj
     ([
        ("uptime_s", Sink.Float (Unix.gettimeofday () -. t.t0));
@@ -290,22 +290,15 @@ let stats_json t =
        ("max_pending", Sink.Int t.cfg.max_pending);
        ( "requests",
          Sink.Obj
-           [
-             ("total", Sink.Int (Atomic.get t.ctr.c_total));
-             ("ok", Sink.Int (Atomic.get t.ctr.c_ok));
-             ("error", Sink.Int (Atomic.get t.ctr.c_error));
-             ("rejected", Sink.Int (Atomic.get t.ctr.c_rejected));
-             ("malformed", Sink.Int (Atomic.get t.ctr.c_malformed));
-             ("connections", Sink.Int (Atomic.get t.ctr.c_connections));
-           ] );
+           (List.map
+              (fun (key, name) -> (key, Sink.Int (Metrics.counter_value m name)))
+              request_counters) );
        ( "latency_ms",
          Sink.Obj
-           (("all", hist t.hist_all)
-           :: (Mutex.protect t.hist_mu (fun () ->
-                   Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.hist_kinds [])
-              |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-              |> List.map (fun (k, h) -> (k, hist h)))) );
-       ("flight", Flight.summary_to_json (Flight.summarize t.flight));
+           (("all", Metrics.histogram_json m latency)
+           :: Metrics.histograms_json m ~prefix:(latency ^ ".")) );
+       ("flight", Obs.flight_to_json (Obs.flight t.obs "serve.request"));
+       ("spans", Sink.Obj (Metrics.histograms_json ~span:true m ~prefix:""));
      ]
     @
     match t.cfg.cache with
@@ -327,27 +320,6 @@ let stats_json t =
             ] );
       ])
 
-let hist_label (kind : Protocol.kind) =
-  match kind with
-  | Protocol.Compile _ | Protocol.Profile _ | Protocol.Report _ ->
-    Some
-      (Printf.sprintf "%s:%s" (Protocol.kind_name kind)
-         Impact_profile.Coverage.(mode_name Full))
-  | Protocol.Ping | Protocol.Stats | Protocol.Shutdown -> None
-
-let hist_for t kind =
-  match hist_label kind with
-  | None -> None
-  | Some label ->
-    Some
-      (Mutex.protect t.hist_mu (fun () ->
-           match Hashtbl.find_opt t.hist_kinds label with
-           | Some h -> h
-           | None ->
-             let h = Histogram.create () in
-             Hashtbl.replace t.hist_kinds label h;
-             h))
-
 (* ------------------------------------------------------------------ *)
 (* Per-connection handler                                              *)
 (* ------------------------------------------------------------------ *)
@@ -358,77 +330,57 @@ let hist_for t kind =
 let process_request t ~conn_id (rq : Protocol.request) =
   let id = rq.Protocol.rq_id in
   let kind = rq.Protocol.rq_kind in
-  Atomic.incr t.ctr.c_total;
-  let heavy =
-    match kind with
-    | Protocol.Compile _ | Protocol.Profile _ | Protocol.Report _ -> true
-    | Protocol.Ping | Protocol.Stats | Protocol.Shutdown -> false
-  in
+  Obs.incr t.obs "serve.requests";
   let finish outcome =
     match outcome with
     | Ok result ->
-      Atomic.incr t.ctr.c_ok;
+      Obs.incr t.obs "serve.ok";
       Protocol.ok_response ~id result
     | Error err ->
-      Atomic.incr t.ctr.c_error;
+      Obs.incr t.obs "serve.errors";
       Protocol.error_response ~id err
   in
-  if not heavy then
-    (* Control-plane requests answer on the connection thread and skip
-       admission: they must respond precisely when the daemon is full. *)
-    match kind with
-    | Protocol.Stats -> finish (Ok (stats_json t))
-    | _ -> finish (execute_work t ~req_label:"control" kind)
-  else if Pool.Service.pending t.service >= t.cfg.max_pending then begin
-    Atomic.incr t.ctr.c_rejected;
-    Atomic.incr t.ctr.c_error;
-    Protocol.error_response ~id (overloaded_error t)
-  end
-  else begin
-    let seq = Atomic.fetch_and_add t.seq 1 in
-    let req_label = Printf.sprintf "req-%d.%d" conn_id id in
-    let t_submit = Unix.gettimeofday () in
-    let outcome =
-      Pool.Service.submit t.service (fun () ->
-          let t_start = Unix.gettimeofday () in
-          let g0 = Gc.quick_stat () in
-          let r =
-            Obs.span t.cfg.obs "serve.request"
-              ~attrs:
-                [
-                  ("kind", Sink.String (Protocol.kind_name kind));
-                  ("id", Sink.Int id);
-                  ("conn", Sink.Int conn_id);
-                ]
-              (fun () -> execute_work t ~req_label kind)
-          in
-          let g1 = Gc.quick_stat () in
-          let t_end = Unix.gettimeofday () in
-          (* One synthetic pool sample per request: the flight recorder
-             sees the daemon exactly as it sees a batch sweep. *)
-          Flight.record t.flight
-            {
-              Pool.ts_index = seq;
-              ts_domain = (Domain.self () :> int);
-              ts_queue_ms = (t_start -. t_submit) *. 1000.;
-              ts_run_ms = (t_end -. t_start) *. 1000.;
-              ts_minor_collections =
-                g1.Gc.minor_collections - g0.Gc.minor_collections;
-              ts_major_collections =
-                g1.Gc.major_collections - g0.Gc.major_collections;
-              ts_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-              ts_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-            };
-          let ms = (t_end -. t_submit) *. 1000. in
-          Histogram.observe t.hist_all ms;
-          Option.iter (fun h -> Histogram.observe h ms) (hist_for t kind);
-          r)
-    in
-    match outcome with
-    | Ok r -> finish r
-    | Error Pool.Service.Stopped -> finish (Error (stopping_error ()))
-    | Error e -> finish (Error (Errors.classify Ierr.Serve e))
-  end
+  (* Control-plane requests answer on the connection thread and skip
+     admission: they must respond precisely when the daemon is full. *)
+  match kind with
+  | Protocol.Stats -> finish (Ok (stats_json t))
+  | Protocol.Ping | Protocol.Shutdown ->
+    finish (execute_work t ~req_label:"control" kind)
+  | Protocol.Compile _ | Protocol.Profile _ | Protocol.Report _ ->
+    if Pool.Service.pending t.service >= t.cfg.max_pending then begin
+      Obs.incr t.obs "serve.rejected";
+      finish (Error (overloaded_error t))
+    end
+    else begin
+      let req_label = Printf.sprintf "req-%d.%d" conn_id id in
+      let label =
+        Printf.sprintf "%s.%s:%s" latency (Protocol.kind_name kind)
+          Impact_profile.Coverage.(mode_name Full)
+      in
+      let t_submit = Unix.gettimeofday () in
+      let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000. in
+      let outcome =
+        Pool.Service.submit t.service (fun () ->
+            let r =
+              Obs.task t.obs ~queue_ms:(ms_since t_submit) "serve.request"
+                ~attrs:
+                  [
+                    ("kind", Sink.String (Protocol.kind_name kind));
+                    ("id", Sink.Int id);
+                    ("conn", Sink.Int conn_id);
+                  ]
+                (fun () -> execute_work t ~req_label kind)
+            in
+            let ms = ms_since t_submit in
+            Obs.observe t.obs latency ms;
+            Obs.observe t.obs label ms;
+            r)
+      in
+      match outcome with
+      | Ok r -> finish r
+      | Error Pool.Service.Stopped -> finish (Error (stopping_error ()))
+      | Error e -> finish (Error (Errors.classify Ierr.Serve e))
+    end
 
 let request_shutdown t = Atomic.set t.shutdown_flag true
 
@@ -448,13 +400,13 @@ let handle_connection t ~conn_id fd =
     match Protocol.read_frame fd with
     | Error Protocol.Closed | Error Protocol.Truncated -> ()
     | Error ((Protocol.Empty | Protocol.Oversized _) as fe) ->
-      Atomic.incr t.ctr.c_malformed;
+      Obs.incr t.obs "serve.malformed";
       ignore
         (send
            (Protocol.error_response ~id:0
               (Protocol.serve_error "%s" (Protocol.frame_error_to_string fe))))
     | Error (Protocol.Bad_json _ as fe) ->
-      Atomic.incr t.ctr.c_malformed;
+      Obs.incr t.obs "serve.malformed";
       if
         send
           (Protocol.error_response ~id:0
@@ -463,7 +415,7 @@ let handle_connection t ~conn_id fd =
     | Ok json -> (
       match Protocol.parse_request json with
       | Error err ->
-        Atomic.incr t.ctr.c_malformed;
+        Obs.incr t.obs "serve.malformed";
         let id =
           match Sink.mem "id" json with Sink.Int n -> n | _ -> 0
         in
@@ -494,7 +446,7 @@ let accept_loop t =
       match Unix.accept ~cloexec:true t.listen_fd with
       | exception Unix.Unix_error _ -> ()
       | fd, _ ->
-        Atomic.incr t.ctr.c_connections;
+        Obs.incr t.obs "serve.connections";
         let conn_id =
           Mutex.protect t.mu (fun () ->
               let id = t.next_conn in
@@ -524,6 +476,8 @@ let start cfg =
   let t =
     {
       cfg;
+      obs =
+        (if Obs.enabled cfg.obs then cfg.obs else Obs.create (Sink.discard ()));
       listen_fd;
       service = Pool.Service.create ?domains:cfg.domains ();
       mu = Mutex.create ();
@@ -535,20 +489,6 @@ let start cfg =
       conn_fds = Hashtbl.create 32;
       next_conn = 0;
       t0 = Unix.gettimeofday ();
-      seq = Atomic.make 0;
-      ctr =
-        {
-          c_total = Atomic.make 0;
-          c_ok = Atomic.make 0;
-          c_error = Atomic.make 0;
-          c_rejected = Atomic.make 0;
-          c_malformed = Atomic.make 0;
-          c_connections = Atomic.make 0;
-        };
-      hist_all = Histogram.create ();
-      hist_mu = Mutex.create ();
-      hist_kinds = Hashtbl.create 8;
-      flight = Flight.create ();
     }
   in
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
@@ -560,11 +500,11 @@ let shutdown_requested t = Atomic.get t.shutdown_flag
 
 (* Poll-loop rather than a condition: the flag may be set from a signal
    handler, where taking a mutex is not safe. *)
-let wait ?(poll_s = 0.1) t =
+let wait t =
   while
     not (Atomic.get t.shutdown_flag || Mutex.protect t.mu (fun () -> t.stopped))
   do
-    Thread.delay poll_s
+    Thread.delay 0.1
   done
 
 let stop t =

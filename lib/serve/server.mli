@@ -14,11 +14,14 @@
     error.  Ping, stats and shutdown bypass admission so the control
     plane stays responsive under saturation.
 
-    Telemetry: each request runs in a ["serve.request"] span on [obs],
-    lands its admission-to-response latency in per-kind {!Histogram}s,
-    and contributes one synthetic {!Impact_support.Pool.task_sample}
-    (queue/run split + GC deltas) to a {!Flight} recorder — all exposed
-    through the [stats] request and usable with Chrome trace export. *)
+    Telemetry: the server keeps none of its own; everything lands in
+    [obs]'s registry (a discard-sink context when [obs] is
+    {!Impact_obs.Obs.null}).  Request outcomes are counters; each
+    admitted request runs on its worker domain as one ["serve.request"]
+    task ({!Impact_obs.Obs.task}: span, queue wait, GC deltas) and adds
+    its admission-to-response latency to a histogram of its kind.  The
+    [stats] request renders that registry, so it agrees with the trace,
+    and the trace opens in Chrome trace export. *)
 
 type config = {
   socket_path : string;
@@ -54,16 +57,21 @@ val shutdown_requested : t -> bool
     handler: it only sets an atomic flag). *)
 val request_shutdown : t -> unit
 
-(** [wait t] blocks (polling every [poll_s], default 0.1s) until a
-    shutdown is requested or {!stop} has run. *)
-val wait : ?poll_s:float -> t -> unit
+(** [wait t] blocks (polling every 0.1 s) until a shutdown is requested
+    or {!stop} has run. *)
+val wait : t -> unit
 
 (** [stop t] shuts down gracefully: stop accepting, drain queued jobs
     on the worker domains, unblock and join every handler thread, and
     unlink the socket.  Idempotent. *)
 val stop : t -> unit
 
-(** [stats_json t] is the live serving snapshot (uptime, request
-    counters, per-kind latency histograms, flight summary, cache
-    stats) — the payload of the [stats] request. *)
+(** [stats_json t] is the live serving snapshot, the payload of the
+    [stats] request: uptime, worker domains, pending jobs and the cap;
+    [requests] (total, ok, error, rejected, malformed, connections);
+    [latency_ms], admission-to-response latency histograms of every
+    admitted request ([all]) and per kind ([compile:full], ...);
+    [flight], the summed ["serve.request"] tasks
+    ({!Impact_obs.Obs.flight_to_json}); [spans], the histogram of every
+    span name; and, with a cache, its stats. *)
 val stats_json : t -> Impact_obs.Sink.json

@@ -17,9 +17,9 @@
 
    Telemetry: [?probe] observes one {!task_sample} per completed item —
    queue wait, run time and GC deltas ([Gc.quick_stat] before/after on
-   the running domain) — so a flight recorder (see [Impact_obs.Flight])
-   can reconstruct per-domain utilisation without the pool depending on
-   the observability layer.  The probe runs on the worker domain that
+   the running domain) — so a telemetry registry (see
+   [Impact_obs.Obs.probe]) can reconstruct per-domain utilisation
+   without the pool depending on the observability layer.  The probe runs on the worker domain that
    executed the item and must be thread-safe; without a probe the per-
    item overhead is one physical-equality check.
 

@@ -47,8 +47,8 @@ type task_sample = {
     any pool lock; it must be thread-safe.  In the fail-fast maps a
     raising item produces no sample; the [_results] variants sample
     every item — the attempt occupied its domain whether it ended in
-    [Ok] or [Error].  See [Impact_obs.Flight] for the ring-buffered
-    consumer. *)
+    [Ok] or [Error].  See [Impact_obs.Obs.probe] for the consumer that
+    sums them into a telemetry registry. *)
 type probe = task_sample -> unit
 
 val map_array :

@@ -1,6 +1,7 @@
 (* Tests for the observability layer (lib/obs): span structure, JSONL
-   round-tripping, decision-log completeness against the selector, and
-   the zero-overhead guarantee of the null sink. *)
+   round-tripping, decision-log completeness against the selector, the
+   zero-overhead guarantee of the null sink, span histograms against
+   the trace, and metrics-only runs that keep no events. *)
 
 module Sink = Impact_obs.Sink
 module Trace = Impact_obs.Trace
@@ -583,6 +584,74 @@ let test_null_sink_zero_overhead () =
   (* Obs.null behaves identically without constructing anything. *)
   checki "Obs.null runs the body" 5 (Obs.span Obs.null "x" (fun () -> 5))
 
+(* ------------------------------------------------------------------ *)
+(* Span histograms                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Each closed span lands in the span histogram of its name with the
+   exact dur_ms its span_end carries, also when the span raises; plain
+   observations of the same name stay apart. *)
+let test_span_histograms () =
+  let obs, sink = obs_over_memory () in
+  Obs.span obs "outer" (fun () ->
+      Obs.span obs "leaf" ignore;
+      Obs.span obs "leaf" ignore;
+      try Obs.span obs "leaf" (fun () -> failwith "boom") with Failure _ -> ());
+  Obs.observe obs "leaf" 1000.;
+  let durs name =
+    List.filter_map
+      (fun (e : Sink.event) ->
+        match (e.Sink.ev_kind, attr "dur_ms" e) with
+        | "span_end", Sink.Float d when e.Sink.ev_name = name -> Some d
+        | _ -> None)
+      (Sink.events sink)
+  in
+  List.iter
+    (fun name ->
+      let snap, domains = Metrics.histogram ~span:true obs.Obs.metrics name in
+      let ds = durs name in
+      checki (name ^ ": count") (List.length ds) snap.Impact_obs.Histogram.s_count;
+      check (Alcotest.float 0.) (name ^ ": sum")
+        (List.fold_left ( +. ) 0. ds) snap.Impact_obs.Histogram.s_sum;
+      checki (name ^ ": one domain") 1 domains)
+    [ "outer"; "leaf" ];
+  let values, _ = Metrics.histogram obs.Obs.metrics "leaf" in
+  checki "plain observation kept apart" 1 values.Impact_obs.Histogram.s_count
+
+(* ------------------------------------------------------------------ *)
+(* Metrics without a trace                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* --metrics-out without --trace counts over a sink that keeps no
+   events, and its file holds the same counters as a traced run's. *)
+let test_metrics_only_keeps_no_events () =
+  let bench = Impact_bench_progs.Suite.find "wc" in
+  let run ~trace =
+    let dir = Filename.temp_file "impact_obs" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    let metrics = Filename.concat dir "m.json" in
+    let trace = Option.map (Filename.concat dir) trace in
+    let kept =
+      Impact_harness.Obs_out.with_obs ~format:`Jsonl ~trace ~metrics_out:(Some metrics)
+        ~on_broken:(fun e -> raise (Impact_support.Ierr.Error e))
+        (fun obs ->
+          checkb "metrics-only context is enabled" true (Obs.enabled obs);
+          ignore (Impact_harness.Pipeline.run ~obs bench);
+          List.length (Sink.events (Obs.sink obs)))
+    in
+    let json = In_channel.with_open_bin metrics In_channel.input_all in
+    List.iter Sys.remove (metrics :: Option.to_list trace);
+    Sys.rmdir dir;
+    (kept, Sink.mem "counters" (Sink.json_of_string json))
+  in
+  let kept, counters = run ~trace:None in
+  checki "no event kept" 0 kept;
+  let _, traced = run ~trace:(Some "t.jsonl") in
+  checkb "counters present" true (Sink.mem "machine.runs" counters <> Sink.Null);
+  checks "same counters as a traced run" (Sink.json_to_string traced)
+    (Sink.json_to_string counters)
+
 let tests =
   [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
@@ -598,4 +667,7 @@ let tests =
     Alcotest.test_case "null sink has zero overhead" `Quick
       test_null_sink_zero_overhead;
     Alcotest.test_case "self times from a recorded trace" `Quick test_self_times;
+    Alcotest.test_case "span histograms match the trace" `Quick test_span_histograms;
+    Alcotest.test_case "metrics-only runs keep no events" `Quick
+      test_metrics_only_keeps_no_events;
   ]

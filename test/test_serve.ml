@@ -13,12 +13,17 @@
    - admission control: a full daemon refuses heavy work with a typed
      retryable error while ping/stats stay responsive;
    - state isolation: a faulted request (chaos daemon) must not perturb
-     the bytes of the clean request that follows it. *)
+     the bytes of the clean request that follows it;
+   - telemetry: stats read the same registry the trace is made from,
+     and keep the shape impactbench reads;
+   - knob ranges: what the wire refuses, impactc refuses too. *)
 
 module Protocol = Impact_serve.Protocol
 module Server = Impact_serve.Server
 module Client = Impact_serve.Client
 module Sink = Impact_obs.Sink
+module Obs = Impact_obs.Obs
+module Histogram = Impact_obs.Histogram
 module Ierr = Impact_support.Ierr
 module Fault = Impact_support.Fault
 module Pipeline = Impact_harness.Pipeline
@@ -42,7 +47,8 @@ let tmp_socket () =
   let dir = Filename.get_temp_dir_name () in
   Filename.concat dir (Printf.sprintf "impactd-test-%d-%d.sock" (Unix.getpid ()) (Random.int 100000))
 
-let with_server ?(domains = 1) ?(max_pending = 64) ?cache_dir ?(allow_faults = false) f =
+let with_server ?(domains = 1) ?(max_pending = 64) ?cache_dir ?(allow_faults = false)
+    ?(obs = Obs.null) f =
   let cache = Option.map (fun d -> Cache.create d) cache_dir in
   let cfg =
     {
@@ -50,6 +56,7 @@ let with_server ?(domains = 1) ?(max_pending = 64) ?cache_dir ?(allow_faults = f
       Server.domains = Some domains;
       max_pending;
       cache;
+      obs;
       allow_faults;
     }
   in
@@ -543,6 +550,144 @@ let test_daemon_startup_errors () =
   Sys.remove err;
   Sys.rmdir dir
 
+(* ------------------------------------------------------------------ *)
+(* Telemetry                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let number label j =
+  match j with
+  | Sink.Int n -> float_of_int n
+  | Sink.Float x -> x
+  | _ -> Alcotest.failf "%s is not a number: %s" label (Sink.json_to_string j)
+
+let path_number j path =
+  number (String.concat "." path) (List.fold_left (fun j k -> Sink.mem k j) j path)
+
+let compile_job k =
+  Protocol.Compile
+    { Protocol.default_job with
+      Protocol.j_source = tick_src; j_inputs = [ String.make k 'x' ] }
+
+(* Stats and the trace come from one registry: over a memory-sink
+   context, the stats' serve.request span histogram is the histogram of
+   the session's span_end durations, and the flight sums them. *)
+let test_stats_agree_with_trace () =
+  let sink = Sink.memory () in
+  with_server ~obs:(Obs.create sink) (fun t ->
+      with_client t (fun c ->
+          for k = 1 to 6 do
+            ignore (ok_or_fail (Client.request c (compile_job k)))
+          done;
+          let stats = ok_or_fail (Client.request c Protocol.Stats) in
+          let durs =
+            List.filter_map
+              (fun (e : Sink.event) ->
+                match Sink.mem "dur_ms" (Sink.Obj e.Sink.ev_attrs) with
+                | Sink.Float d
+                  when e.Sink.ev_kind = "span_end" && e.Sink.ev_name = "serve.request" ->
+                  Some d
+                | _ -> None)
+              (Sink.events sink)
+          in
+          let h = Histogram.create () in
+          List.iter (Histogram.observe h) durs;
+          let snap = Histogram.snapshot h in
+          let span = [ "spans"; "serve.request" ] in
+          Alcotest.(check int) "six request spans traced" 6 (List.length durs);
+          Alcotest.(check (float 0.)) "span count"
+            (float_of_int (List.length durs))
+            (path_number stats (span @ [ "count" ]));
+          List.iter
+            (fun (key, q) ->
+              Alcotest.(check (float 1e-9)) ("span " ^ key)
+                (Histogram.percentile snap q)
+                (path_number stats (span @ [ key ])))
+            [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ];
+          Alcotest.(check (float 0.)) "flight.tasks counts the spans"
+            (float_of_int (List.length durs))
+            (path_number stats [ "flight"; "tasks" ]);
+          Alcotest.(check (float 1e-9)) "flight.run_ms sums the spans"
+            (List.fold_left ( +. ) 0. durs)
+            (path_number stats [ "flight"; "run_ms" ])))
+
+(* The stats fields impactbench reads are numbers, and flight.tasks
+   counts exactly the admitted compile, profile and report requests. *)
+let test_stats_contract () =
+  with_server (fun t ->
+      with_client t (fun c ->
+          let stats () = ok_or_fail (Client.request c Protocol.Stats) in
+          let tasks () = path_number (stats ()) [ "flight"; "tasks" ] in
+          let grows label n kind =
+            let before = tasks () in
+            ignore (Client.request c kind);
+            Alcotest.(check (float 0.)) label (before +. n) (tasks ())
+          in
+          grows "compile adds one task" 1. (compile_job 2);
+          let s = stats () in
+          List.iter
+            (fun path -> ignore (path_number s path))
+            [
+              [ "latency_ms"; "compile:full"; "p50" ];
+              [ "flight"; "tasks" ];
+              [ "flight"; "queue_ms" ];
+              [ "flight"; "run_ms" ];
+              [ "requests"; "rejected" ];
+            ];
+          grows "ping adds none" 0. Protocol.Ping;
+          grows "stats adds none" 0. Protocol.Stats;
+          grows "profile adds one task" 1.
+            (Protocol.Profile
+               { Protocol.default_job with
+                 Protocol.j_source = tick_src; j_inputs = [ "ab" ] });
+          grows "report adds one task" 1.
+            (Protocol.Report ("cmp", Protocol.default_job))));
+  with_server ~max_pending:0 (fun t ->
+      with_client t (fun c ->
+          (match Client.request c (compile_job 1) with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "full daemon admitted a compile");
+          let s = ok_or_fail (Client.request c Protocol.Stats) in
+          Alcotest.(check (float 0.)) "a refused request adds no task" 0.
+            (path_number s [ "flight"; "tasks" ]);
+          Alcotest.(check (float 0.)) "and counts as rejected" 1.
+            (path_number s [ "requests"; "rejected" ])))
+
+(* Each out-of-range knob value is a usage error (exit 2) from impactc
+   and a typed serve error on the wire: one range per knob. *)
+let test_knob_ranges () =
+  let impactc =
+    Filename.concat
+      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
+      "impactc.exe"
+  in
+  List.iter
+    (fun arg ->
+      Alcotest.(check int) (arg ^ " is a usage error") 2
+        (Sys.command
+           (Filename.quote_command impactc ~stdout:Filename.null
+              ~stderr:Filename.null [ "bench"; arg; "tee" ])))
+    [
+      "--devirt-threshold=5";
+      "--devirt-threshold=-3";
+      "--devirt-threshold=nan";
+      "--timeout=-1";
+      "--timeout=0";
+    ];
+  let job = { Protocol.default_job with Protocol.j_source = tick_src } in
+  with_server (fun t ->
+      with_client t (fun c ->
+          List.iter
+            (fun (label, job) ->
+              expect_serve_error label (Client.request c (Protocol.Compile job)))
+            [
+              ( "devirt_threshold 5",
+                { job with Protocol.j_devirt = true; j_devirt_threshold = 5. } );
+              ( "devirt_threshold -3",
+                { job with Protocol.j_devirt = true; j_devirt_threshold = -3. } );
+              ("timeout_s -1", { job with Protocol.j_timeout_s = Some (-1.) });
+              ("timeout_s 0", { job with Protocol.j_timeout_s = Some 0. });
+            ]))
+
 let tests =
   [
     Alcotest.test_case "frame roundtrip and EOF taxonomy" `Quick test_frame_roundtrip;
@@ -568,4 +713,10 @@ let tests =
       test_faulted_request_does_not_leak;
     Alcotest.test_case "impactd startup failures are typed" `Quick
       test_daemon_startup_errors;
+    Alcotest.test_case "stats agree with the trace" `Quick
+      test_stats_agree_with_trace;
+    Alcotest.test_case "stats keep the shape impactbench reads" `Quick
+      test_stats_contract;
+    Alcotest.test_case "knob ranges agree on the CLI and the wire" `Quick
+      test_knob_ranges;
   ]

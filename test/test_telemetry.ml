@@ -1,14 +1,15 @@
 (* The telemetry layer: histogram math, the per-domain shard merging
-   behind metrics and histograms, the flight recorder ring, and the
+   behind the registry's counters and histograms, pool tasks recorded
+   into the registry and the scaling verdict read from it, and the
    Chrome trace-event export. *)
 
 module Sink = Impact_obs.Sink
 module Obs = Impact_obs.Obs
 module Metrics = Impact_obs.Metrics
 module Histogram = Impact_obs.Histogram
-module Flight = Impact_obs.Flight
 module Trace_export = Impact_obs.Trace_export
 module Pool = Impact_support.Pool
+module Perf = Impact_harness.Perf
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -144,11 +145,20 @@ let prop_merge_associative =
 (* Disabled / null paths                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Histograms live in the registry, so the null registry's are
+   disabled: observing, or closing a span on the null context, records
+   nothing. *)
 let test_disabled_noop () =
-  Alcotest.(check bool) "disabled" false (Histogram.enabled Histogram.disabled);
-  Histogram.observe Histogram.disabled 1.;
-  let s = Histogram.snapshot Histogram.disabled in
-  Alcotest.(check int) "no counts" 0 s.Histogram.s_count
+  Alcotest.(check bool) "disabled" false (Metrics.enabled Metrics.null);
+  Metrics.observe Metrics.null "x" 1.;
+  Metrics.observe_span Metrics.null "x" 1.;
+  Obs.span Obs.null "x" ignore;
+  List.iter
+    (fun span ->
+      let s, domains = Metrics.histogram ~span Metrics.null "x" in
+      Alcotest.(check int) "no counts" 0 s.Histogram.s_count;
+      Alcotest.(check int) "no domain recorded" 0 domains)
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain exactness                                              *)
@@ -175,25 +185,62 @@ let test_metrics_multi_domain_exact () =
     (Metrics.counter_value m "weighted")
 
 let test_histogram_multi_domain_exact () =
-  let h = Histogram.create ~bounds:[| 10.; 1000. |] () in
+  let m = Metrics.create (Sink.discard ()) in
   let per_domain = 5_000 in
   let worker () =
     for i = 1 to per_domain do
-      Histogram.observe h (float_of_int (i mod 100))
+      Metrics.observe m "lat" (float_of_int (i mod 100))
     done
   in
   let domains = List.init 4 (fun _ -> Domain.spawn worker) in
   List.iter Domain.join domains;
-  let s = Histogram.snapshot h in
+  let s, fed = Metrics.histogram m "lat" in
   Alcotest.(check int) "count exact" (4 * per_domain) s.Histogram.s_count;
+  Alcotest.(check int) "one shard per domain" 4 fed;
   let one_domain_sum =
     List.fold_left ( +. ) 0.
       (List.init per_domain (fun i -> float_of_int ((i + 1) mod 100)))
   in
   check_float "sum exact" (4. *. one_domain_sum) s.Histogram.s_sum
 
+(* Several systhreads of one domain share its shard: racing on a fresh
+   name must not drop a count, and bumps of existing names stay exact.
+   Reader threads keep taking the shard's mutex, so writers inserting a
+   fresh name often block there and switch threads in mid-insert. *)
+let test_metrics_threads_exact () =
+  let m = Metrics.create (Sink.discard ()) in
+  let nthreads = 8 and rounds = 300 and names = 100 in
+  let worker () =
+    for r = 1 to rounds do
+      for i = 1 to names do
+        Metrics.incr m (Printf.sprintf "fresh.%d.%d" r i);
+        Metrics.incr m "shared"
+      done
+    done
+  in
+  let writing = Atomic.make true in
+  let read () =
+    while Atomic.get writing do
+      ignore (Metrics.counter_value m "shared")
+    done
+  in
+  let readers = List.init 4 (fun _ -> Thread.create read ()) in
+  let threads = List.init nthreads (fun _ -> Thread.create worker ()) in
+  List.iter Thread.join threads;
+  Atomic.set writing false;
+  List.iter Thread.join readers;
+  Alcotest.(check int) "shared exact" (nthreads * rounds * names)
+    (Metrics.counter_value m "shared");
+  let lost = ref 0 in
+  for r = 1 to rounds do
+    for i = 1 to names do
+      lost := !lost + nthreads - Metrics.counter_value m (Printf.sprintf "fresh.%d.%d" r i)
+    done
+  done;
+  Alcotest.(check int) "no fresh-name count lost" 0 !lost
+
 (* ------------------------------------------------------------------ *)
-(* Flight recorder                                                     *)
+(* Pool tasks in the registry                                          *)
 (* ------------------------------------------------------------------ *)
 
 let sample ?(domain = 0) ?(queue = 0.) ?(run = 1.) ?(minor = 0) ?(major = 0)
@@ -209,26 +256,10 @@ let sample ?(domain = 0) ?(queue = 0.) ?(run = 1.) ?(minor = 0) ?(major = 0)
     ts_minor_words = 0.;
   }
 
-let test_flight_ring () =
-  let f = Flight.create ~capacity:4 () in
-  for i = 0 to 9 do
-    Flight.record f (sample i)
-  done;
-  Alcotest.(check int) "recorded counts lifetime" 10 (Flight.recorded f);
-  let kept = List.map (fun s -> s.Pool.ts_index) (Flight.samples f) in
-  Alcotest.(check (list int)) "ring keeps newest, oldest first" [ 6; 7; 8; 9 ]
-    kept;
-  let s = Flight.summarize f in
-  Alcotest.(check int) "window size" 4 s.Flight.f_tasks;
-  Alcotest.(check int) "lifetime total" 10 s.Flight.f_recorded;
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Flight.create: capacity must be positive") (fun () ->
-      ignore (Flight.create ~capacity:0 ()))
-
 let summarize_of samples =
-  let f = Flight.create () in
-  List.iter (Flight.record f) samples;
-  Flight.summarize f
+  let obs = Obs.create (Sink.discard ()) in
+  List.iter (Obs.probe obs "task") samples;
+  Obs.flight obs "task"
 
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
@@ -239,7 +270,7 @@ let test_flight_diagnose () =
     summarize_of (List.init 10 (fun i -> sample ~run:10. ~minor:1 i))
   in
   let check_verdict name prefix current =
-    let v = Flight.diagnose ~baseline current in
+    let v = Perf.diagnose ~baseline current in
     Alcotest.(check bool)
       (Printf.sprintf "%s: %s" name v)
       true (has_prefix ~prefix v)
@@ -257,20 +288,26 @@ let test_flight_diagnose () =
     (summarize_of (List.init 10 (fun i -> sample ~run:10. ~minor:1 i)));
   Alcotest.(check string) "empty window"
     "no samples recorded; nothing to diagnose"
-    (Flight.diagnose ~baseline (summarize_of []))
+    (Perf.diagnose ~baseline (summarize_of []))
 
 (* The end-to-end path: a pool map with the probe attached records one
-   sample per completed item, covering every index. *)
+   task per completed item, covering every index, and the registry's
+   summary is exactly the samples' aggregate. *)
 let test_flight_pool_probe () =
-  let f = Flight.create () in
+  let obs = Obs.create (Sink.discard ()) in
+  let mu = Mutex.create () and seen = ref [] in
+  let probe s =
+    Obs.probe obs "task" s;
+    Mutex.protect mu (fun () -> seen := s :: !seen)
+  in
   let results =
-    Pool.map_array ~jobs:4 ~clamp:false ~probe:(Flight.probe f)
+    Pool.map_array ~jobs:4 ~clamp:false ~probe
       (fun i -> i * i)
       (Array.init 8 Fun.id)
   in
   Alcotest.(check (array int)) "map result" (Array.init 8 (fun i -> i * i))
     results;
-  let ss = Flight.samples f in
+  let ss = !seen in
   Alcotest.(check int) "one sample per item" 8 (List.length ss);
   let indices =
     List.sort_uniq compare (List.map (fun s -> s.Pool.ts_index) ss)
@@ -281,7 +318,24 @@ let test_flight_pool_probe () =
     (fun s ->
       Alcotest.(check bool) "non-negative times" true
         (s.Pool.ts_queue_ms >= 0. && s.Pool.ts_run_ms >= 0.))
-    ss
+    ss;
+  let f = Obs.flight obs "task" in
+  let sum g = List.fold_left (fun acc s -> acc +. g s) 0. ss in
+  let isum g = List.fold_left (fun acc s -> acc + g s) 0 ss in
+  Alcotest.(check int) "one task per item" 8 f.Obs.f_tasks;
+  Alcotest.(check int) "domains that ran items"
+    (List.length (List.sort_uniq compare (List.map (fun s -> s.Pool.ts_domain) ss)))
+    f.Obs.f_domains;
+  Alcotest.(check (float 1e-6)) "queue wait summed"
+    (sum (fun s -> s.Pool.ts_queue_ms)) f.Obs.f_queue_ms;
+  Alcotest.(check (float 1e-6)) "run time summed"
+    (sum (fun s -> s.Pool.ts_run_ms)) f.Obs.f_run_ms;
+  Alcotest.(check int) "minor collections summed"
+    (isum (fun s -> s.Pool.ts_minor_collections)) f.Obs.f_minor_collections;
+  Alcotest.(check int) "major collections summed"
+    (isum (fun s -> s.Pool.ts_major_collections)) f.Obs.f_major_collections;
+  Alcotest.(check (float 0.)) "minor words summed"
+    (sum (fun s -> s.Pool.ts_minor_words)) f.Obs.f_minor_words
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
@@ -443,7 +497,6 @@ let tests =
       test_metrics_multi_domain_exact;
     Alcotest.test_case "histogram exact across 4 domains" `Quick
       test_histogram_multi_domain_exact;
-    Alcotest.test_case "flight ring retention" `Quick test_flight_ring;
     Alcotest.test_case "flight diagnose verdicts" `Quick test_flight_diagnose;
     Alcotest.test_case "flight records pool tasks" `Quick
       test_flight_pool_probe;
@@ -453,5 +506,7 @@ let tests =
       test_chrome_unpaired;
     Alcotest.test_case "chrome export round-trips" `Quick
       test_chrome_round_trip;
+    Alcotest.test_case "metrics exact across threads of one domain" `Quick
+      test_metrics_threads_exact;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_merge_associative ]
