@@ -65,25 +65,30 @@ let hex_value c =
   else if c >= 'a' && c <= 'f' then Char.code c - Char.code 'a' + 10
   else Char.code c - Char.code 'A' + 10
 
+(* A literal is an IL immediate, an OCaml native int, so one above
+   [max_int] is out of range: a typed error at the literal's own
+   location, never a wrapped value. *)
 let lex_number st =
-  let start = st.pos in
+  let start = st.pos and start_loc = loc st in
+  let v = ref 0 in
+  let add base d =
+    if !v > (max_int - d) / base then
+      raise (Lex_error ("integer literal out of range", start_loc));
+    v := (!v * base) + d
+  in
   if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
     advance st;
     advance st;
-    let v = ref 0 in
-    let digits = ref 0 in
     let rec loop () =
       match peek st with
       | Some c when is_hex_digit c ->
-        v := (!v * 16) + hex_value c;
-        incr digits;
+        add 16 (hex_value c);
         advance st;
         loop ()
       | Some _ | None -> ()
     in
     loop ();
-    if !digits = 0 then error st "malformed hexadecimal literal";
-    Token.Int_lit !v
+    if st.pos - start = 2 then error st "malformed hexadecimal literal"
   end
   else begin
     let rec loop () =
@@ -96,17 +101,14 @@ let lex_number st =
     loop ();
     let text = String.sub st.src start (st.pos - start) in
     (* A leading 0 means octal, as in C. *)
-    if String.length text > 1 && text.[0] = '0' then begin
-      let v = ref 0 in
-      String.iter
-        (fun c ->
-          if c > '7' then error st "malformed octal literal";
-          v := (!v * 8) + (Char.code c - Char.code '0'))
-        text;
-      Token.Int_lit !v
-    end
-    else Token.Int_lit (int_of_string text)
-  end
+    let base = if String.length text > 1 && text.[0] = '0' then 8 else 10 in
+    String.iter
+      (fun c ->
+        if c > '7' && base = 8 then error st "malformed octal literal";
+        add base (Char.code c - Char.code '0'))
+      text
+  end;
+  Token.Int_lit !v
 
 let lex_escape st =
   (* Called just after the backslash has been consumed. *)

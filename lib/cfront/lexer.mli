@@ -1,8 +1,10 @@
 (** Hand-written lexer for the C subset.
 
     Supports decimal, hexadecimal ([0x...]) and octal ([0...]) integer
-    literals, character literals with the usual escapes, string literals,
-    [//] and [/* */] comments, and all tokens of {!Token}. *)
+    literals up to [max_int] (the IL's immediates are native ints; a
+    larger one is a [Lex_error] at the literal), character literals
+    with the usual escapes, string literals, [//] and [/* */] comments,
+    and all tokens of {!Token}. *)
 
 (** Raised on malformed input; carries a message and the location. *)
 exception Lex_error of string * Srcloc.t

@@ -34,6 +34,28 @@ val key : string list -> string
     caller can digest a part shared by several keys once. *)
 val key_of_digests : Digest.t list -> string
 
+(** [digest_part obs s] is [Digest.string s], its bytes counted in
+    [cache.key_bytes] on [obs]. *)
+val digest_part : Impact_obs.Obs.t -> string -> Digest.t
+
+(** [digest t obs s] is [Digest.string s], remembered by the handle.
+    The pipeline digests each profiling input through it, so a warm
+    rerun over unchanged inputs costs one [Hashtbl.hash] and one
+    [String.equal] per input (a pointer test when the caller passes the
+    same string) instead of an MD5.  The memo keeps every input it
+    holds, so inputs are compared by content; it holds at most
+    {!memo_budget} bytes of inputs, drops the least recently used first,
+    and never keeps an input larger than the budget.  Each {!create}
+    starts with an empty memo.  Only bytes actually digested count
+    towards [cache.key_bytes], as in {!digest_part}. *)
+val digest : t -> Impact_obs.Obs.t -> string -> Digest.t
+
+(** The memo's byte budget: 2 MiB, which holds the suite's inputs. *)
+val memo_budget : int
+
+(** [memo_bytes t] is the bytes of input the memo holds now. *)
+val memo_bytes : t -> int
+
 (** [find t obs ~stage ~key] — [Some v] on a verified hit; [None] on a
     miss or a corrupt entry (the store drops corrupt entries and keeps
     the typed reason in {!Impact_support.Cstore.last_error}).  Decoding

@@ -138,10 +138,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         v)
     | _ -> compute ()
   in
-  let digest part =
-    Obs.incr obs ~by:(String.length part) "cache.key_bytes";
-    Digest.string part
-  in
+  let digest = Cache.digest_part obs in
   (* The content checksum of stage [name]'s output, which keys later
      stages.  Only a cache ever builds a key, so without one no checksum
      is computed and the result is "". *)
@@ -196,8 +193,15 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       in
       let nfuncs = Array.length prog.Il.funcs in
       (* Key parts shared by several keys, each computed at most once and
-         only when a key needs it. *)
-      let input_digests = lazy (List.map digest inputs) in
+         only when a key needs it.  The profiling inputs are the same
+         bytes on every warm rerun, so the cache handle remembers their
+         digests. *)
+      let input_digests =
+        lazy
+          (List.map
+             (match cache with Some c -> Cache.digest c obs | None -> digest)
+             inputs)
+      in
       let config_fp = lazy (Config.fingerprint config) in
       (* One profiling pass, for the pre-inline profile and the re-profile
          alike.  A profile entry is keyed by the constant part

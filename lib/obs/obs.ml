@@ -40,15 +40,16 @@ let task t ~queue_ms ?attrs name f =
   if not (enabled t) then f ()
   else begin
     observe t (name ^ ".queue_ms") queue_ms;
-    let g0 = Gc.quick_stat () in
+    let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
     Fun.protect
       ~finally:(fun () ->
+        let w1 = Gc.minor_words () in
         let g1 = Gc.quick_stat () in
         gc_delta t name
           ~minor:(g1.Gc.minor_collections - g0.Gc.minor_collections)
           ~major:(g1.Gc.major_collections - g0.Gc.major_collections)
           ~promoted:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
-          ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words))
+          ~minor_words:(w1 -. w0))
       (fun () -> span t ?attrs name f)
   end
 

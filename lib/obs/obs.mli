@@ -44,9 +44,13 @@ val observe : t -> string -> float -> unit
     A task of [name] — a pool item, a served request — is recorded as
     its run time in the span histogram [name] (so a task that runs in
     a span of [name] is counted once), its queue wait in the histogram
-    [name.queue_ms], and the [Gc.quick_stat] deltas of its domain in
-    the counters [name.minor_collections], [name.major_collections],
-    [name.promoted_words] and [name.minor_words]. *)
+    [name.queue_ms], and the GC work of its domain meanwhile in the
+    counters [name.minor_collections], [name.major_collections],
+    [name.promoted_words] and [name.minor_words].  The minor words are
+    a [Gc.minor_words] delta, exact for the task however small.  The
+    other three are [Gc.quick_stat] deltas: per domain, and lumpy, since
+    they move only when a collection runs, so one task may be charged
+    with a collection that the allocation of earlier tasks made due. *)
 
 (** [task t ~queue_ms ?attrs name f] runs [f] as one task of [name]
     that waited [queue_ms]: inside a span of [name], counting the GC

@@ -6,12 +6,16 @@
 module Sink = Impact_obs.Sink
 module Ierr = Impact_support.Ierr
 
-type t = { fd : Unix.file_descr; mutable next_id : int }
+type t = {
+  fd : Unix.file_descr;
+  frames : Protocol.frame_buf;
+  mutable next_id : int;
+}
 
 let connect path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX path) with
-  | () -> { fd; next_id = 1 }
+  | () -> { fd; frames = Protocol.frame_buf (); next_id = 1 }
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
@@ -25,7 +29,7 @@ exception Protocol_error of string
 let request t kind =
   let id = t.next_id in
   t.next_id <- id + 1;
-  Protocol.write_frame t.fd
+  Protocol.write_frame t.frames t.fd
     (Protocol.request_to_json { Protocol.rq_id = id; rq_kind = kind });
   match Protocol.read_frame t.fd with
   | Error fe -> raise (Protocol_error (Protocol.frame_error_to_string fe))

@@ -87,17 +87,28 @@ let read_frame fd =
 (* A frame is rendered into one buffer, behind four bytes kept for its
    length, and written with a single [Unix.write] attempt loop so
    concurrent writers on *different* connections never interleave; one
-   connection has one writer (its handler thread) by construction. *)
-let write_frame fd json =
-  let buf = Buffer.create 4096 in
+   connection has one writer (its handler thread) by construction.  The
+   connection keeps that buffer, and the bytes the rendered frame is
+   copied into for the write, from frame to frame: once they have grown
+   to a frame's size, a frame of that size allocates nothing. *)
+type frame_buf = { buf : Buffer.t; mutable out : Bytes.t }
+
+let frame_buf () = { buf = Buffer.create 4096; out = Bytes.create 4096 }
+
+let write_frame fb fd json =
+  let buf = fb.buf in
+  Buffer.clear buf;
   Buffer.add_string buf "\000\000\000\000";
   Sink.json_to_buffer buf json;
   Buffer.add_char buf '\n';
-  let frame = Buffer.to_bytes buf in
-  let total = Bytes.length frame in
+  let total = Buffer.length buf in
   let n = total - 4 in
   if n > max_frame_bytes then
     invalid_arg "Protocol.write_frame: frame exceeds max_frame_bytes";
+  if Bytes.length fb.out < total then
+    fb.out <- Bytes.create (max total (2 * Bytes.length fb.out));
+  let frame = fb.out in
+  Buffer.blit buf 0 frame 0 total;
   Bytes.set_int32_be frame 0 (Int32.of_int n);
   let rec go off =
     if off < total then

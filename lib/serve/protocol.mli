@@ -34,9 +34,17 @@ val frame_error_to_string : frame_error -> string
     which callers treat as a disconnect). *)
 val read_frame : Unix.file_descr -> (Impact_obs.Sink.json, frame_error) result
 
-(** [write_frame fd json] writes one frame.  @raise Unix.Unix_error on a
+(** A connection's reusable frame buffer: one per connection, used by
+    its one writer. *)
+type frame_buf
+
+val frame_buf : unit -> frame_buf
+
+(** [write_frame fb fd json] renders one frame in [fb] and writes it.
+    [fb] keeps its storage, so a frame no larger than the largest one
+    written through it allocates nothing.  @raise Unix.Unix_error on a
     broken peer ([EPIPE] — the daemon ignores [SIGPIPE]). *)
-val write_frame : Unix.file_descr -> Impact_obs.Sink.json -> unit
+val write_frame : frame_buf -> Unix.file_descr -> Impact_obs.Sink.json -> unit
 
 val ierr_to_json : Impact_support.Ierr.t -> Impact_obs.Sink.json
 

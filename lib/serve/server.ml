@@ -391,8 +391,9 @@ let request_shutdown t = Atomic.set t.shutdown_flag true
    lost); a truncated frame or EOF closes silently (no one is
    listening). *)
 let handle_connection t ~conn_id fd =
+  let frames = Protocol.frame_buf () in
   let send json =
-    match Protocol.write_frame fd json with
+    match Protocol.write_frame frames fd json with
     | () -> true
     | exception _ -> false (* peer gone: stop serving this connection *)
   in

@@ -16,8 +16,8 @@
    diagnostics that want the oversubscribed behaviour on purpose.
 
    Telemetry: [?probe] observes one {!task_sample} per completed item —
-   queue wait, run time and GC deltas ([Gc.quick_stat] before/after on
-   the running domain) — so a telemetry registry (see
+   queue wait, run time and GC deltas on the running domain
+   ([Gc.minor_words] for the words, [Gc.quick_stat] for the rest) — so a telemetry registry (see
    [Impact_obs.Obs.probe]) can reconstruct per-domain utilisation
    without the pool depending on the observability layer.  The probe runs on the worker domain that
    executed the item and must be thread-safe; without a probe the per-
@@ -73,8 +73,9 @@ let observed ~probe ~t0 i g =
   | None -> g ()
   | Some p ->
     let s0 = Unix.gettimeofday () in
-    let g0 = Gc.quick_stat () in
+    let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
     let v = g () in
+    let w1 = Gc.minor_words () in
     let g1 = Gc.quick_stat () in
     let s1 = Unix.gettimeofday () in
     p
@@ -88,7 +89,7 @@ let observed ~probe ~t0 i g =
         ts_major_collections =
           g1.Gc.major_collections - g0.Gc.major_collections;
         ts_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-        ts_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+        ts_minor_words = w1 -. w0;
       };
     v
 

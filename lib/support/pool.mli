@@ -29,9 +29,12 @@
 
 (** One completed task, as seen by a {!probe}: which item ran where,
     how long it waited between map submission and pickup
-    ([ts_queue_ms]), how long it ran ([ts_run_ms]), and the
-    [Gc.quick_stat] deltas its domain accumulated while running it.
-    Words are in OCaml heap words, as reported by the GC. *)
+    ([ts_queue_ms]), how long it ran ([ts_run_ms]), and the GC work
+    its domain did while running it, in OCaml heap words.
+    [ts_minor_words] is a [Gc.minor_words] delta, exact however small
+    the task.  The collection counts and [ts_promoted_words] are
+    [Gc.quick_stat] deltas: per domain, and lumpy, since they move only
+    when a collection runs. *)
 type task_sample = {
   ts_index : int;  (** input index of the item *)
   ts_domain : int;  (** id of the domain that ran it *)

@@ -18,7 +18,10 @@
      the front end but reuses every later stage (the lowered program's
      checksum is unchanged); flipping one config field reuses the front
      end and the profiles but recomputes classification and selection; a
-     semantic source change recomputes everything. *)
+     semantic source change recomputes everything;
+   - a handle remembers its inputs' digests: exact MD5s compared by
+     content, within a byte budget, least recently used first, and safe
+     from two domains at once. *)
 
 module Cstore = Impact_support.Cstore
 module Ierr = Impact_support.Ierr
@@ -633,6 +636,121 @@ let test_invalidation_precision () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The handle's digest memo                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* On one handle, a second suite pass digests only the key parts that
+   are not profiling inputs: every input's digest is remembered. *)
+let test_memo_second_pass () =
+  let cache = Cache.create (tmp_dir ()) in
+  let pass () =
+    let obs = Obs.create (Sink.discard ()) in
+    ignore (Pipeline.run_suite ~obs ~cache ());
+    counter obs "cache.key_bytes"
+  in
+  let first = pass () in
+  let second = pass () in
+  Alcotest.(check (pair int int)) "key bytes: first pass, second pass"
+    (1_588_111, 53_400) (first, second);
+  Alcotest.(check bool) "the memo holds the suite's inputs" true
+    (Cache.memo_bytes cache = first - second)
+
+(* Two distinct inputs with equal [Hashtbl.hash], found by a
+   deterministic search. *)
+let hash_twins () =
+  let seen = Hashtbl.create 65536 in
+  let rec go i =
+    let s = Printf.sprintf "line %d\n" i in
+    match Hashtbl.find_opt seen (Hashtbl.hash s) with
+    | Some t -> (t, s)
+    | None ->
+      Hashtbl.add seen (Hashtbl.hash s) s;
+      go (i + 1)
+  in
+  go 0
+
+(* Entries are compared by content: inputs that share a hash keep their
+   own digests and so key different profiles. *)
+let test_memo_hash_twins () =
+  let a, b = hash_twins () in
+  Alcotest.(check bool) "twins differ, hashes agree" true
+    (a <> b && Hashtbl.hash a = Hashtbl.hash b);
+  let cache = Cache.create (tmp_dir ()) in
+  let obs = Obs.create (Sink.discard ()) in
+  Alcotest.(check string) "first twin" (Digest.to_hex (Digest.string a))
+    (Digest.to_hex (Cache.digest cache obs a));
+  Alcotest.(check string) "second twin" (Digest.to_hex (Digest.string b))
+    (Digest.to_hex (Cache.digest cache obs b));
+  Alcotest.(check int) "both digested" (String.length a + String.length b)
+    (counter obs "cache.key_bytes");
+  let with_input s = { (inv_bench inv_source) with Benchmark.inputs = (fun () -> [ s ]) } in
+  ignore (Pipeline.run ~cache (with_input a));
+  let obs = Obs.create (Sink.memory ()) in
+  ignore (Pipeline.run ~obs ~cache (with_input b));
+  check_stages obs
+    [ ("front", 1, 0); ("profile", 0, 2); ("classify", 2, 0); ("inline", 1, 0) ]
+
+(* The memo holds at most its budget, drops the least recently used
+   input first, and never keeps an input larger than the budget. *)
+let test_memo_budget () =
+  let cache = Cache.create (tmp_dir ()) in
+  let obs = Obs.create (Sink.discard ()) in
+  let digested s =
+    let before = counter obs "cache.key_bytes" in
+    Alcotest.(check bool) "exact MD5" true
+      (Digest.equal (Digest.string s) (Cache.digest cache obs s));
+    Alcotest.(check bool) "within budget" true
+      (Cache.memo_bytes cache <= Cache.memo_budget);
+    counter obs "cache.key_bytes" - before
+  in
+  (* Two of these fit the budget, three do not. *)
+  let third = (Cache.memo_budget / 3) + 1 in
+  let input c = String.make third c in
+  let a = input 'a' and b = input 'b' in
+  let first = digested a in
+  Alcotest.(check (pair int int)) "a, then b, digested" (third, third)
+    (first, digested b);
+  Alcotest.(check int) "an equal copy of a is remembered" 0 (digested (input 'a'));
+  Alcotest.(check int) "c digested" third (digested (input 'c'));
+  Alcotest.(check int) "a, used after b, survives c" 0 (digested a);
+  Alcotest.(check int) "b, least recently used, was dropped" third (digested b);
+  let held = Cache.memo_bytes cache in
+  let big = String.make (Cache.memo_budget + 1) 'x' in
+  let first = digested big in
+  Alcotest.(check (pair int int)) "a larger input is digested every time"
+    (String.length big, String.length big)
+    (first, digested big);
+  Alcotest.(check int) "and neither kept nor evicting" held (Cache.memo_bytes cache)
+
+(* Two domains keying the same inputs through one handle, in opposite
+   orders, with more inputs than the budget holds, each get exact
+   MD5s for originals and for equal copies alike. *)
+let test_memo_two_domains () =
+  let cache = Cache.create (tmp_dir ()) in
+  let inputs =
+    List.init 24 (fun i ->
+        String.init (100_000 + i) (fun j -> Char.chr (((i * 31) + j) land 255)))
+  in
+  let expected = List.map Digest.string inputs in
+  let worker order () =
+    let bad = ref 0 in
+    for r = 0 to 9 do
+      List.iter2
+        (fun s d ->
+          let s = if r mod 2 = 0 then s else Bytes.to_string (Bytes.of_string s) in
+          if not (Digest.equal d (Cache.digest cache Obs.null s)) then incr bad)
+        (order inputs) (order expected)
+    done;
+    !bad
+  in
+  let other = Domain.spawn (worker List.rev) in
+  let here = worker Fun.id () in
+  Alcotest.(check (pair int int)) "no wrong digest on either domain" (0, 0)
+    (here, Domain.join other);
+  Alcotest.(check bool) "within budget" true
+    (Cache.memo_bytes cache <= Cache.memo_budget)
+
+(* ------------------------------------------------------------------ *)
 (* On-disk corruption through the full pipeline                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -777,6 +895,14 @@ let tests =
       test_invalidation_precision;
     Alcotest.test_case "pipeline survives a fully corrupt cache" `Quick
       test_pipeline_survives_corruption;
+    Alcotest.test_case "memo: a second suite pass digests no input" `Quick
+      test_memo_second_pass;
+    Alcotest.test_case "memo: inputs with equal hashes keep their digests" `Quick
+      test_memo_hash_twins;
+    Alcotest.test_case "memo: bounded, least recently used first" `Quick
+      test_memo_budget;
+    Alcotest.test_case "memo: two domains get exact digests" `Quick
+      test_memo_two_domains;
     QCheck_alcotest.to_alcotest prop_keys;
     Alcotest.test_case "cache spans match the cache counters" `Quick
       test_cache_spans_match_counters;

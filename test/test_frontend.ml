@@ -53,6 +53,66 @@ let test_lexer_locations () =
     Alcotest.(check int) "col of b" 3 lb.Impact_cfront.Srcloc.col
   | _ -> Alcotest.fail "expected three tokens"
 
+(* A literal above [max_int] (the IL's immediates are native ints) is a
+   typed lexer error at the literal, in every base: never an untyped
+   [int_of_string] failure, never a wrapped value.  The cases run
+   through the parser and through impactc, whose parse errors exit 3
+   and name the location. *)
+let out_of_range_literals =
+  [
+    ("int main() { return 99999999999999999999; }", "1:21", [ "il" ]);
+    ( "extern int print_int(int n);\nint main() { print_int(4611686018427387904); return 0; }",
+      "2:24",
+      [ "run" ] );
+    ( "extern int print_int(int n);\nint main() { print_int(0777777777777777777777777); return 0; }",
+      "2:24",
+      [ "run" ] );
+    ( "extern int print_int(int n);\nint main() { print_int(0xFFFFFFFFFFFFFFFFF); return 0; }",
+      "2:24",
+      [ "run" ] );
+  ]
+
+let test_lexer_literal_range () =
+  List.iter
+    (fun (src, loc, _) ->
+      match Parser.parse_program src with
+      | exception Lexer.Lex_error (msg, l) ->
+        Alcotest.(check (pair string string))
+          (src ^ ": typed error at the literal")
+          ("integer literal out of range", loc)
+          (msg, Impact_cfront.Srcloc.to_string l)
+      | _ -> Alcotest.failf "%s: out-of-range literal accepted" src)
+    out_of_range_literals;
+  (* [max_int] itself, in each base, still lexes. *)
+  List.iter
+    (fun lit ->
+      match tokens lit with
+      | [ Token.Int_lit n; Token.Eof ] ->
+        Alcotest.(check int) (lit ^ " is max_int") max_int n
+      | _ -> Alcotest.failf "%s did not lex as one literal" lit)
+    [ "4611686018427387903"; "0x3FFFFFFFFFFFFFFF"; "0377777777777777777777" ]
+
+let test_cli_literal_range () =
+  let impactc = Testutil.bin "impactc.exe" in
+  List.iter
+    (fun (src, loc, cmd) ->
+      let file = Filename.temp_file "impact_literal" ".c" in
+      let err = Filename.temp_file "impact_literal" ".err" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc src);
+      let code =
+        Sys.command
+          (Filename.quote_command impactc ~stdout:Filename.null ~stderr:err
+             (cmd @ [ file ]))
+      in
+      let stderr = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove file;
+      Sys.remove err;
+      Alcotest.(check (pair int string))
+        (String.concat " " cmd ^ ": one typed parse error, exit 3")
+        (3, Printf.sprintf "impactc: parse error at %s: integer literal out of range\n" loc)
+        (code, stderr))
+    out_of_range_literals
+
 let expr src = (Parser.parse_expr_string src).Ast.edesc
 
 let test_parser_precedence () =
@@ -262,6 +322,8 @@ let tests =
     Alcotest.test_case "lexer: literals" `Quick test_lexer_literals;
     Alcotest.test_case "lexer: comments" `Quick test_lexer_comments;
     Alcotest.test_case "lexer: locations" `Quick test_lexer_locations;
+    Alcotest.test_case "lexer: literals above max_int" `Quick test_lexer_literal_range;
+    Alcotest.test_case "impactc: literals above max_int" `Quick test_cli_literal_range;
     Alcotest.test_case "parser: precedence" `Quick test_parser_precedence;
     Alcotest.test_case "parser: unary/postfix" `Quick test_parser_postfix_unary;
     Alcotest.test_case "parser: ternary/comma" `Quick test_parser_ternary_comma;

@@ -445,6 +445,36 @@ let test_codec_allocation () =
   checkb (Printf.sprintf "encoding allocates %.3f words/byte (<= 0.75)" (per_byte enc))
     true (per_byte enc <= 0.75)
 
+(* A connection's frame buffer is reused: once it has held a frame, a
+   repeat frame of that size allocates almost nothing, however large.
+   The bytes written are the length prefix, the JSON and its newline. *)
+let test_frame_allocation () =
+  let module Protocol = Impact_serve.Protocol in
+  let n = 1 lsl 18 in
+  let doc =
+    Sink.Obj
+      [
+        ("v", Sink.Int 1); ("kind", Sink.String "compile");
+        ("source", Sink.String (String.init n (fun i -> Char.chr (Char.code 'a' + (i mod 26)))));
+      ]
+  in
+  let body = Sink.json_to_string doc ^ "\n" in
+  let prefix = Bytes.create 4 in
+  Bytes.set_int32_be prefix 0 (Int32.of_int (String.length body));
+  let frame = Bytes.to_string prefix ^ body in
+  let path = Filename.temp_file "impact_frames" ".bin" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let frames = Protocol.frame_buf () in
+  Protocol.write_frame frames fd doc;
+  let (), words = allocated_words (fun () -> Protocol.write_frame frames fd doc) in
+  Unix.close fd;
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  checkb "two frames, byte for byte" true (written = frame ^ frame);
+  let per_byte = words /. float_of_int (String.length frame) in
+  checkb (Printf.sprintf "a repeat frame allocates %.4f words/byte (< 0.05)" per_byte)
+    true (per_byte < 0.05)
+
 (* ------------------------------------------------------------------ *)
 (* Decision log vs the selector                                        *)
 (* ------------------------------------------------------------------ *)
@@ -661,6 +691,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_codec_matches_reference;
     QCheck_alcotest.to_alcotest prop_malformed_like_reference;
     Alcotest.test_case "json codec allocation per byte" `Quick test_codec_allocation;
+    Alcotest.test_case "frame writes reuse the connection's buffer" `Quick
+      test_frame_allocation;
     Alcotest.test_case "decision log complete" `Quick test_decision_log_complete;
     Alcotest.test_case "metrics match interpreter counters" `Quick
       test_metrics_match_counters;

@@ -44,11 +44,7 @@ let test_retired_headers_refused () =
    [--profile-mode], whatever its value, and [--engine].  The same
    command without them runs. *)
 let test_cli_refuses_retired_flags () =
-  let impactc =
-    Filename.concat
-      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
-      "impactc.exe"
-  in
+  let impactc = Testutil.bin "impactc.exe" in
   let command args =
     Sys.command
       (Filename.quote_command impactc ~stdout:Filename.null

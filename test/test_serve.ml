@@ -93,8 +93,9 @@ let test_frame_roundtrip () =
     ~finally:(fun () -> Unix.close a; Unix.close b)
     (fun () ->
       let doc = Sink.Obj [ ("x", Sink.Int 42); ("s", Sink.String "héllo\n\"") ] in
-      Protocol.write_frame a doc;
-      Protocol.write_frame a (Sink.List [ Sink.Bool true ]);
+      let frames = Protocol.frame_buf () in
+      Protocol.write_frame frames a doc;
+      Protocol.write_frame frames a (Sink.List [ Sink.Bool true ]);
       (match Protocol.read_frame b with
       | Ok j -> Alcotest.(check string) "doc roundtrips"
           (Sink.json_to_string doc) (Sink.json_to_string j)
@@ -512,11 +513,7 @@ int main() { int c, s = 0; while ((c = getchar()) != -1) s = tock(s); return s &
 (* impactd's startup failures are one typed line and exit 5, and leave
    no socket and no trace, final or temporary, behind. *)
 let test_daemon_startup_errors () =
-  let impactd =
-    Filename.concat
-      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
-      "impactd.exe"
-  in
+  let impactd = Testutil.bin "impactd.exe" in
   let dir = tmp_dir () in
   Sys.mkdir dir 0o755;
   let missing = Filename.concat dir "missing" in
@@ -655,11 +652,7 @@ let test_stats_contract () =
 (* Each out-of-range knob value is a usage error (exit 2) from impactc
    and a typed serve error on the wire: one range per knob. *)
 let test_knob_ranges () =
-  let impactc =
-    Filename.concat
-      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
-      "impactc.exe"
-  in
+  let impactc = Testutil.bin "impactc.exe" in
   List.iter
     (fun arg ->
       Alcotest.(check int) (arg ^ " is a usage error") 2

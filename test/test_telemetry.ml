@@ -337,6 +337,37 @@ let test_flight_pool_probe () =
   Alcotest.(check (float 0.)) "minor words summed"
     (sum (fun s -> s.Pool.ts_minor_words)) f.Obs.f_minor_words
 
+(* A small task's minor words are counted, on the main domain and on a
+   spawned one, through [Obs.task] and through a pool probe: 10,000 cons
+   cells are 30,000 words, which a [Gc.quick_stat] delta read as 0
+   whenever no minor collection ran during the task. *)
+let test_task_minor_words () =
+  let cells () = ignore (Sys.opaque_identity (List.init 10_000 Fun.id)) in
+  let task_words () =
+    let obs = Obs.create (Sink.discard ()) in
+    Obs.task obs ~queue_ms:0. "small" cells;
+    (Obs.flight obs "small").Obs.f_minor_words
+  in
+  let probe_words () =
+    let words = ref 0. in
+    ignore
+      (Pool.map_array
+         ~probe:(fun s -> words := s.Pool.ts_minor_words)
+         cells [| () |]);
+    !words
+  in
+  List.iter
+    (fun (where, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words >= 30000" where words)
+        true (words >= 30_000.))
+    [
+      ("Obs.task, main domain", task_words ());
+      ("Obs.task, spawned domain", Domain.join (Domain.spawn task_words));
+      ("pool probe, main domain", probe_words ());
+      ("pool probe, spawned domain", Domain.join (Domain.spawn probe_words));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -500,6 +531,8 @@ let tests =
     Alcotest.test_case "flight diagnose verdicts" `Quick test_flight_diagnose;
     Alcotest.test_case "flight records pool tasks" `Quick
       test_flight_pool_probe;
+    Alcotest.test_case "small tasks count their minor words" `Quick
+      test_task_minor_words;
     Alcotest.test_case "chrome export schema" `Quick test_chrome_schema;
     Alcotest.test_case "chrome span nesting" `Quick test_chrome_nesting;
     Alcotest.test_case "chrome unpaired events survive" `Quick

@@ -9,6 +9,12 @@ module Rng = Impact_support.Rng
 
 let compile src = Impact_il.Lower.lower_source src
 
+(* The built CLI and daemon, which the test stanza depends on. *)
+let bin exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
+    exe
+
 let run ?(input = "") src =
   let prog = compile src in
   Machine.run prog ~input
