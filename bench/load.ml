@@ -5,7 +5,9 @@
    socket I/O), and replays a mixed request stream against it:
 
    - warm compiles: one shared source, so after the first miss every
-     request is answered from the shared stage cache;
+     request is answered from the shared stage cache; one of their
+     inputs is long enough to go by reference after a connection's
+     first send, and the final stats must count such references;
    - cold compiles: generated, pairwise-distinct sources;
    - profiles and reports (the suite's "cmp" benchmark);
    - pings, as the control-plane floor;
@@ -13,7 +15,8 @@
      policy — the daemon runs with fault injection allowed, so these
      exercise the recovery path and, because fault points are
      process-global, the cross-request blast radius);
-   - malformed connections: raw garbage instead of frames, on
+   - malformed connections: raw garbage instead of frames, and compile
+     frames naming an unknown or a malformed input reference, on
      dedicated connections.
 
    Requests refused by admission control (typed Serve/retry-once
@@ -74,6 +77,9 @@ int main() { int c, s = 0; while ((c = getchar()) != -1) s = stepB(s); return s 
 |}
     (i + 1) i
 
+(* Long enough (at least [Client.min_ref_bytes]) to go by reference. *)
+let warm_input = String.concat "\n" (List.init 8 (Printf.sprintf "warm input line %d"))
+
 type req_class = Ping | Warm | Cold | Profile | Report | Faulted
 
 let class_name = function
@@ -105,7 +111,7 @@ let kind_of ~seq cls =
   in
   match cls with
   | Ping -> Protocol.Ping
-  | Warm -> Protocol.Compile (job warm_src [ "abcdef"; "xyz" ] Pipeline.Degrade)
+  | Warm -> Protocol.Compile (job warm_src [ "abcdef"; warm_input ] Pipeline.Degrade)
   | Cold -> Protocol.Compile (job (cold_src seq) [ "abcd" ] Pipeline.Degrade)
   | Profile -> Protocol.Profile (job warm_src [ "hello world" ] Pipeline.Degrade)
   | Report -> Protocol.Report ("cmp", job "" [ "" ] Pipeline.Degrade)
@@ -152,12 +158,6 @@ let latency_summary lats =
       ("max_ms", Sink.Float (percentile a 1.0));
     ]
 
-let is_admission_error (e : Ierr.t) =
-  e.Ierr.stage = Ierr.Serve
-  && e.Ierr.recovery = Ierr.Retry_once
-  && String.length e.Ierr.msg >= 17
-  && String.sub e.Ierr.msg 0 17 = "server overloaded"
-
 (* ------------------------------------------------------------------ *)
 (* Client workers                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -184,7 +184,7 @@ let run_client t tly socket ~client ~per_client =
           Mutex.protect tly.mu (fun () ->
               tly.ok <- tly.ok + 1;
               tly.latencies <- (cls, ms) :: tly.latencies)
-        | Error e when is_admission_error e && tries < 5 ->
+        | Error e when Protocol.is_overloaded e && tries < 5 ->
           Mutex.protect tly.mu (fun () ->
               tly.admission_retries <- tly.admission_retries + 1);
           Thread.delay (0.02 *. float_of_int (tries + 1));
@@ -205,9 +205,27 @@ let run_client t tly socket ~client ~per_client =
     done;
   ignore t
 
-(* Garbage connections: raw bytes, never a valid frame.  The daemon
+let framed body =
+  let n = String.length body in
+  Printf.sprintf "%c%c%c%c%s"
+    (Char.chr ((n lsr 24) land 0xff)) (Char.chr ((n lsr 16) land 0xff))
+    (Char.chr ((n lsr 8) land 0xff)) (Char.chr (n land 0xff)) body
+
+(* A compile frame of the warm source whose one input is [reference]. *)
+let reference_frame reference =
+  framed
+    (Printf.sprintf {|{"v":1,"id":1,"kind":"compile","source":%s,"inputs":[%s]}|}
+       (Sink.json_to_string (Sink.String warm_src)) reference
+    ^ "\n")
+
+(* Garbage connections: raw bytes, never a valid frame, or a compile
+   frame with an input reference the daemon must refuse.  The daemon
    must answer with a typed error or close — and keep serving. *)
 let run_vandal tly socket ~n =
+  let failure msg =
+    Mutex.protect tly.mu (fun () ->
+        tly.protocol_failures <- msg :: tly.protocol_failures)
+  in
   for i = 0 to n - 1 do
     match Client.connect socket with
     | exception e ->
@@ -222,27 +240,37 @@ let run_vandal tly socket ~n =
          server is (correctly) still waiting for the rest of the frame,
          so the vandal just vanishes, as a crashed client would. *)
       let await = ref true in
-      (match i mod 4 with
+      (* A reference frame must be answered with this typed error. *)
+      let expect = ref None in
+      (match i mod 6 with
       | 0 -> Client.send_raw c "\x7f\xff\xff\xff"  (* oversized prefix *)
       | 1 ->
         Client.send_raw c "\x00\x00\x00\x40{\"v\":1,";  (* truncated *)
         await := false
-      | 2 ->
-        (* well-framed garbage payload *)
-        let body = "!!not json!!\n" in
-        let n = String.length body in
+      | 2 -> Client.send_raw c (framed "!!not json!!\n")  (* well-framed garbage *)
+      | 3 -> Client.send_raw c (String.make 7 '\xee')
+      | 4 ->
         Client.send_raw c
-          (Printf.sprintf "%c%c%c%c%s"
-             (Char.chr ((n lsr 24) land 0xff)) (Char.chr ((n lsr 16) land 0xff))
-             (Char.chr ((n lsr 8) land 0xff)) (Char.chr (n land 0xff)) body)
-      | _ -> Client.send_raw c (String.make 7 '\xee'));
+          (reference_frame
+             (Printf.sprintf {|{"md5":"%s"}|}
+                (Digest.to_hex (Digest.string (Printf.sprintf "never sent %d" i)))));
+        expect := Some ("unknown reference", Protocol.is_missing_input)
+      | _ ->
+        Client.send_raw c (reference_frame {|{"md5":"not hex"}|});
+        expect :=
+          Some ("malformed reference", fun e -> not (Protocol.is_missing_input e)));
       if !await then
-        match Client.read_response c with
-        | Ok _ | Error _ -> ()
-        | exception e ->
-          Mutex.protect tly.mu (fun () ->
-              tly.protocol_failures <-
-                ("vandal read: " ^ Printexc.to_string e) :: tly.protocol_failures)
+        match (Client.read_response c, !expect) with
+        | Ok (Error e), Some (what, typed) ->
+          if not (e.Ierr.stage = Ierr.Serve && typed e) then
+            failure
+              (Printf.sprintf "vandal %s: wrong error: %s" what (Ierr.to_string e))
+        | Ok (Ok _), Some (what, _) -> failure ("vandal " ^ what ^ ": answered ok")
+        | Error fe, Some (what, _) ->
+          failure
+            (Printf.sprintf "vandal %s: %s" what (Protocol.frame_error_to_string fe))
+        | (Ok _ | Error _), None -> ()
+        | exception e -> failure ("vandal read: " ^ Printexc.to_string e)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -323,6 +351,9 @@ let () =
   end;
   if answered <> total then
     fail "only %d of %d requests were answered" answered total;
+  (match Sink.mem "serve.input_refs" (Sink.mem "counters" final_stats) with
+  | Sink.Int n when n > 0 -> ()
+  | _ -> fail "no input went by reference: counters.\"serve.input_refs\" is 0");
   (* Fault points are process-global: each one-shot arming can fail at
      most one request (the armed one or an unlucky neighbour). *)
   if nerrors > nfaulted then begin

@@ -550,9 +550,18 @@ let () =
   Printexc.record_backtrace true;
   let doc = "profile-guided inline function expansion for C (PLDI 1989)" in
   let info = Cmd.info "impactc" ~version:"1.0.0" ~doc in
+  let cmds = [ parse_cmd; il_cmd; run_cmd; profile_cmd; inline_cmd; bench_cmd ] in
+  (* A group reads its first positional argument as a command name, so
+     [impactc prog.c] runs the default command on its own: a first
+     argument that names no command but an existing file is the
+     default command's FILE.  A command name keeps its meaning. *)
   let group =
-    Cmd.group ~default:default_term info
-      [ parse_cmd; il_cmd; run_cmd; profile_cmd; inline_cmd; bench_cmd ]
+    match Array.to_list Sys.argv with
+    | _ :: first :: _
+      when (not (List.exists (fun c -> Cmd.name c = first) cmds))
+           && Sys.file_exists first ->
+      Cmd.v info default_term
+    | _ -> Cmd.group ~default:default_term info cmds
   in
   (* ~catch:false so failures reach the typed handler below instead of
      cmdliner's backtrace printer; usage errors map to exit 2, typed

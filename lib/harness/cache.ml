@@ -11,40 +11,9 @@
 
 module Cstore = Impact_support.Cstore
 module Obs = Impact_obs.Obs
+module Digest_memo = Impact_support.Digest_memo
 
-(* The digest memo: the profiling inputs are the same bytes on every
-   warm rerun, so a handle remembers the MD5 of each input it has keyed.
-   An entry keeps its input, so a lookup compares content, never a
-   weaker hash.  Entries sit in a ring, most recently used first behind
-   the sentinel [ring]; the least recently used go once the bytes held
-   pass [memo_budget], so each entry is evicted at most once and every
-   operation is O(1) amortized.  [mu] covers the table and the ring,
-   never an MD5. *)
-module Inputs = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
-
-type entry = {
-  input : string;
-  sum : Digest.t;
-  mutable prev : entry;
-  mutable next : entry;
-}
-
-type memo = {
-  mu : Mutex.t;
-  table : entry Inputs.t;
-  ring : entry;
-  mutable held : int;
-}
-
-type t = { store : Cstore.t; memo : memo }
-
-(* The suite's 1,534,711 input bytes fit. *)
-let memo_budget = 2 * 1024 * 1024
+type t = { store : Cstore.t; memo : Digest_memo.t }
 
 (* fmt2: Profile.t grew the value-profile component (vsites), changing
    its Marshal shape.  fmt3: the front, profile and inline payloads
@@ -53,13 +22,11 @@ let memo_budget = 2 * 1024 * 1024
 let format_salt = "impact-stage-cache fmt3 " ^ Sys.ocaml_version
 
 let create ?max_bytes dir =
-  let rec ring = { input = ""; sum = ""; prev = ring; next = ring } in
-  {
-    store = Cstore.create ?max_bytes dir;
-    memo = { mu = Mutex.create (); table = Inputs.create 64; ring; held = 0 };
-  }
+  { store = Cstore.create ?max_bytes dir; memo = Digest_memo.create () }
 
 let cstore t = t.store
+
+let memo t = t.memo
 
 let salt_digest = Digest.string format_salt
 
@@ -67,54 +34,18 @@ let key_of_digests digests = Cstore.key_of_digests (salt_digest :: digests)
 
 let key parts = key_of_digests (List.map Digest.string parts)
 
-let unlink e =
-  e.prev.next <- e.next;
-  e.next.prev <- e.prev
-
-let push_front m e =
-  e.prev <- m.ring;
-  e.next <- m.ring.next;
-  m.ring.next.prev <- e;
-  m.ring.next <- e
-
-let remembered m s =
-  Mutex.protect m.mu (fun () ->
-      match Inputs.find_opt m.table s with
-      | Some e ->
-        unlink e;
-        push_front m e;
-        Some e.sum
-      | None -> None)
-
-let remember m s sum =
-  Mutex.protect m.mu (fun () ->
-      if not (Inputs.mem m.table s) then begin
-        let rec e = { input = s; sum; prev = e; next = e } in
-        Inputs.replace m.table s e;
-        push_front m e;
-        m.held <- m.held + String.length s;
-        (* [e] alone fits, and it is the last candidate. *)
-        while m.held > memo_budget do
-          let old = m.ring.prev in
-          unlink old;
-          Inputs.remove m.table old.input;
-          m.held <- m.held - String.length old.input
-        done
-      end)
-
 let digest_part obs s =
   Obs.incr obs ~by:(String.length s) "cache.key_bytes";
   Digest.string s
 
+(* The profiling inputs are the same bytes on every warm rerun, so a
+   handle remembers the MD5 of each input it has keyed. *)
 let digest t obs s =
-  match remembered t.memo s with
+  match Digest_memo.find t.memo s with
   | Some sum -> sum
   | None ->
-    let sum = digest_part obs s in
-    if String.length s <= memo_budget then remember t.memo s sum;
-    sum
-
-let memo_bytes t = Mutex.protect t.memo.mu (fun () -> t.memo.held)
+    Obs.incr obs ~by:(String.length s) "cache.key_bytes";
+    Digest_memo.add t.memo s
 
 let count obs outcome stage =
   Obs.incr obs ("cache." ^ outcome);

@@ -177,11 +177,13 @@ let snapshot t =
   sorted_bindings counters (fun r -> Sink.Int !r)
   @ Mutex.protect t.mu (fun () -> sorted_bindings t.gauges Fun.id)
 
+let counters_json t =
+  Sink.Obj (sorted_bindings (merged_counters t) (fun r -> Sink.Int !r))
+
 let to_json t =
-  let counters = merged_counters t in
   Sink.Obj
     [
-      ("counters", Sink.Obj (sorted_bindings counters (fun r -> Sink.Int !r)));
+      ("counters", counters_json t);
       ( "gauges",
         Sink.Obj (Mutex.protect t.mu (fun () -> sorted_bindings t.gauges Fun.id))
       );

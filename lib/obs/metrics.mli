@@ -63,6 +63,10 @@ val counter_value : t -> string -> int
     [Sink.Int], gauges as recorded. *)
 val snapshot : t -> (string * Sink.json) list
 
+(** [counters_json t] is every counter as one object, keys sorted:
+    [{"name":count,…}]. *)
+val counters_json : t -> Sink.json
+
 (** [to_json t] is
     [{"counters":{…},"gauges":{…},"histograms":{…},"spans":{…}}], keys
     sorted, each histogram rendered by {!Histogram.snapshot_to_json}. *)

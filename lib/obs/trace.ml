@@ -1,8 +1,10 @@
 (* Span ids are allocated under a mutex and the open-span stack is kept
-   per domain, so runs executing on pool workers (see
-   {!Impact_support.Pool}) nest their own spans without corrupting each
-   other's.  Single-domain behaviour — ids, nesting, event order — is
-   unchanged. *)
+   per thread of each domain, so runs executing on pool workers (see
+   {!Impact_support.Pool}) and impactd's handler threads, which share
+   domain 0, nest their own spans without corrupting each other's.
+   Single-thread behaviour — ids, nesting, event order — is unchanged.
+   A thread's entry goes when its stack empties, so threads that come
+   and go leave nothing behind. *)
 
 type t = {
   sink : Sink.t;
@@ -11,7 +13,8 @@ type t = {
   origin : float;
   mu : Mutex.t;
   mutable next_id : int;
-  stacks : (int, int list) Hashtbl.t;  (* domain id -> innermost-first *)
+  stacks : (int * int, int list) Hashtbl.t;
+      (* (domain id, thread id) -> innermost-first *)
 }
 
 let create ?(clock = Unix.gettimeofday) ~on_span sink =
@@ -32,12 +35,14 @@ let sink t = t.sink
 
 let enabled t = Sink.enabled t.sink
 
-let my_stack t =
-  match Hashtbl.find_opt t.stacks (Domain.self () :> int) with
-  | Some s -> s
-  | None -> []
+let me () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
-let set_my_stack t s = Hashtbl.replace t.stacks (Domain.self () :> int) s
+let my_stack t =
+  match Hashtbl.find_opt t.stacks (me ()) with Some s -> s | None -> []
+
+let set_my_stack t = function
+  | [] -> Hashtbl.remove t.stacks (me ())
+  | s -> Hashtbl.replace t.stacks (me ()) s
 
 let current_span t =
   Mutex.protect t.mu (fun () ->

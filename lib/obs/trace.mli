@@ -1,8 +1,9 @@
 (** Hierarchical spans over a {!Sink}.
 
-    A tracer maintains a stack of open spans; {!with_span} emits a
-    [span_begin]/[span_end] pair around a computation, recording the
-    parent span id and the wall-clock duration.  On the {!Sink.null}
+    A tracer maintains a stack of open spans per thread of each domain,
+    so concurrent threads never parent each other's spans; {!with_span}
+    emits a [span_begin]/[span_end] pair around a computation, recording
+    the parent span id and the wall-clock duration.  On the {!Sink.null}
     sink nothing is emitted, no event is built, and the clock is never
     read — instrumented code pays one branch.  On a sink that keeps no
     event ({!Sink.discard}) a span reads the clock twice for its

@@ -1,6 +1,17 @@
 (** Synchronous [impactd] client: one Unix-domain connection, blocking
     request/response.  For concurrency, open one client per thread —
-    the load generator does exactly that. *)
+    the load generator does exactly that.
+
+    A connection sends each job input of at least {!min_ref_bytes} in
+    full the first time and as a reference to its MD5 afterwards (see
+    {!Protocol}).  It remembers the inputs it has sent in a
+    {!Impact_support.Digest_memo}, with the same 2 MiB budget and
+    least-recently-used eviction as the daemon's, and digests them after
+    the frame is written, while the daemon works.  When the daemon
+    answers {!Protocol.missing_input} (its memo, shared by every
+    connection, dropped the input), the client resends the request once
+    with every input in full and returns that outcome.  Shorter inputs
+    always go in full. *)
 
 type t
 
@@ -18,9 +29,14 @@ val fd : t -> Unix.file_descr
     answers with a mismatched request id. *)
 exception Protocol_error of string
 
+(** The shortest input sent as a reference: 64 bytes, since a
+    reference is 42. *)
+val min_ref_bytes : int
+
 (** [request t kind] sends one request and blocks for its response:
     [Ok payload] or [Error typed_error] exactly as the daemon
-    classified it.  Ids are assigned per connection, starting at 1.
+    classified it.  Ids are assigned per connection, starting at 1; a
+    resend in full after a missing input keeps the request's id.
     @raise Protocol_error on a wire-level failure
     @raise Unix.Unix_error when the connection breaks mid-write *)
 val request :

@@ -15,6 +15,16 @@
      {"v":1, "id":<int>, "kind":"ping"|"compile"|"profile"|"report"|
       "stats"|"shutdown", ...kind-specific fields...}
 
+   A compile, profile or report request carries a job: "source", an
+   "inputs" array, and the knobs ("policy", "devirt", ...).  Each
+   element of "inputs" is either the input's bytes as a string or a
+   reference {"md5":"<32 hex digits>"} to an input the daemon already
+   holds because a request gave it in full.  A reference the daemon
+   does not hold (it keeps a bounded memo) is refused with the one
+   error {!missing_input} builds; the client then resends the request
+   with every input in full.  A frame whose inputs are all strings is
+   exactly the frame of the protocol before references.
+
    A response object:
 
      {"v":1, "id":<int>, "ok":true,  "result":{...}}
@@ -66,7 +76,7 @@ let really_read fd buf n =
   in
   go 0
 
-let read_frame fd =
+let read_payload fd =
   let hdr = Bytes.create 4 in
   match really_read fd hdr 4 with
   | `Eof 0 -> Error Closed
@@ -79,10 +89,14 @@ let read_frame fd =
       let payload = Bytes.create n in
       match really_read fd payload n with
       | `Eof _ -> Error Truncated
-      | `Ok -> (
-        match Sink.json_of_string (Bytes.unsafe_to_string payload) with
-        | json -> Ok json
-        | exception Sink.Parse_error msg -> Error (Bad_json msg)))
+      | `Ok -> Ok (Bytes.unsafe_to_string payload))
+
+let decode_payload payload =
+  match Sink.json_of_string payload with
+  | json -> Ok json
+  | exception Sink.Parse_error msg -> Error (Bad_json msg)
+
+let read_frame fd = Result.bind (read_payload fd) decode_payload
 
 (* A frame is rendered into one buffer, behind four bytes kept for its
    length, and written with a single [Unix.write] attempt loop so
@@ -154,6 +168,35 @@ let serve_error fmt =
     (fun msg ->
       Ierr.make ~severity:Ierr.Skippable ~recovery:Ierr.Retry_once Ierr.Serve msg)
     fmt
+
+(* The two refusals a client acts on are told apart by their typed
+   fields, never by their text.  A missing input is the one [Serve]
+   error that is [Degradable] (the input in full is the substitute) and
+   [Retry_once] (the client resends once); its location is the
+   reference's index. *)
+let missing_input ~index sum =
+  Ierr.make ~severity:Ierr.Degradable ~recovery:Ierr.Retry_once
+    ~loc:(Printf.sprintf "inputs[%d]" index)
+    Ierr.Serve
+    (Printf.sprintf "no input with MD5 %s is held; resend it in full"
+       (Digest.to_hex sum))
+
+let is_missing_input (e : Ierr.t) =
+  e.Ierr.stage = Ierr.Serve
+  && e.Ierr.severity = Ierr.Degradable
+  && e.Ierr.recovery = Ierr.Retry_once
+
+(* An overload refusal is located at the daemon's admission control. *)
+let admission = "admission"
+
+let overloaded ~pending ~cap =
+  Ierr.make ~severity:Ierr.Skippable ~recovery:Ierr.Retry_once ~loc:admission
+    Ierr.Serve
+    (Printf.sprintf "server overloaded (%d requests pending, cap %d); retry"
+       pending cap)
+
+let is_overloaded (e : Ierr.t) =
+  e.Ierr.stage = Ierr.Serve && e.Ierr.loc = Some admission
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
@@ -227,21 +270,51 @@ let parse_fault j =
       in
       Ok (Some { f_point = p; f_after = after; f_sticky = sticky }))
 
-let parse_job j =
+type input_store = {
+  take : string -> unit;
+  held : Digest.t -> string option;
+}
+
+let holds_nothing = { take = ignore; held = (fun _ -> None) }
+
+let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+(* An input reference: an object with exactly one field, "md5", holding
+   32 hex digits. *)
+let reference = function
+  | Sink.Obj [ ("md5", Sink.String h) ]
+    when String.length h = 32 && String.for_all is_hex h ->
+    Some (Digest.from_hex h)
+  | _ -> None
+
+(* The inputs in order, each reference replaced by the bytes [store]
+   holds for it; [store] takes each input sent in full as it is read. *)
+let parse_inputs store = function
+  | Sink.Null | Sink.List [] -> Ok [ "" ]
+  | Sink.List l ->
+    let rec go i acc = function
+      | [] -> Ok (List.rev acc)
+      | Sink.String s :: tl ->
+        store.take s;
+        go (i + 1) (s :: acc) tl
+      | j :: tl -> (
+        match reference j with
+        | None ->
+          Error
+            (serve_error
+               "inputs[%d] must be a string or {\"md5\":\"<32 hex digits>\"}" i)
+        | Some sum -> (
+          match store.held sum with
+          | Some s -> go (i + 1) (s :: acc) tl
+          | None -> Error (missing_input ~index:i sum)))
+    in
+    go 0 [] l
+  | _ -> Error (serve_error "inputs must be an array of strings")
+
+let parse_job store j =
   let ( let* ) = Result.bind in
   let source = match Sink.mem "source" j with Sink.String s -> s | _ -> "" in
-  let* inputs =
-    match Sink.mem "inputs" j with
-    | Sink.Null -> Ok [ "" ]
-    | Sink.List l ->
-      let rec strings acc = function
-        | [] -> Ok (List.rev acc)
-        | Sink.String s :: tl -> strings (s :: acc) tl
-        | _ -> Error (serve_error "inputs must be an array of strings")
-      in
-      if l = [] then Ok [ "" ] else strings [] l
-    | _ -> Error (serve_error "inputs must be an array of strings")
-  in
+  let* inputs = parse_inputs store (Sink.mem "inputs" j) in
   let* policy =
     match Sink.mem "policy" j with
     | Sink.Null -> Ok Pipeline.Strict
@@ -306,8 +379,9 @@ let parse_job j =
       j_fault = fault;
     }
 
-let parse_request j =
+let parse_request ?(inputs = holds_nothing) j =
   let ( let* ) = Result.bind in
+  let parse_job = parse_job inputs in
   let* () =
     match Sink.mem "v" j with
     | Sink.Int v when v = version -> Ok ()
@@ -345,10 +419,15 @@ let parse_request j =
 (* Request construction (client side)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let job_fields job =
+let input_json by_ref s =
+  match by_ref s with
+  | None -> Sink.String s
+  | Some sum -> Sink.Obj [ ("md5", Sink.String (Digest.to_hex sum)) ]
+
+let job_fields by_ref job =
   (if job.j_source = "" then [] else [ ("source", Sink.String job.j_source) ])
   @ [
-      ("inputs", Sink.List (List.map (fun s -> Sink.String s) job.j_inputs));
+      ("inputs", Sink.List (List.map (input_json by_ref) job.j_inputs));
       ( "policy",
         Sink.String
           (match job.j_policy with
@@ -383,7 +462,8 @@ let job_fields job =
           ] );
     ]
 
-let request_to_json { rq_id; rq_kind } =
+let request_to_json ?(by_ref = fun _ -> None) { rq_id; rq_kind } =
+  let job_fields = job_fields by_ref in
   let base = [ ("v", Sink.Int version); ("id", Sink.Int rq_id) ] in
   let kind = [ ("kind", Sink.String (kind_name rq_kind)) ] in
   Sink.Obj

@@ -24,6 +24,13 @@
    without bound.  Ping/stats/shutdown bypass admission (they must work
    precisely when the daemon is saturated).
 
+   Profiling inputs cross the wire once per connection.  The daemon
+   keeps one input memo (its cache's, with [--cache]): the handler
+   thread puts each input a request gives in full into it, and resolves
+   each reference ({"md5":...}) to the memo's own string, so the
+   pipeline's digest of that input is a pointer-equal hit.  A reference
+   resolves only to bytes this process received and digested itself.
+
    Telemetry has one store, the [obs] context's registry; the server
    keeps none of its own.  Handed {!Obs.null}, it serves over a
    discard-sink context, which counts without keeping events.  Request
@@ -32,7 +39,9 @@
    queue wait and its domain's GC deltas), and its admission-to-response
    latency lands in a histogram of its kind, so `stats` and the trace
    read the same numbers, and `--trace-format chrome` of a serving
-   session opens in Perfetto with one track per worker domain. *)
+   session opens in Perfetto with one track per worker domain.  On the
+   handler thread, decoding each frame is a ["serve.frame_decode"] span
+   and writing each response a ["serve.encode"] span. *)
 
 module Sink = Impact_obs.Sink
 module Obs = Impact_obs.Obs
@@ -43,6 +52,7 @@ module Pool = Impact_support.Pool
 module Cstore = Impact_support.Cstore
 module Pipeline = Impact_harness.Pipeline
 module Cache = Impact_harness.Cache
+module Digest_memo = Impact_support.Digest_memo
 module Errors = Impact_harness.Errors
 module Report = Impact_harness.Report
 module Rt = Impact_interp.Rt
@@ -75,6 +85,7 @@ type t = {
   obs : Obs.t;  (* [cfg.obs], or a discard-sink context for Obs.null *)
   listen_fd : Unix.file_descr;
   service : Pool.Service.t;
+  inputs : Protocol.input_store;  (* over the daemon's one input memo *)
   mu : Mutex.t;
   mutable accepting : bool;
   mutable stopped : bool;
@@ -102,12 +113,6 @@ let request_counters =
    suffix is the one profiling mode's name, kept because stats readers
    look labels up by it). *)
 let latency = "serve.latency_ms"
-
-let overloaded_error t =
-  Ierr.make ~severity:Ierr.Skippable ~recovery:Ierr.Retry_once Ierr.Serve
-    (Printf.sprintf "server overloaded (%d requests pending, cap %d); retry"
-       (Pool.Service.pending t.service)
-       t.cfg.max_pending)
 
 let stopping_error () =
   Ierr.make ~severity:Ierr.Skippable ~recovery:Ierr.Retry_once Ierr.Serve
@@ -299,6 +304,7 @@ let stats_json t =
            :: Metrics.histograms_json m ~prefix:(latency ^ ".")) );
        ("flight", Obs.flight_to_json (Obs.flight t.obs "serve.request"));
        ("spans", Sink.Obj (Metrics.histograms_json ~span:true m ~prefix:""));
+       ("counters", Metrics.counters_json m);
      ]
     @
     match t.cfg.cache with
@@ -349,7 +355,11 @@ let process_request t ~conn_id (rq : Protocol.request) =
   | Protocol.Compile _ | Protocol.Profile _ | Protocol.Report _ ->
     if Pool.Service.pending t.service >= t.cfg.max_pending then begin
       Obs.incr t.obs "serve.rejected";
-      finish (Error (overloaded_error t))
+      finish
+        (Error
+           (Protocol.overloaded
+              ~pending:(Pool.Service.pending t.service)
+              ~cap:t.cfg.max_pending))
     end
     else begin
       let req_label = Printf.sprintf "req-%d.%d" conn_id id in
@@ -392,38 +402,50 @@ let request_shutdown t = Atomic.set t.shutdown_flag true
    listening). *)
 let handle_connection t ~conn_id fd =
   let frames = Protocol.frame_buf () in
-  let send json =
-    match Protocol.write_frame frames fd json with
+  let conn = ("conn", Sink.Int conn_id) in
+  let send ~id json =
+    match
+      Obs.span t.obs "serve.encode"
+        ~attrs:[ conn; ("id", Sink.Int id) ]
+        (fun () -> Protocol.write_frame frames fd json)
+    with
     | () -> true
     | exception _ -> false (* peer gone: stop serving this connection *)
   in
-  let rec loop () =
-    match Protocol.read_frame fd with
-    | Error Protocol.Closed | Error Protocol.Truncated -> ()
-    | Error ((Protocol.Empty | Protocol.Oversized _) as fe) ->
-      Obs.incr t.obs "serve.malformed";
-      ignore
-        (send
-           (Protocol.error_response ~id:0
-              (Protocol.serve_error "%s" (Protocol.frame_error_to_string fe))))
-    | Error (Protocol.Bad_json _ as fe) ->
-      Obs.incr t.obs "serve.malformed";
-      if
-        send
-          (Protocol.error_response ~id:0
-             (Protocol.serve_error "%s" (Protocol.frame_error_to_string fe)))
-      then loop ()
+  let frame_error fe =
+    Obs.incr t.obs "serve.malformed";
+    send ~id:0
+      (Protocol.error_response ~id:0
+         (Protocol.serve_error "%s" (Protocol.frame_error_to_string fe)))
+  in
+  (* The JSON parse and [parse_request], references resolved. *)
+  let decode payload =
+    match Protocol.decode_payload payload with
+    | Error fe -> Error (`Frame fe)
     | Ok json -> (
-      match Protocol.parse_request json with
+      match Protocol.parse_request ~inputs:t.inputs json with
+      | Ok rq -> Ok rq
       | Error err ->
-        Obs.incr t.obs "serve.malformed";
-        let id =
-          match Sink.mem "id" json with Sink.Int n -> n | _ -> 0
-        in
-        if send (Protocol.error_response ~id err) then loop ()
+        Error (`Request ((match Sink.mem "id" json with Sink.Int n -> n | _ -> 0), err)))
+  in
+  let rec loop () =
+    match Protocol.read_payload fd with
+    | Error Protocol.Closed | Error Protocol.Truncated -> ()
+    | Error fe -> ignore (frame_error fe)
+    | Ok payload -> (
+      match
+        Obs.span t.obs "serve.frame_decode" ~attrs:[ conn ] (fun () ->
+            decode payload)
+      with
+      | Error (`Frame fe) -> if frame_error fe then loop ()
+      | Error (`Request (id, err)) ->
+        Obs.incr t.obs
+          (if Protocol.is_missing_input err then "serve.input_misses"
+           else "serve.malformed");
+        if send ~id (Protocol.error_response ~id err) then loop ()
       | Ok rq ->
         let resp = process_request t ~conn_id rq in
-        let sent = send resp in
+        let sent = send ~id:rq.Protocol.rq_id resp in
         if rq.Protocol.rq_kind = Protocol.Shutdown then request_shutdown t
         else if sent then loop ())
   in
@@ -474,13 +496,36 @@ let start cfg =
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise (Unix.Unix_error (err, fn, cfg.socket_path)));
   Unix.listen listen_fd 128;
+  let obs =
+    if Obs.enabled cfg.obs then cfg.obs else Obs.create (Sink.discard ())
+  in
+  let memo =
+    match cfg.cache with Some c -> Cache.memo c | None -> Digest_memo.create ()
+  in
+  (* Digests taken on receipt are the ones the pipeline would take; they
+     are not key bytes.  An input the memo would not keep is left for the
+     pipeline to digest. *)
+  let inputs =
+    {
+      Protocol.take =
+        (fun s ->
+          Obs.incr obs ~by:(String.length s) "serve.input_bytes";
+          if String.length s <= Digest_memo.budget && Digest_memo.find memo s = None
+          then ignore (Digest_memo.add memo s));
+      held =
+        (fun sum ->
+          let s = Digest_memo.find_digest memo sum in
+          if s <> None then Obs.incr obs "serve.input_refs";
+          s);
+    }
+  in
   let t =
     {
       cfg;
-      obs =
-        (if Obs.enabled cfg.obs then cfg.obs else Obs.create (Sink.discard ()));
+      obs;
       listen_fd;
       service = Pool.Service.create ?domains:cfg.domains ();
+      inputs;
       mu = Mutex.create ();
       accepting = true;
       stopped = false;

@@ -14,14 +14,27 @@
     error.  Ping, stats and shutdown bypass admission so the control
     plane stays responsive under saturation.
 
+    Inputs: the daemon keeps one {!Impact_support.Digest_memo} (its
+    cache's, when it has one).  The handler thread puts each input a
+    request gives in full into it, counted in [serve.input_bytes], and
+    resolves each input reference through it, counted in
+    [serve.input_refs]; a reference it does not hold is refused with
+    {!Protocol.missing_input}, counted in [serve.input_misses] and not
+    in [serve.malformed].  Digests taken on receipt are not counted in
+    [cache.key_bytes].
+
     Telemetry: the server keeps none of its own; everything lands in
     [obs]'s registry (a discard-sink context when [obs] is
     {!Impact_obs.Obs.null}).  Request outcomes are counters; each
     admitted request runs on its worker domain as one ["serve.request"]
     task ({!Impact_obs.Obs.task}: span, queue wait, GC deltas) and adds
-    its admission-to-response latency to a histogram of its kind.  The
-    [stats] request renders that registry, so it agrees with the trace,
-    and the trace opens in Chrome trace export. *)
+    its admission-to-response latency to a histogram of its kind.  On
+    the handler thread each frame's decoding (JSON parse and
+    {!Protocol.parse_request}) is a ["serve.frame_decode"] span tagged
+    [conn], and each response's write a ["serve.encode"] span tagged
+    [conn] and [id].  The [stats] request renders that registry, so it
+    agrees with the trace, and the trace opens in Chrome trace
+    export. *)
 
 type config = {
   socket_path : string;
@@ -73,5 +86,7 @@ val stop : t -> unit
     admitted request ([all]) and per kind ([compile:full], ...);
     [flight], the summed ["serve.request"] tasks
     ({!Impact_obs.Obs.flight_to_json}); [spans], the histogram of every
-    span name; and, with a cache, its stats. *)
+    span name; [counters], every counter of the registry
+    ({!Impact_obs.Metrics.counters_json}); and, with a cache, its
+    stats. *)
 val stats_json : t -> Impact_obs.Sink.json

@@ -24,6 +24,7 @@
      from two domains at once. *)
 
 module Cstore = Impact_support.Cstore
+module Digest_memo = Impact_support.Digest_memo
 module Ierr = Impact_support.Ierr
 module Cache = Impact_harness.Cache
 module Pipeline = Impact_harness.Pipeline
@@ -653,7 +654,7 @@ let test_memo_second_pass () =
   Alcotest.(check (pair int int)) "key bytes: first pass, second pass"
     (1_588_111, 53_400) (first, second);
   Alcotest.(check bool) "the memo holds the suite's inputs" true
-    (Cache.memo_bytes cache = first - second)
+    (Digest_memo.bytes (Cache.memo cache) = first - second)
 
 (* Two distinct inputs with equal [Hashtbl.hash], found by a
    deterministic search. *)
@@ -700,11 +701,11 @@ let test_memo_budget () =
     Alcotest.(check bool) "exact MD5" true
       (Digest.equal (Digest.string s) (Cache.digest cache obs s));
     Alcotest.(check bool) "within budget" true
-      (Cache.memo_bytes cache <= Cache.memo_budget);
+      (Digest_memo.bytes (Cache.memo cache) <= Digest_memo.budget);
     counter obs "cache.key_bytes" - before
   in
   (* Two of these fit the budget, three do not. *)
-  let third = (Cache.memo_budget / 3) + 1 in
+  let third = (Digest_memo.budget / 3) + 1 in
   let input c = String.make third c in
   let a = input 'a' and b = input 'b' in
   let first = digested a in
@@ -714,13 +715,36 @@ let test_memo_budget () =
   Alcotest.(check int) "c digested" third (digested (input 'c'));
   Alcotest.(check int) "a, used after b, survives c" 0 (digested a);
   Alcotest.(check int) "b, least recently used, was dropped" third (digested b);
-  let held = Cache.memo_bytes cache in
-  let big = String.make (Cache.memo_budget + 1) 'x' in
+  let held = Digest_memo.bytes (Cache.memo cache) in
+  let big = String.make (Digest_memo.budget + 1) 'x' in
   let first = digested big in
   Alcotest.(check (pair int int)) "a larger input is digested every time"
     (String.length big, String.length big)
     (first, digested big);
-  Alcotest.(check int) "and neither kept nor evicting" held (Cache.memo_bytes cache)
+  Alcotest.(check int) "and neither kept nor evicting" held
+    (Digest_memo.bytes (Cache.memo cache))
+
+(* A lookup by digest finds only an input the memo digested itself, and
+   returns the memo's own string; an evicted input is found no more. *)
+let test_memo_by_digest () =
+  let m = Digest_memo.create () in
+  let s = String.make 100 'a' in
+  let d = Digest.string s in
+  let own label =
+    match Digest_memo.find_digest m d with
+    | Some held -> Alcotest.(check bool) label true (held == s)
+    | None -> Alcotest.failf "%s: not found" label
+  in
+  Alcotest.(check (option string)) "nothing held yet" None (Digest_memo.find_digest m d);
+  Alcotest.(check string) "add is the MD5" (Digest.to_hex d)
+    (Digest.to_hex (Digest_memo.add m s));
+  own "the memo's own string";
+  ignore (Digest_memo.add m (String.make 100 'a'));
+  own "an equal copy leaves the first in place";
+  let third = (Digest_memo.budget / 3) + 1 in
+  List.iter (fun c -> ignore (Digest_memo.add m (String.make third c))) [ 'x'; 'y'; 'z' ];
+  Alcotest.(check (option string)) "evicted" None (Digest_memo.find_digest m d);
+  Alcotest.(check bool) "within budget" true (Digest_memo.bytes m <= Digest_memo.budget)
 
 (* Two domains keying the same inputs through one handle, in opposite
    orders, with more inputs than the budget holds, each get exact
@@ -748,7 +772,7 @@ let test_memo_two_domains () =
   Alcotest.(check (pair int int)) "no wrong digest on either domain" (0, 0)
     (here, Domain.join other);
   Alcotest.(check bool) "within budget" true
-    (Cache.memo_bytes cache <= Cache.memo_budget)
+    (Digest_memo.bytes (Cache.memo cache) <= Digest_memo.budget)
 
 (* ------------------------------------------------------------------ *)
 (* On-disk corruption through the full pipeline                        *)
@@ -901,6 +925,8 @@ let tests =
       test_memo_hash_twins;
     Alcotest.test_case "memo: bounded, least recently used first" `Quick
       test_memo_budget;
+    Alcotest.test_case "memo: a digest finds only bytes it digested" `Quick
+      test_memo_by_digest;
     Alcotest.test_case "memo: two domains get exact digests" `Quick
       test_memo_two_domains;
     QCheck_alcotest.to_alcotest prop_keys;

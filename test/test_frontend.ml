@@ -113,6 +113,42 @@ let test_cli_literal_range () =
         (code, stderr))
     out_of_range_literals
 
+(* [impactc FILE] runs the default command, with options before or
+   after FILE, and prints what [impactc --strict FILE] prints; a
+   command name keeps its meaning, and a first argument that is neither
+   a command nor a file stays a usage error. *)
+let test_cli_bare_file () =
+  let impactc = Testutil.bin "impactc.exe" in
+  let file = Filename.temp_file "impact_bare" ".c" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc
+        "extern int print_int(int n);\n\
+         int add(int a, int b) { return a + b; }\n\
+         int main() { int i, s = 0; for (i = 0; i < 9; i++) s = add(s, i); \
+         print_int(s); return 0; }\n");
+  let run args =
+    let out = Filename.temp_file "impact_bare" ".out" in
+    let code =
+      Sys.command
+        (Filename.quote_command impactc ~stdout:out ~stderr:Filename.null args)
+    in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    (code, text)
+  in
+  let code, bare = run [ file ] in
+  let expected = run [ "--strict"; file ] in
+  Alcotest.(check (pair int string)) "impactc FILE" expected (code, bare);
+  Alcotest.(check bool) "it compiled" true
+    (String.starts_with ~prefix:"profile over 1 run(s)" bare);
+  Alcotest.(check (pair int string)) "impactc FILE --strict" expected
+    (run [ file; "--strict" ]);
+  let code, il = run [ "il"; file ] in
+  Alcotest.(check (pair int bool)) "impactc il FILE dumps IL" (0, true)
+    (code, String.starts_with ~prefix:"func " il);
+  Sys.remove file;
+  Alcotest.(check int) "a missing file is a usage error" 2 (fst (run [ file ]))
+
 let expr src = (Parser.parse_expr_string src).Ast.edesc
 
 let test_parser_precedence () =
@@ -341,4 +377,5 @@ let tests =
     Alcotest.test_case "c_pp: round-trip sample" `Quick test_pp_roundtrip_sample;
     Alcotest.test_case "c_pp: round-trip benchmarks" `Quick test_pp_roundtrip_benchmarks;
     Alcotest.test_case "c_pp: semantics preserved" `Quick test_pp_preserves_semantics;
+    Alcotest.test_case "impactc FILE runs the default command" `Quick test_cli_bare_file;
   ]

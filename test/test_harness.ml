@@ -64,14 +64,9 @@ let test_report_renders () =
   (* One benchmark through the full report stack: the strings must
      contain the benchmark name and the paper-reference columns. *)
   let r = Pipeline.run (Impact_bench_progs.Suite.find "tee") in
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun table ->
-      Alcotest.(check bool) "mentions tee" true (contains (table [ r ]) "tee"))
+      Alcotest.(check bool) "mentions tee" true (Testutil.contains (table [ r ]) "tee"))
     [
       Impact_harness.Report.table1;
       Impact_harness.Report.table2;
@@ -79,7 +74,7 @@ let test_report_renders () =
       Impact_harness.Report.table4;
     ];
   Alcotest.(check bool) "residual mix renders" true
-    (contains (Impact_harness.Report.residual_mix [ r ]) "paper")
+    (Testutil.contains (Impact_harness.Report.residual_mix [ r ]) "paper")
 
 let test_paper_reference_table () =
   Alcotest.(check int) "twelve reference rows" 12

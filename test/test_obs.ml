@@ -578,12 +578,7 @@ let test_metrics_match_counters () =
   (* The one-line rendering reports external calls too (it is
      cross-checked against the metric above). *)
   let line = Profile.to_string profile in
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  checkb "summary line mentions ext calls" true (contains line "ext=")
+  checkb "summary line mentions ext calls" true (Testutil.contains line "ext=")
 
 (* ------------------------------------------------------------------ *)
 (* Zero overhead on the null sink                                      *)

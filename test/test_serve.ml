@@ -14,8 +14,12 @@
      retryable error while ping/stats stay responsive;
    - state isolation: a faulted request (chaos daemon) must not perturb
      the bytes of the clean request that follows it;
+   - input references: a connection sends each input once and names
+     it by MD5 afterwards; malformed and unknown references are typed
+     errors, and a reference the daemon dropped is resent in full;
    - telemetry: stats read the same registry the trace is made from,
-     and keep the shape impactbench reads;
+     and keep the shape impactbench reads; handler-thread spans keep
+     their parents under concurrent connections;
    - knob ranges: what the wire refuses, impactc refuses too. *)
 
 module Protocol = Impact_serve.Protocol
@@ -28,6 +32,7 @@ module Ierr = Impact_support.Ierr
 module Fault = Impact_support.Fault
 module Pipeline = Impact_harness.Pipeline
 module Cache = Impact_harness.Cache
+module Digest_memo = Impact_support.Digest_memo
 
 let tick_src =
   {|
@@ -548,6 +553,237 @@ let test_daemon_startup_errors () =
   Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
+(* Input references                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* An input of [n] bytes of [c]: long enough, from
+   [Client.min_ref_bytes], to go as a reference once sent. *)
+let input c n = String.make n c
+
+let counter stats name =
+  match Sink.mem name (Sink.mem "counters" stats) with
+  | Sink.Int n -> n
+  | Sink.Null -> 0
+  | j -> Alcotest.failf "counter %s is not an int: %s" name (Sink.json_to_string j)
+
+let compile_with inputs =
+  Protocol.Compile
+    { Protocol.default_job with Protocol.j_source = tick_src; j_inputs = inputs }
+
+let stats_of c = ok_or_fail (Client.request c Protocol.Stats)
+
+(* Encoding with references and resolving them gives the job of the
+   all-string form, in order; with nothing held, the first reference is
+   the missing-input error; and without references the frame keeps its
+   historical bytes. *)
+let test_reference_roundtrip () =
+  let a = input 'a' 100 and b = input 'b' 64 and small = "tiny" in
+  let rq =
+    { Protocol.rq_id = 3;
+      rq_kind =
+        Protocol.Profile
+          { Protocol.default_job with
+            Protocol.j_source = tick_src; j_inputs = [ small; a; "mid"; b ] } }
+  in
+  let memo = Digest_memo.create () in
+  let by_ref s = if s = a || s = b then Some (Digest_memo.add memo s) else None in
+  let j = Protocol.request_to_json ~by_ref rq in
+  (match Sink.mem "inputs" j with
+  | Sink.List [ Sink.String _; Sink.Obj [ ("md5", _) ]; Sink.String _; Sink.Obj [ ("md5", _) ] ] -> ()
+  | other -> Alcotest.failf "unexpected inputs: %s" (Sink.json_to_string other));
+  let taken = ref [] in
+  let inputs =
+    { Protocol.take = (fun s -> taken := s :: !taken);
+      held = Digest_memo.find_digest memo }
+  in
+  (match Protocol.parse_request ~inputs j with
+  | Ok rq' -> Alcotest.(check bool) "same request as the all-string form" true (rq = rq')
+  | Error e -> Alcotest.failf "references refused: %s" (Ierr.to_string e));
+  Alcotest.(check (list string)) "the inputs sent in full were taken, in order"
+    [ small; "mid" ] (List.rev !taken);
+  (match Protocol.parse_request j with
+  | Error e ->
+    Alcotest.(check bool) "missing input recognised" true (Protocol.is_missing_input e);
+    Alcotest.(check (option string)) "located at the first reference" (Some "inputs[1]")
+      e.Ierr.loc
+  | Ok _ -> Alcotest.fail "a reference resolved with nothing held");
+  Alcotest.(check string) "no references: the historical frame"
+    {|{"v":1,"id":3,"kind":"profile","source":"s","inputs":["x","y"],"policy":"strict"}|}
+    (Sink.json_to_string
+       (Protocol.request_to_json
+          { rq with
+            Protocol.rq_kind =
+              Protocol.Profile
+                { Protocol.default_job with
+                  Protocol.j_source = "s"; j_inputs = [ "x"; "y" ] } }));
+  Alcotest.(check bool) "an overload is not a missing input" false
+    (Protocol.is_missing_input (Protocol.overloaded ~pending:1 ~cap:1));
+  Alcotest.(check bool) "a missing input is not an overload" false
+    (Protocol.is_overloaded (Protocol.missing_input ~index:0 (Digest.string "")));
+  Alcotest.(check bool) "a malformed request is neither" false
+    (let e = Protocol.serve_error "inputs must be an array of strings" in
+     Protocol.is_missing_input e || Protocol.is_overloaded e)
+
+(* The fuzz matrix for references: each malformed form is a typed serve
+   error counted as malformed, an unknown well-formed reference is the
+   missing-input error counted as a miss, and the connection answers a
+   ping after each. *)
+let test_reference_fuzz () =
+  let hex = Digest.to_hex (Digest.string "never sent") in
+  let frame inputs =
+    raw_frame
+      (Printf.sprintf
+         {|{"v":1,"id":5,"kind":"compile","source":%s,"inputs":[%s]}|}
+         (Sink.json_to_string (Sink.String tick_src)) inputs
+      ^ "\n")
+  in
+  let malformed =
+    [
+      {|{"md5":1}|};
+      Printf.sprintf {|{"md5":"%s"}|} (String.sub hex 0 31);
+      Printf.sprintf {|{"md5":"%s0"}|} hex;
+      Printf.sprintf {|{"md5":"%sg"}|} (String.sub hex 0 31);
+      Printf.sprintf {|{"md5":"%s","x":1}|} hex;
+      Printf.sprintf {|{"md5":{"md5":"%s"}}|} hex;
+      Printf.sprintf {|{"ref":{"md5":"%s"}}|} hex;
+      {|{}|};
+      {|null|};
+      {|["abc"]|};
+    ]
+  in
+  with_server (fun t ->
+      with_client t (fun c ->
+          List.iter
+            (fun form ->
+              Client.send_raw c (frame (Printf.sprintf {|"abc",%s|} form));
+              (match Client.read_response c with
+              | Ok (Error e) ->
+                Alcotest.(check string) (form ^ ": serve stage") "serve"
+                  (Ierr.stage_name e.Ierr.stage);
+                Alcotest.(check bool) (form ^ ": not a missing input") false
+                  (Protocol.is_missing_input e)
+              | _ -> Alcotest.failf "%s: no typed error" form);
+              ignore (ok_or_fail (Client.request c Protocol.Ping)))
+            malformed;
+          Client.send_raw c (frame (Printf.sprintf {|"abc",{"md5":"%s"}|} hex));
+          (match Client.read_response c with
+          | Ok (Error e) ->
+            Alcotest.(check bool) "unknown reference: missing input" true
+              (Protocol.is_missing_input e)
+          | _ -> Alcotest.fail "unknown reference: no typed error");
+          ignore (ok_or_fail (Client.request c Protocol.Ping));
+          let stats = stats_of c in
+          Alcotest.(check (pair int int)) "malformed and missing, counted apart"
+            (List.length malformed, 1)
+            (int_field (Sink.mem "requests" stats) "malformed",
+             counter stats "serve.input_misses")))
+
+(* A traps on its first byte '!' (a division by zero), so under Degrade
+   the failing input's index shows in the degradations. *)
+let trap_src =
+  {|
+extern int getchar();
+int main() { int c = getchar(), n = 0; while (getchar() != -1) n = n + 1; return (n + 100 / (c - 33)) & 0; }
+|}
+
+(* A list mixing strings and references keeps input order: the answers
+   match the all-string requests', and the trapping input keeps its
+   index in the compile's degradations. *)
+let test_reference_order () =
+  let a = input 'a' 80 and b = "!" ^ input 'b' 90 and e = input 'e' 70 in
+  let job inputs =
+    { Protocol.default_job with
+      Protocol.j_source = trap_src; j_inputs = inputs; j_policy = Pipeline.Degrade }
+  in
+  let compile = Protocol.Compile (job [ a; e; b; "tiny" ])
+  and profile = Protocol.Profile (job [ a; e; "tiny" ]) in
+  let all_strings =
+    with_server (fun t ->
+        with_client t (fun c ->
+            List.map
+              (fun k -> Sink.json_to_string (ok_or_fail (Client.request c k)))
+              [ compile; profile ]))
+  in
+  with_server (fun t ->
+      with_client t (fun c ->
+          (* a and b go in full first, so the next requests send them by
+             reference beside inputs sent in full. *)
+          ignore (ok_or_fail (Client.request c (Protocol.Compile (job [ a; b ]))));
+          let answers =
+            List.map
+              (fun k -> Sink.json_to_string (ok_or_fail (Client.request c k)))
+              [ compile; profile ]
+          in
+          Alcotest.(check int) "a and b, then a and e, went by reference" 4
+            (counter (stats_of c) "serve.input_refs");
+          Alcotest.(check (list string)) "answers match the all-string requests'"
+            all_strings answers;
+          let compiled = Sink.json_of_string (List.hd answers) in
+          Alcotest.(check int) "profile: three runs" 3
+            (int_field (Sink.json_of_string (List.nth answers 1)) "nruns");
+          match Sink.mem "degradations" compiled with
+          | Sink.List (d :: _) ->
+            let detail = Sink.json_to_string d in
+            Alcotest.(check bool) ("input 2 failed: " ^ detail) true
+              (Testutil.contains detail "input 2")
+          | _ -> Alcotest.fail "the trapping input left no degradation"))
+
+(* With a cache: two identical compiles on one connection send the
+   second's inputs by reference, its answer is byte-identical, and the
+   receipt digests are no key bytes.  Inputs under 64 bytes always go
+   in full. *)
+let test_reference_counters () =
+  let m = Client.min_ref_bytes in
+  Alcotest.(check int) "a reference is 42 bytes: the floor is 64" 64 m;
+  let x = input 'x' 5000 and y = input 'y' m and short = input 's' (m - 1) in
+  with_server ~cache_dir:(tmp_dir ()) (fun t ->
+      with_client t (fun c ->
+          let r1 = ok_or_fail (Client.request c (compile_with [ x; y; short ])) in
+          let r2 = ok_or_fail (Client.request c (compile_with [ x; y; short ])) in
+          Alcotest.(check string) "answers byte-identical" (Sink.json_to_string r1)
+            (Sink.json_to_string r2);
+          let stats = stats_of c in
+          Alcotest.(check (list int)) "refs, misses, bytes in full"
+            [ 2; 0; 5000 + m + (2 * (m - 1)) ]
+            (List.map (counter stats)
+               [ "serve.input_refs"; "serve.input_misses"; "serve.input_bytes" ]);
+          Alcotest.(check bool) "no input byte keyed twice" true
+            (counter stats "cache.key_bytes" < 5000)))
+
+(* A reference the daemon dropped is resent in full, once: the answer
+   is byte-identical and one miss is counted.  Another connection
+   evicts the input by sending more than the memo's budget of others;
+   the daemon has no cache, so its memo is its own. *)
+let test_reference_evicted () =
+  let x = input 'x' 1000 in
+  let third = (Digest_memo.budget / 3) + 1 in
+  with_server (fun t ->
+      with_client t (fun c ->
+          let first = ok_or_fail (Client.request c (compile_with [ x ])) in
+          with_client t (fun other ->
+              ignore
+                (ok_or_fail
+                   (Client.request other
+                      (Protocol.Compile
+                         { Protocol.default_job with
+                           Protocol.j_source = "int main() { return 0; }";
+                           j_inputs = List.map (fun ch -> input ch third) [ 'p'; 'q'; 'r' ] }))));
+          let again = ok_or_fail (Client.request c (compile_with [ x ])) in
+          Alcotest.(check string) "answer byte-identical" (Sink.json_to_string first)
+            (Sink.json_to_string again);
+          let stats = stats_of c in
+          Alcotest.(check (list int)) "one miss, then x in full again"
+            [ 1; 0; 1000 + 1000 + (3 * third) ]
+            (List.map (counter stats)
+               [ "serve.input_misses"; "serve.input_refs"; "serve.input_bytes" ]);
+          Alcotest.(check int) "a miss is not malformed" 0
+            (int_field (Sink.mem "requests" stats) "malformed");
+          (* x is held again, so the next request sends it by reference. *)
+          ignore (ok_or_fail (Client.request c (compile_with [ x ])));
+          Alcotest.(check int) "then by reference" 1
+            (counter (stats_of c) "serve.input_refs")))
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -606,6 +842,61 @@ let test_stats_agree_with_trace () =
           Alcotest.(check (float 1e-9)) "flight.run_ms sums the spans"
             (List.fold_left ( +. ) 0. durs)
             (path_number stats [ "flight"; "run_ms" ])))
+
+(* Handler threads share domain 0.  Under 8 concurrent connections
+   over a memory sink, every span's parent chain stays inside one
+   connection's requests: each span tagged with a connection (the
+   handler's serve.frame_decode and serve.encode, the worker's
+   serve.request) has only ancestors of that connection, and every
+   pipeline span has a serve.request ancestor.  The decode histogram in
+   stats counts every frame decoded. *)
+let test_handler_spans () =
+  let sink = Sink.memory () in
+  let nconns = 8 and per_conn = 6 in
+  with_server ~domains:2 ~obs:(Obs.create sink) (fun t ->
+      let worker i =
+        with_client t (fun c ->
+            for k = 0 to per_conn - 1 do
+              let kind =
+                if k mod 2 = 0 then Protocol.Ping
+                else compile_with [ input (Char.chr (97 + i)) (100 + k) ]
+              in
+              ignore (ok_or_fail (Client.request c kind))
+            done)
+      in
+      List.iter Thread.join (List.init nconns (fun i -> Thread.create worker i));
+      let stats = with_client t stats_of in
+      let begins =
+        List.filter (fun (e : Sink.event) -> e.Sink.ev_kind = "span_begin") (Sink.events sink)
+      in
+      let spans = Hashtbl.create 256 in
+      List.iter (fun (e : Sink.event) -> Hashtbl.replace spans e.Sink.ev_span e) begins;
+      let attr k (e : Sink.event) = List.assoc_opt k e.Sink.ev_attrs in
+      let rec chain id =
+        match Hashtbl.find_opt spans id with
+        | None -> []
+        | Some e ->
+          e :: (match attr "parent" e with Some (Sink.Int p) -> chain p | _ -> [])
+      in
+      List.iter
+        (fun (e : Sink.event) ->
+          let up = chain e.Sink.ev_span in
+          let conns = List.sort_uniq compare (List.filter_map (attr "conn") up) in
+          if List.length conns > 1 then
+            Alcotest.failf "span %s (%d) nests under %d connections" e.Sink.ev_name
+              e.Sink.ev_span (List.length conns);
+          if
+            (not (String.starts_with ~prefix:"serve." e.Sink.ev_name))
+            && not (List.exists (fun (a : Sink.event) -> a.Sink.ev_name = "serve.request") up)
+          then Alcotest.failf "span %s lies outside any request" e.Sink.ev_name)
+        begins;
+      let named n = List.length (List.filter (fun (e : Sink.event) -> e.Sink.ev_name = n) begins) in
+      let frames = (nconns * per_conn) + 1 in
+      Alcotest.(check (list int)) "decode spans: traced, in stats"
+        [ frames; frames ]
+        [ named "serve.frame_decode";
+          int_of_float (path_number stats [ "spans"; "serve.frame_decode"; "count" ]) ];
+      Alcotest.(check int) "one encode span per answer" frames (named "serve.encode"))
 
 (* The stats fields impactbench reads are numbers, and flight.tasks
    counts exactly the admitted compile, profile and report requests. *)
@@ -712,4 +1003,16 @@ let tests =
       test_stats_contract;
     Alcotest.test_case "knob ranges agree on the CLI and the wire" `Quick
       test_knob_ranges;
+    Alcotest.test_case "input references round-trip, in order" `Quick
+      test_reference_roundtrip;
+    Alcotest.test_case "malformed and unknown references are typed" `Quick
+      test_reference_fuzz;
+    Alcotest.test_case "mixed strings and references keep order" `Quick
+      test_reference_order;
+    Alcotest.test_case "repeated inputs go by reference, short ones in full" `Quick
+      test_reference_counters;
+    Alcotest.test_case "an evicted reference is resent in full once" `Quick
+      test_reference_evicted;
+    Alcotest.test_case "handler spans keep their parents, 8 connections" `Quick
+      test_handler_spans;
   ]

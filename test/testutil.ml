@@ -15,6 +15,12 @@ let bin exe =
     (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
     exe
 
+(* [contains hay needle]: [needle] occurs in [hay]. *)
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let run ?(input = "") src =
   let prog = compile src in
   Machine.run prog ~input
