@@ -12,6 +12,9 @@
 
    A warm stage-cache rerun of the suite must compute no content
    checksum (each hit carries its own): the run fails if it counts any.
+   A rewarm rerun through the warm run's handle must also miss nothing
+   and digest no profiling input: its key bytes plus the suite's input
+   bytes must equal the warm run's exactly.
 
    The domain-scaling sweep and its guard live in bench/scaling.ml.
 
@@ -91,7 +94,11 @@ let () =
         "  %s stages: %d benchmark(s), root self time %.1f of %.1f ms (%.1f%%)\n"
         pass (List.length stages) root total
         (100. *. root /. Float.max total 1e-9))
-    [ ("cold", cache.Perf.cold_stages); ("warm", cache.Perf.warm_stages) ];
+    [
+      ("cold", cache.Perf.cold_stages);
+      ("warm", cache.Perf.warm_stages);
+      ("rewarm", cache.Perf.rewarm_stages);
+    ];
   Printf.printf
     "  stage cache: cold %.0f ms, warm %.0f ms (%.1fx; warm %d hit(s), %d miss(es), \
      %d checksum(s), %d key byte(s))\n"
@@ -106,6 +113,28 @@ let () =
   if cache.Perf.warm_checksums > 0 then
     fail "warm cache rerun computed %d checksum(s); every hit carries its own"
       cache.Perf.warm_checksums;
+  let input_bytes =
+    List.fold_left
+      (fun n (b : Impact_bench_progs.Benchmark.t) ->
+        List.fold_left
+          (fun n s -> n + String.length s)
+          n (b.Impact_bench_progs.Benchmark.inputs ()))
+      0 Impact_bench_progs.Suite.all
+  in
+  Printf.printf
+    "  rewarm on the warm handle: %.0f ms (%d miss(es), %d checksum(s), %d key \
+     byte(s) = %d - %d input byte(s))\n"
+    cache.Perf.cache_rewarm_ms cache.Perf.rewarm_misses cache.Perf.rewarm_checksums
+    cache.Perf.rewarm_key_bytes cache.Perf.warm_key_bytes input_bytes;
+  if cache.Perf.rewarm_misses > 0 || cache.Perf.rewarm_checksums > 0 then
+    fail "rewarm rerun missed %d stage(s) and computed %d checksum(s); expected none"
+      cache.Perf.rewarm_misses cache.Perf.rewarm_checksums;
+  if cache.Perf.rewarm_key_bytes + input_bytes <> cache.Perf.warm_key_bytes then
+    fail
+      "rewarm rerun digested %d key byte(s); the warm run's %d less the suite's %d \
+       input byte(s) is %d"
+      cache.Perf.rewarm_key_bytes cache.Perf.warm_key_bytes input_bytes
+      (cache.Perf.warm_key_bytes - input_bytes);
   List.iter
     (fun (row : Perf.devirt_row) ->
       Printf.printf

@@ -54,6 +54,7 @@ let count obs outcome stage =
 let find t obs ~stage ~key =
   match Cstore.find t.store ~stage ~key with
   | Cstore.Hit payload -> (
+    Obs.incr obs ~by:(String.length payload) "cache.bytes_read";
     match
       Obs.span obs "cache.decode"
         ~attrs:[ ("stage", Impact_obs.Sink.String stage) ]

@@ -52,9 +52,9 @@ val memo : t -> Impact_support.Digest_memo.t
 
 (** [find t obs ~stage ~key] — [Some v] on a verified hit; [None] on a
     miss or a corrupt entry (the store drops corrupt entries and keeps
-    the typed reason in {!Impact_support.Cstore.last_error}).  Decoding
-    a verified payload runs in a ["cache.decode"] span tagged with
-    [stage]. *)
+    the typed reason in {!Impact_support.Cstore.last_error}).  Each
+    verified payload's length is added to [cache.bytes_read], and its
+    decoding runs in a ["cache.decode"] span tagged with [stage]. *)
 val find : t -> Impact_obs.Obs.t -> stage:string -> key:string -> 'a option
 
 val put : t -> Impact_obs.Obs.t -> stage:string -> key:string -> 'a -> unit

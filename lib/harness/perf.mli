@@ -2,8 +2,8 @@
     [dune build @bench-perf] (which writes [BENCH_perf.json]) and
     [dune build @bench-scaling].
 
-    Per-stage figures come from the spans {!Pipeline.run} emits: a
-    traced cold and a traced warm suite run through the stage cache
+    Per-stage figures come from the spans {!Pipeline.run} emits:
+    traced cold, warm and rewarm suite runs through the stage cache
     ({!cache_cold_warm}) give every span's self time, per benchmark. *)
 
 (** One level of the domain-scaling sweep: the requested and effective
@@ -73,32 +73,44 @@ type stage_ms = (string * (string * float) list) list
 val stage_self_ms : Impact_obs.Sink.event list -> stage_ms
 
 (** Cold-vs-warm timing of a whole suite run through the
-    content-addressed stage cache ({!Cache}), both runs traced into
+    content-addressed stage cache ({!Cache}), every run traced into
     memory.  [warm_hits] and [warm_misses] come from the warm run only
     (a fresh handle over the same directory), so [warm_misses = 0] means
     the rerun did no stage work at all.  [warm_checksums] and
     [warm_key_bytes] are the warm run's [cache.checksum] and
     [cache.key_bytes] counters: the content checksums it computed (0
     when every hit carries its own) and the bytes it digested into keys.
-    [cold_stages] and [warm_stages] are the runs' span self times. *)
+    The rewarm run reuses the warm run's handle, whose input memo
+    already holds every input, as impactd's and any long-lived caller's
+    does: its [cache.miss], [cache.checksum] and [cache.key_bytes]
+    counters are [rewarm_misses], [rewarm_checksums] and
+    [rewarm_key_bytes], and its key bytes are the warm run's less the
+    suite's input bytes.  [cold_stages], [warm_stages] and
+    [rewarm_stages] are the runs' span self times. *)
 type cache_timing = {
   cache_cold_ms : float;
   cache_warm_ms : float;
+  cache_rewarm_ms : float;
   warm_hits : int;
   warm_misses : int;
   warm_checksums : int;
   warm_key_bytes : int;
+  rewarm_misses : int;
+  rewarm_checksums : int;
+  rewarm_key_bytes : int;
   cold_stages : stage_ms;
   warm_stages : stage_ms;
+  rewarm_stages : stage_ms;
 }
 
-(** [cache_cold_warm ?jobs ()] runs the suite twice against a fresh
-    temporary cache directory — cold (populating) then warm (replaying)
-    — each with an in-memory trace, and reports both wall clocks, the
-    warm run's hit/miss, checksum and key-byte counters, and both runs'
-    stage self times.  The temporary directory is removed afterwards —
+(** [cache_cold_warm ?jobs ()] runs the suite three times against a
+    fresh temporary cache directory — cold (populating), warm
+    (replaying through a fresh handle), then rewarm (replaying through
+    the warm run's handle) — each with an in-memory trace, and reports
+    the wall clocks, the warm and rewarm runs' counters, and every
+    run's stage self times.  The temporary directory is removed afterwards —
     also when a run raises (recursive cleanup under [Fun.protect]).
-    Raises [Failure] if either run's inlined outputs diverge. *)
+    Raises [Failure] if any run's inlined outputs diverge. *)
 val cache_cold_warm : ?jobs:int -> unit -> cache_timing
 
 (** Devirt ablation: one benchmark through the full pipeline with
@@ -124,9 +136,9 @@ val devirt_to_json : devirt_row list -> Impact_obs.Sink.json
 (** [to_json ~suite_wall_ms ~suite_jobs ~cache ~devirt] is the
     BENCH_perf.json document: the wall clock and job count of the
     end-to-end suite run ([suite_wall_ms], [suite_jobs]), the span self
-    times of the cold and warm cached runs ([stages.cold],
-    [stages.warm]), the devirt ablation ([devirt_ablation]) and the
-    cold-vs-warm stage-cache section ([cache]). *)
+    times of the cold, warm and rewarm cached runs ([stages.cold],
+    [stages.warm], [stages.rewarm]), the devirt ablation
+    ([devirt_ablation]) and the stage-cache section ([cache]). *)
 val to_json :
   suite_wall_ms:float ->
   suite_jobs:int ->

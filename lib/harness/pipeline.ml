@@ -35,10 +35,19 @@ type result = {
   degradations : degradation list;
 }
 
+(* One pass: a line counts when it holds a byte outside [String.trim]'s
+   whitespace. *)
 let count_c_lines src =
-  String.split_on_char '\n' src
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.length
+  let lines = ref 0 and blank = ref true in
+  for i = 0 to String.length src - 1 do
+    match src.[i] with
+    | '\n' ->
+      if not !blank then incr lines;
+      blank := true
+    | ' ' | '\t' | '\r' | '\012' -> ()
+    | _ -> blank := false
+  done;
+  if !blank then !lines else !lines + 1
 
 (* Render an exception for a degradation note: typed errors print
    themselves; anything else is classified first so the note reads like

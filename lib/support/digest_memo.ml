@@ -7,11 +7,41 @@
    is O(1) amortized.  [mu] covers both tables and the ring, never an
    MD5. *)
 
+(* The bucket hash reads a bounded part of an input, so a lookup costs
+   the same for any size.  [Hashtbl.hash] bounds the values it visits,
+   not the bytes of a string, so it would read every byte.  An input of
+   at most [whole] bytes is hashed whole; a longer one by its length,
+   [samples] evenly spaced bytes and its last [tail] bytes.  The final
+   [Hashtbl.hash] of the sum mixes it, since [Hashtbl.Make] picks the
+   bucket from the low bits.  Nothing is allocated. *)
+let whole = 128
+
+let samples = 32
+
+let tail = 16
+
+let hash s =
+  let n = String.length s in
+  if n <= whole then Hashtbl.hash s
+  else begin
+    let h = ref n in
+    let step = n / samples in
+    for i = 0 to samples - 1 do
+      h := (!h * 31) + Char.code s.[i * step]
+    done;
+    for i = n - tail to n - 1 do
+      h := (!h * 31) + Char.code s.[i]
+    done;
+    Hashtbl.hash !h
+  end
+
+(* [String.equal] tests pointer equality first, so looking up the
+   memo's own string compares no byte. *)
 module Inputs = Hashtbl.Make (struct
   type t = string
 
   let equal = String.equal
-  let hash = Hashtbl.hash
+  let hash = hash
 end)
 
 type entry = {
@@ -78,7 +108,7 @@ let add m s =
     Mutex.protect m.mu (fun () ->
         if not (Inputs.mem m.table s) then begin
           let rec e = { input = s; sum; prev = e; next = e } in
-          Inputs.replace m.table s e;
+          Inputs.add m.table s e;
           Hashtbl.replace m.sums sum e;
           push_front m e;
           m.held <- m.held + String.length s;

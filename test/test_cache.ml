@@ -20,8 +20,9 @@
      end and the profiles but recomputes classification and selection; a
      semantic source change recomputes everything;
    - a handle remembers its inputs' digests: exact MD5s compared by
-     content, within a byte budget, least recently used first, and safe
-     from two domains at once. *)
+     content, also for long inputs that share the memo's sampled bucket
+     hash, within a byte budget, least recently used first (checked
+     against a model memo), and safe from two domains at once. *)
 
 module Cstore = Impact_support.Cstore
 module Digest_memo = Impact_support.Digest_memo
@@ -335,6 +336,8 @@ let stage_parts ?(config = Config.default) (r : Pipeline.result) =
 
 let key_work obs = (counter obs "cache.checksum", counter obs "cache.key_bytes")
 
+let bytes_read obs = counter obs "cache.bytes_read"
+
 let test_warm_run_identical () =
   let dir = tmp_dir () in
   let bench = Suite.find "cmp" in
@@ -344,6 +347,7 @@ let test_warm_run_identical () =
   let plain = Pipeline.run ~obs:plain_obs bench in
   Alcotest.(check (pair int int)) "uncached run: no checksum, no key bytes"
     (0, 0) (key_work plain_obs);
+  Alcotest.(check int) "uncached run reads no entry" 0 (bytes_read plain_obs);
   let cold_obs = Obs.create (Sink.memory ()) in
   let cold = Pipeline.run ~obs:cold_obs ~cache:(Cache.create dir) bench in
   Alcotest.(check string) "the cache changes no answer" (fingerprint plain)
@@ -351,6 +355,7 @@ let test_warm_run_identical () =
   Alcotest.(check int) "cold run has no hits" 0 (counter cold_obs "cache.hit");
   Alcotest.(check int) "cold run stores every stage" 6
     (counter cold_obs "cache.store");
+  Alcotest.(check int) "cold run reads no entry" 0 (bytes_read cold_obs);
   (* Every key part is digested once per key, except the profiling
      inputs, which both profile keys share and are digested once. *)
   let part_bytes parts = List.fold_left (fun n p -> n + String.length p) 0 parts in
@@ -376,6 +381,17 @@ let test_warm_run_identical () =
   (* The ISSUE's acceptance bar: >= 90% of stage work skipped. *)
   Alcotest.(check bool) "hit rate >= 0.9" true
     (Cstore.hit_rate (Cstore.stats (Cache.cstore cache)) >= 0.9);
+  (* The warm run read exactly the payloads of the six entries it hit. *)
+  let payload_bytes =
+    List.fold_left
+      (fun n (stage, parts) ->
+        match Cstore.find (Cache.cstore cache) ~stage ~key:(Cache.key parts) with
+        | Cstore.Hit payload -> n + String.length payload
+        | Cstore.Miss | Cstore.Corrupt _ -> Alcotest.failf "%s entry not stored" stage)
+      0 (stage_parts cold)
+  in
+  Alcotest.(check int) "warm run: bytes read are the hit payloads'" payload_bytes
+    (bytes_read obs);
   (* The reused selection shows up in the decision log. *)
   let cached_decisions =
     Sink.events (Obs.sink obs)
@@ -676,6 +692,8 @@ let test_memo_hash_twins () =
   let a, b = hash_twins () in
   Alcotest.(check bool) "twins differ, hashes agree" true
     (a <> b && Hashtbl.hash a = Hashtbl.hash b);
+  Alcotest.(check bool) "and share the memo's bucket hash" true
+    (Digest_memo.hash a = Digest_memo.hash b);
   let cache = Cache.create (tmp_dir ()) in
   let obs = Obs.create (Sink.discard ()) in
   Alcotest.(check string) "first twin" (Digest.to_hex (Digest.string a))
@@ -690,6 +708,131 @@ let test_memo_hash_twins () =
   ignore (Pipeline.run ~obs ~cache (with_input b));
   check_stages obs
     [ ("front", 1, 0); ("profile", 0, 2); ("classify", 2, 0); ("inline", 1, 0) ]
+
+(* A long input and 100 twins, each with one byte flipped at its own
+   position, spread across it.  The bucket hash reads a bounded sample,
+   so nearly all twins share the input's bucket; each still gets its
+   own MD5, and two of them key different profiles. *)
+let test_memo_long_twins () =
+  let n = 120_000 in
+  let original = String.init n (fun i -> Char.chr (97 + (i * 7 mod 26))) in
+  let twin k =
+    let b = Bytes.of_string original in
+    let p = (k * n / 100) + 7 in
+    Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor 1));
+    Bytes.to_string b
+  in
+  let twins = List.init 100 twin in
+  let shared =
+    List.length
+      (List.filter (fun t -> Digest_memo.hash t = Digest_memo.hash original) twins)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "nearly all twins share the bucket (%d of 100)" shared)
+    true (shared >= 90);
+  let cache = Cache.create (tmp_dir ()) in
+  let obs = Obs.create (Sink.discard ()) in
+  let exact label s =
+    Alcotest.(check string) label (Digest.to_hex (Digest.string s))
+      (Digest.to_hex (Cache.digest cache obs s))
+  in
+  exact "the original" original;
+  List.iteri (fun k t -> exact (Printf.sprintf "twin %d" k) t) twins;
+  exact "the original keeps its own" original;
+  List.iteri (fun k t -> exact (Printf.sprintf "twin %d again" k) t) twins;
+  Alcotest.(check bool) "within budget" true
+    (Digest_memo.bytes (Cache.memo cache) <= Digest_memo.budget);
+  let with_input s = { (inv_bench inv_source) with Benchmark.inputs = (fun () -> [ s ]) } in
+  ignore (Pipeline.run ~cache (with_input (List.nth twins 10)));
+  let obs = Obs.create (Sink.memory ()) in
+  ignore (Pipeline.run ~obs ~cache (with_input (List.nth twins 11)));
+  check_stages obs
+    [ ("front", 1, 0); ("profile", 0, 2); ("classify", 2, 0); ("inline", 1, 0) ]
+
+(* Random inputs on both sides of the whole-hash threshold (128 bytes),
+   a few larger than a quarter of the budget, and single-byte mutants of
+   them, added and looked up in random order.  A model memo (a list of
+   inputs, most recently used first, trimmed from the back to the
+   budget) says what each lookup must find: [find] is exactly the MD5
+   of an equal input the model holds, and [None] otherwise, and the
+   memo holds the model's bytes. *)
+let prop_memo_model =
+  let open QCheck.Gen in
+  let length =
+    frequency
+      [
+        (6, int_bound 300);
+        (1, int_range (Digest_memo.budget / 4) (Digest_memo.budget / 2));
+      ]
+  in
+  let gen =
+    triple
+      (list_size (int_range 1 6) (pair length nat))
+      (list_size (int_bound 8) (triple nat nat (int_range 1 255)))
+      (list_size (int_range 1 40) (pair bool nat))
+  in
+  let print (bases, mutants, ops) =
+    Printf.sprintf "bases %s, mutants %s, ops %s"
+      (QCheck.Print.(list (pair int int)) bases)
+      (QCheck.Print.(list (triple int int int)) mutants)
+      (QCheck.Print.(list (pair bool int)) ops)
+  in
+  QCheck.Test.make ~count:100 ~name:"memo: exact digests against a model memo"
+    (QCheck.make ~print gen)
+    (fun (bases, mutants, ops) ->
+      let bases =
+        List.map
+          (fun (len, seed) ->
+            String.init len (fun i -> Char.chr ((seed + (i * 131) + (i lsr 7)) land 255)))
+          bases
+      in
+      let nb = List.length bases in
+      let mutant (b, pos, x) =
+        let s = List.nth bases (b mod nb) in
+        if s = "" then s
+        else begin
+          let bytes = Bytes.of_string s in
+          let p = pos mod String.length s in
+          Bytes.set bytes p (Char.chr (Char.code (Bytes.get bytes p) lxor x));
+          Bytes.to_string bytes
+        end
+      in
+      let pool = Array.of_list (bases @ List.map mutant mutants) in
+      let sums = Array.map Digest.string pool in
+      let m = Digest_memo.create () in
+      let model = ref [] in
+      let model_bytes () = List.fold_left (fun n s -> n + String.length s) 0 !model in
+      let holds s = List.exists (String.equal s) !model in
+      let rec trim () =
+        if model_bytes () > Digest_memo.budget then begin
+          model := List.filteri (fun i _ -> i < List.length !model - 1) !model;
+          trim ()
+        end
+      in
+      List.for_all
+        (fun (add, i) ->
+          let i = i mod Array.length pool in
+          let s = pool.(i) in
+          (if add then begin
+             if String.length s <= Digest_memo.budget && not (holds s) then begin
+               model := s :: !model;
+               trim ()
+             end;
+             Digest.equal sums.(i) (Digest_memo.add m s)
+           end
+           else begin
+             let expected =
+               if holds s then begin
+                 model := s :: List.filter (fun t -> not (String.equal s t)) !model;
+                 Some sums.(i)
+               end
+               else None
+             in
+             Digest_memo.find m s = expected
+           end)
+          && Digest_memo.bytes m = model_bytes ()
+          && Digest_memo.bytes m <= Digest_memo.budget)
+        ops)
 
 (* The memo holds at most its budget, drops the least recently used
    input first, and never keeps an input larger than the budget. *)
@@ -929,6 +1072,11 @@ let tests =
       test_memo_by_digest;
     Alcotest.test_case "memo: two domains get exact digests" `Quick
       test_memo_two_domains;
+    Alcotest.test_case "memo: long twins in one bucket keep their digests" `Quick
+      test_memo_long_twins;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 0x6d656d6f |])
+      prop_memo_model;
     QCheck_alcotest.to_alcotest prop_keys;
     Alcotest.test_case "cache spans match the cache counters" `Quick
       test_cache_spans_match_counters;

@@ -35,9 +35,32 @@ let test_formatters () =
   Alcotest.(check string) "f0" "42" (Tables.f0 42.4);
   Alcotest.(check string) "f1" "42.4" (Tables.f1 42.44)
 
+(* The definition the one-pass count must agree with: lines that are
+   not empty once trimmed. *)
+let c_lines_oracle src =
+  String.split_on_char '\n' src
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.length
+
 let test_c_lines () =
-  Alcotest.(check int) "blank lines do not count" 2
-    (Pipeline.count_c_lines "int x;\n\n  \nint y;\n")
+  List.iter
+    (fun (label, src, n) ->
+      Alcotest.(check int) label n (Pipeline.count_c_lines src);
+      Alcotest.(check int) (label ^ ": oracle") n (c_lines_oracle src))
+    [
+      ("blank lines do not count", "int x;\n\n  \nint y;\n", 2);
+      ("the empty string", "", 0);
+      ("a last line with no newline", "int x;\nint y;", 2);
+      ("CRLF lines", "int x;\r\n\r\nint y;\r\n", 2);
+      ("a line holding only a form feed", "int x;\n\012\nint y;\n", 2);
+      ("a whitespace-only last line", "int x;\n \t\r", 1);
+    ];
+  List.iter
+    (fun (b : Impact_bench_progs.Benchmark.t) ->
+      let src = b.Impact_bench_progs.Benchmark.source in
+      Alcotest.(check int) b.Impact_bench_progs.Benchmark.name (c_lines_oracle src)
+        (Pipeline.count_c_lines src))
+    Impact_bench_progs.Suite.all
 
 let test_profile_averaging () =
   let src =

@@ -16,7 +16,8 @@
      the bytes of the clean request that follows it;
    - input references: a connection sends each input once and names
      it by MD5 afterwards; malformed and unknown references are typed
-     errors, and a reference the daemon dropped is resent in full;
+     errors, a reference the daemon dropped is resent in full, and long
+     inputs that share the memo's bucket keep their own answers;
    - telemetry: stats read the same registry the trace is made from,
      and keep the shape impactbench reads; handler-thread spans keep
      their parents under concurrent connections;
@@ -783,6 +784,69 @@ let test_reference_evicted () =
           Alcotest.(check int) "then by reference" 1
             (counter (stats_of c) "serve.input_refs")))
 
+(* Counts its input's 'z' bytes in calls, so the answer depends on
+   every byte. *)
+let zcount_src =
+  {|
+extern int getchar();
+int tick(int x) { return x + 1; }
+int main() { int c, s = 0; while ((c = getchar()) != -1) if (c == 122) s = tick(s); return s & 0; }
+|}
+
+(* Two long inputs that differ in one unsampled byte share the memo's
+   bucket.  Each of two connections sends one, in full and then by
+   reference, to a daemon whose pipeline digests through the same memo:
+   each gets the answer of the in-process compile of its own input, and
+   no reference misses. *)
+let test_reference_long_twins () =
+  let n = 100_000 and p = 1207 in
+  let twin c = String.init n (fun i -> if i = p then c else 'a') in
+  let a = twin 'y' and b = twin 'z' in
+  Alcotest.(check bool) "the twins share the memo's bucket" true
+    (Digest_memo.hash a = Digest_memo.hash b);
+  let job s =
+    { Protocol.default_job with Protocol.j_source = zcount_src; j_inputs = [ s ] }
+  in
+  let expected s =
+    let r =
+      Pipeline.run
+        { Impact_bench_progs.Benchmark.name = "twin";
+          description = "long twin";
+          source = zcount_src;
+          inputs = (fun () -> [ s ]) }
+    in
+    let inl = r.Pipeline.inliner in
+    [
+      ("code_before", Sink.Int inl.Impact_core.Inliner.size_before);
+      ("code_after", Sink.Int inl.Impact_core.Inliner.size_after);
+      ("outputs_match", Sink.Bool r.Pipeline.outputs_match);
+      ("nruns", Sink.Int r.Pipeline.nruns);
+      ("avg_calls_before", Sink.Float r.Pipeline.profile.Impact_profile.Profile.avg_calls);
+      ("avg_calls_after", Sink.Float r.Pipeline.post_profile.Impact_profile.Profile.avg_calls);
+    ]
+  in
+  let want_a = expected a and want_b = expected b in
+  Alcotest.(check bool) "the twins' compiles differ" true (want_a <> want_b);
+  let check label want answer =
+    List.iter
+      (fun (k, v) ->
+        Alcotest.(check string) (label ^ ": " ^ k) (Sink.json_to_string v)
+          (Sink.json_to_string (Sink.mem k answer)))
+      want
+  in
+  with_server ~cache_dir:(tmp_dir ()) (fun t ->
+      with_client t (fun ca ->
+          with_client t (fun cb ->
+              let compile c s = ok_or_fail (Client.request c (Protocol.Compile (job s))) in
+              check "a in full" want_a (compile ca a);
+              check "b in full" want_b (compile cb b);
+              check "a by reference" want_a (compile ca a);
+              check "b by reference" want_b (compile cb b);
+              let stats = stats_of ca in
+              Alcotest.(check (list int)) "refs, misses"
+                [ 2; 0 ]
+                (List.map (counter stats) [ "serve.input_refs"; "serve.input_misses" ]))))
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1013,6 +1077,8 @@ let tests =
       test_reference_counters;
     Alcotest.test_case "an evicted reference is resent in full once" `Quick
       test_reference_evicted;
+    Alcotest.test_case "long twins in one bucket get their own answers" `Quick
+      test_reference_long_twins;
     Alcotest.test_case "handler spans keep their parents, 8 connections" `Quick
       test_handler_spans;
   ]
